@@ -5,7 +5,7 @@ from .cache import RunCache
 from .er import (AnalyticComponent, ErSeries, analytic_er, analytic_front,
                  analytic_stiffness, compute_er, filter_er)
 from .fem2d import (DensityField, Grid, ProblemSpec, assemble, compliance,
-                    element_stiffness, preset, solve)
+                    element_stiffness, preset)
 from .materials import (LoadCase, Material, SelectionReport, ashby_index,
                         load_materials, refine_vf, screen_density,
                         screen_pareto, select)
@@ -30,5 +30,5 @@ __all__ = [
     "filter_build", "filter_er", "fit", "fit_problem",
     "full_density_compliance", "initial_design", "inverse", "load_materials",
     "multistart_sweep", "optimize", "preset", "refine", "refine_vf",
-    "screen_density", "screen_pareto", "select", "smooth", "solve",
+    "screen_density", "screen_pareto", "select", "smooth",
 ]

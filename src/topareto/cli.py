@@ -43,7 +43,6 @@ class RunConfig:
     vf_grid: list[float]
     out_dir: Path
     cache_dir: Path | None
-    seed: int = 0
     workers: int = 1
     rounds: int = 3
     min_threshold: float = pareto_mod.DEFAULT_MIN_THRESHOLD
@@ -105,7 +104,6 @@ def _load_config(args) -> RunConfig:
         vf_grid=vf_grid,
         out_dir=out_dir,
         cache_dir=Path(cache_dir) if cache_dir else None,
-        seed=int(doc.get("seed", 0)),
         workers=int(workers),
         rounds=int(doc.get("rounds", 3)),
         min_threshold=float(doc.get("min_threshold", pareto_mod.DEFAULT_MIN_THRESHOLD)),

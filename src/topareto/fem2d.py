@@ -12,6 +12,8 @@ Conventions (fixed, used everywhere):
   element size. Plane-stress stiffness of a point-loaded model is invariant
   under in-plane scaling, so compliances depend only on the grid aspect
   ratio and the load/support layout.
+* Fixed DOFs are constrained by zeroing their rows and columns and placing
+  a unit diagonal; solved displacements are exactly zero there.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import scipy.sparse
 
 from .errors import InvalidArgumentError, SolverError
 
-DENSE_DOF_LIMIT = 2000
-PCG_TOL = 1e-8
+RESID_TOL = 1e-8
 E_MIN_DEFAULT = 1e-9
 
 
@@ -224,7 +225,9 @@ class GridKernel:
     """Precomputed index machinery for one (grid, fixed_dofs, nu) triple.
 
     Carries the element DOF table, scatter indices for sparse and banded
-    assembly, and the constrained load/free masks. All solver paths share it.
+    assembly, and the constrained load/free masks. Its :meth:`solve`, a
+    banded Cholesky factorization with iterative refinement, is the one
+    linear solver of the package.
     """
 
     def __init__(self, grid: Grid, fixed_dofs: frozenset[int], nu: float = 0.3):
@@ -296,57 +299,36 @@ class GridKernel:
         out[self.fixed] = 0.0
         return out
 
-    def factorize(self, emod: np.ndarray, method: str):
-        """Cholesky-factor the constrained stiffness; returns a solve closure."""
-        if method == "banded":
-            ab = self.assemble_banded(emod)
-            try:
-                cb = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise SolverError(f"banded Cholesky failed: {exc}") from exc
-            return lambda rhs: scipy.linalg.cho_solve_banded((cb, True), rhs,
-                                                             check_finite=False)
-        if method == "dense":
-            data = (emod[:, None] * self._ke_flat[None, :]).ravel()
-            kd = scipy.sparse.coo_matrix((data, (self.i_idx, self.j_idx)),
-                                         shape=(self.ndof, self.ndof)).toarray()
-            kd[self.fixed, :] = 0.0
-            kd[:, self.fixed] = 0.0
-            kd[self.fixed, self.fixed] = 1.0
-            try:
-                fac = scipy.linalg.cho_factor(kd, lower=True, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise SolverError(f"dense Cholesky failed: {exc}") from exc
-            return lambda rhs: scipy.linalg.cho_solve(fac, rhs, check_finite=False)
-        raise InvalidArgumentError(f"unknown solve method {method!r}")
+    def factorize(self, emod: np.ndarray):
+        """Banded Cholesky of the constrained stiffness; returns a solve closure."""
+        ab = self.assemble_banded(emod)
+        try:
+            cb = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SolverError(f"banded Cholesky failed: {exc}") from exc
+        return lambda rhs: scipy.linalg.cho_solve_banded((cb, True), rhs,
+                                                         check_finite=False)
 
-    def solve(self, emod: np.ndarray, f: np.ndarray, method: str = "auto",
-              x0: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, emod: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Solve the constrained system for one modulus field.
 
-        ``auto`` uses a dense direct solve below ``DENSE_DOF_LIMIT`` DOFs and
-        banded Cholesky above it; ``pcg`` runs matrix-free Jacobi-PCG with a
-        ``10 * ndof`` iteration cap. Direct paths apply iterative refinement
-        so the residual contract holds even at extreme stiffness contrast.
+        One banded Cholesky factorization, then up to four steps of
+        iterative refinement so the residual contract holds even at extreme
+        stiffness contrast. Raises :class:`SolverError` when the matrix is
+        not positive definite or the final residual exceeds the limit.
         """
         fc = self.constrained_rhs(f)
         fnorm = float(np.linalg.norm(fc))
         if fnorm == 0.0:
             return np.zeros(self.ndof)
-        if method == "auto":
-            method = "dense" if self.ndof < DENSE_DOF_LIMIT else "banded"
-
-        if method == "pcg":
-            u = self._solve_pcg(emod, fc, fnorm, x0)
-        else:
-            solve_rhs = self.factorize(emod, method)
-            u = solve_rhs(fc)
-            for _ in range(4):
-                r = fc - self.apply_constrained(emod, u)
-                r[self.fixed] = 0.0
-                if float(np.linalg.norm(r)) <= PCG_TOL * fnorm:
-                    break
-                u = u + solve_rhs(r)
+        solve_rhs = self.factorize(emod)
+        u = solve_rhs(fc)
+        for _ in range(4):
+            r = fc - self.apply_constrained(emod, u)
+            r[self.fixed] = 0.0
+            if float(np.linalg.norm(r)) <= RESID_TOL * fnorm:
+                break
+            u = u + solve_rhs(r)
 
         resid = float(np.linalg.norm((fc - self.apply_constrained(emod, u))[self.free]))
         if not np.isfinite(resid) or resid > self._resid_limit(emod, u, fnorm):
@@ -360,7 +342,7 @@ class GridKernel:
         backward-error scale when the solution dwarfs the load (extreme
         stiffness contrast), where a smaller residual is not representable."""
         dmax = float(np.max(self.stiffness_diagonal(emod)))
-        return 10 * PCG_TOL * max(fnorm, 1e-7 * dmax * float(np.linalg.norm(u)))
+        return 10 * RESID_TOL * max(fnorm, 1e-7 * dmax * float(np.linalg.norm(u)))
 
     def stiffness_diagonal(self, emod: np.ndarray) -> np.ndarray:
         diag = np.bincount(self.edof.ravel(),
@@ -368,32 +350,6 @@ class GridKernel:
                            minlength=self.ndof)
         diag[self.fixed] = 1.0
         return diag
-
-    def _solve_pcg(self, emod, fc, fnorm, x0):
-        ndof = self.ndof
-        diag = self.stiffness_diagonal(emod)
-        dmax = float(diag.max())
-        inv_diag = 1.0 / diag
-        x = np.zeros(ndof) if x0 is None else np.where(self.fixed, 0.0, x0)
-        r = fc - self.apply_constrained(emod, x)
-        z = inv_diag * r
-        p = z.copy()
-        rz = float(r @ z)
-        maxiter = 10 * ndof
-        for it in range(1, maxiter + 1):
-            ap = self.apply_constrained(emod, p)
-            alpha = rz / float(p @ ap)
-            x += alpha * p
-            r -= alpha * ap
-            rnorm = float(np.linalg.norm(r))
-            if rnorm <= PCG_TOL * max(fnorm, 1e-7 * dmax * float(np.linalg.norm(x))):
-                return x
-            z = inv_diag * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        raise SolverError("PCG did not converge", iterations=maxiter,
-                          residual=float(np.linalg.norm(r)))
 
 
 @lru_cache(maxsize=32)
@@ -412,101 +368,6 @@ def assemble(problem: ProblemSpec, densities: DensityField, penal: float,
         raise InvalidArgumentError("density field does not match problem grid")
     kern = kernel_for(problem, nu)
     return kern.assemble_csr(simp_modulus(densities.values, penal, e_min))
-
-
-def solve(problem: ProblemSpec, k: scipy.sparse.csr_matrix, method: str = "auto",
-          x0: np.ndarray | None = None) -> np.ndarray:
-    """Displacements under the problem loads for an assembled stiffness.
-
-    Fixed DOFs are constrained by zeroing their rows/columns and placing a
-    unit diagonal; the returned vector is exactly zero there. The residual
-    on free DOFs is verified against ``1e-8 * ||F||``.
-    """
-    ndof = problem.grid.ndof
-    if k.shape != (ndof, ndof):
-        raise InvalidArgumentError("stiffness matrix does not match problem")
-    kern = kernel_for(problem)
-    f = problem.load_vector()
-    fc = kern.constrained_rhs(f)
-    fnorm = float(np.linalg.norm(fc))
-    if fnorm == 0.0:
-        return np.zeros(ndof)
-    if method == "auto":
-        method = "dense" if ndof < DENSE_DOF_LIMIT else "banded"
-
-    free = kern.free
-    mask = scipy.sparse.diags(free.astype(float))
-    kc = (mask @ k @ mask).tocsr()
-    kc = kc + scipy.sparse.diags(kern.fixed.astype(float))
-
-    if method in ("dense", "banded"):
-        if method == "dense":
-            try:
-                fac = scipy.linalg.cho_factor(kc.toarray(), lower=True,
-                                              check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise SolverError(f"dense Cholesky failed: {exc}") from exc
-            solve_rhs = lambda rhs: scipy.linalg.cho_solve(fac, rhs,
-                                                           check_finite=False)
-        else:
-            coo = kc.tocoo()
-            sel = coo.row >= coo.col
-            bw = int((coo.row[sel] - coo.col[sel]).max()) if sel.any() else 0
-            pos = (coo.row[sel] - coo.col[sel]) * ndof + coo.col[sel]
-            ab = np.bincount(pos, weights=coo.data[sel], minlength=(bw + 1) * ndof)
-            try:
-                cb = scipy.linalg.cholesky_banded(ab.reshape(bw + 1, ndof),
-                                                  lower=True, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise SolverError(f"banded Cholesky failed: {exc}") from exc
-            solve_rhs = lambda rhs: scipy.linalg.cho_solve_banded(
-                (cb, True), rhs, check_finite=False)
-        u = solve_rhs(fc)
-        for _ in range(4):
-            r = fc - kc @ u
-            r[kern.fixed] = 0.0
-            if float(np.linalg.norm(r)) <= PCG_TOL * fnorm:
-                break
-            u = u + solve_rhs(r)
-    elif method == "pcg":
-        diag = kc.diagonal()
-        if np.any(diag <= 0):
-            raise SolverError("non-positive diagonal in constrained stiffness")
-        dmax = float(diag.max())
-        inv_diag = 1.0 / diag
-        x = np.zeros(ndof) if x0 is None else np.where(kern.fixed, 0.0, x0)
-        r = fc - kc @ x
-        z = inv_diag * r
-        p = z.copy()
-        rz = float(r @ z)
-        maxiter = 10 * ndof
-        u = None
-        for it in range(1, maxiter + 1):
-            ap = kc @ p
-            alpha = rz / float(p @ ap)
-            x += alpha * p
-            r -= alpha * ap
-            if float(np.linalg.norm(r)) <= \
-                    PCG_TOL * max(fnorm, 1e-7 * dmax * float(np.linalg.norm(x))):
-                u = x
-                break
-            z = inv_diag * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        if u is None:
-            raise SolverError("PCG did not converge", iterations=maxiter,
-                              residual=float(np.linalg.norm(r)))
-    else:
-        raise InvalidArgumentError(f"unknown solve method {method!r}")
-
-    resid = float(np.linalg.norm((fc - kc @ u)[free]))
-    dmax = float(kc.diagonal().max())
-    limit = 10 * PCG_TOL * max(fnorm, 1e-7 * dmax * float(np.linalg.norm(u)))
-    if not np.isfinite(resid) or resid > limit:
-        raise SolverError("linear solve residual too large", residual=resid)
-    u[kern.fixed] = 0.0
-    return u
 
 
 def compliance(u: np.ndarray, f: np.ndarray) -> float:

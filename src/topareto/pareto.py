@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -195,15 +195,6 @@ def _run_point(payload: dict) -> tuple[int, DesignResult | None, str | None]:
         return payload["task_id"], None, str(exc)
 
 
-def _cfg_dict(cfg: OptimizerConfig) -> dict:
-    return {
-        "penal": cfg.penal, "rmin": cfg.rmin, "filter_kind": cfg.filter_kind,
-        "max_iters": cfg.max_iters, "move_limit": cfg.move_limit,
-        "change_tol": cfg.change_tol, "eta": cfg.eta, "e_min": cfg.e_min,
-        "solve_method": cfg.solve_method,
-    }
-
-
 def run_optimizations(problem: ProblemSpec, tasks: list[dict],
                       cfg: OptimizerConfig, cache: RunCache | None = None,
                       workers: int = 1) -> list[DesignResult]:
@@ -228,7 +219,7 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
             results[tid] = hit
             continue
         payload = {
-            "task_id": tid, "problem": problem_json, "cfg": _cfg_dict(cfg),
+            "task_id": tid, "problem": problem_json, "cfg": asdict(cfg),
             "vf": task["vf"], "init_kind": task.get("init_kind"),
             "init_values": task.get("init_values"), "key": key,
         }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +54,6 @@ class OptimizerConfig:
     change_tol: float = 0.01
     eta: float = 0.5
     e_min: float = E_MIN_DEFAULT
-    solve_method: str = "auto"
 
     def __post_init__(self):
         if self.penal < 1:
@@ -76,13 +75,8 @@ class OptimizerConfig:
         return max(1.2, 3.0 * grid.nelx / 200.0)
 
     def digest(self) -> str:
-        doc = {
-            "penal": self.penal, "rmin": self.rmin, "filter_kind": self.filter_kind,
-            "max_iters": self.max_iters, "move_limit": self.move_limit,
-            "change_tol": self.change_tol, "eta": self.eta, "e_min": self.e_min,
-            "solve_method": self.solve_method,
-        }
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+        doc = json.dumps(asdict(self), sort_keys=True)
+        return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -243,12 +237,11 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     converged = False
     violations = 0
     c_prev = None
-    u = None
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         emod = simp_modulus(x_phys, cfg.penal, cfg.e_min)
         try:
-            u = kern.solve(emod, f, method=cfg.solve_method, x0=u)
+            u = kern.solve(emod, f)
         except SolverError as exc:
             raise SolverError(f"optimize failed at iteration {it}: {exc}",
                               iterations=it, residual=exc.residual) from exc
@@ -290,7 +283,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
             f"volume constraint missed: got {achieved:.6f}, want {target_vf:.6f}")
 
     emod = simp_modulus(x_phys, cfg.penal, cfg.e_min)
-    u = kern.solve(emod, f, method=cfg.solve_method, x0=u)
+    u = kern.solve(emod, f)
     compliance_p = float(f @ u)
     densities = DensityField(x_phys)
     compliance_p1 = evaluate_p1(problem, densities, cfg)
@@ -369,5 +362,5 @@ def evaluate_p1(problem: ProblemSpec, densities: DensityField,
     kern = kernel_for(problem)
     f = problem.load_vector()
     emod = simp_modulus(densities.values, 1.0, cfg.e_min)
-    u = kern.solve(emod, f, method=cfg.solve_method)
+    u = kern.solve(emod, f)
     return float(f @ u)

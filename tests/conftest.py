@@ -58,6 +58,13 @@ def table1_csv(tmp_path):
     return path
 
 
+def kernel_solve(problem, values, penal):
+    """Displacements from the production solve path, ``kernel_for(problem).solve``,
+    for per-element densities under penalized SIMP moduli."""
+    emod = fem2d.simp_modulus(values, penal)
+    return fem2d.kernel_for(problem).solve(emod, problem.load_vector())
+
+
 def rel_err(a, b):
     return abs(a - b) / abs(b)
 

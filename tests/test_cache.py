@@ -1,5 +1,7 @@
 """On-disk result cache and SVG emission utilities."""
 
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,16 @@ class TestRunCache:
         assert k1 == k2
         assert result_key(p, 0.6, "kind:uniform", cfg) != k1
         assert result_key(p, 0.5, "kind:disc", cfg) != k1
-        assert result_key(p, 0.5, "kind:uniform",
-                          OptimizerConfig(penal=2.0)) != k1
+        # every optimizer field enters the key, and the dict form sent to
+        # pool workers rebuilds an equal config
+        changed = {"penal": 2.0, "rmin": 2.0, "filter_kind": "sensitivity",
+                   "max_iters": 100, "move_limit": 0.1, "change_tol": 0.001,
+                   "eta": 0.3, "e_min": 1e-6}
+        assert set(changed) == {f.name for f in fields(OptimizerConfig)}
+        for name, value in changed.items():
+            other = replace(cfg, **{name: value})
+            assert result_key(p, 0.5, "kind:uniform", other) != k1, name
+            assert OptimizerConfig(**asdict(other)) == other
 
     def test_field_descriptor_stable(self):
         v = np.linspace(0, 1, 20)

@@ -30,12 +30,12 @@ class TestOptimizeCmd:
         assert (out / "densities.csv").exists()
         svg = (out / "design.svg").read_text()
         assert svg.startswith("<svg")
-        # full density compliance equals the direct solve
+        # full density compliance equals the reference FEM
+        import reference_impls as ref
         from topareto import fem2d
         p = fem2d.preset("mbb", 12, 6)
-        ones = fem2d.DensityField(np.ones(p.grid.nel))
-        c = fem2d.compliance(
-            fem2d.solve(p, fem2d.assemble(p, ones, penal=3.0)), p.load_vector())
+        c, _ = ref.fem_compliance(12, 6, np.ones(p.grid.nel), 3.0,
+                                  p.loads, p.fixed_dofs)
         assert summary["compliance_p"] == pytest.approx(c, rel=1e-9)
 
     def test_invalid_vf_exit_2(self, tmp_path, capsys):
@@ -252,3 +252,12 @@ class TestConfigPrecedence:
         dens = (out / "densities.csv").read_text().strip().splitlines()
         assert len(dens) == 4  # rows = nely from the flag, not the file
         assert len(dens[0].split(",")) == 8
+
+    def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"optimizer": {"solve_method": "dense"}}))
+        code = run(["--config", str(cfgfile), "optimize",
+                    *tiny("--out", str(tmp_path / "o")), "--vf", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad optimizer config" in err and "solve_method" in err

@@ -5,10 +5,12 @@ import pytest
 import scipy.sparse
 
 import reference_impls as ref
+from conftest import kernel_solve
 from topareto import fem2d
 from topareto.errors import InvalidArgumentError, SolverError
 from topareto.fem2d import (DensityField, Grid, ProblemSpec, assemble,
-                            compliance, element_stiffness, preset, solve)
+                            compliance, element_stiffness, kernel_for, preset,
+                            simp_modulus)
 
 
 class TestGrid:
@@ -108,13 +110,29 @@ class TestAssemble:
         with pytest.raises(InvalidArgumentError):
             assemble(tiny_mbb, ones, penal=0.5)
 
+    def test_banded_is_lower_band_of_constrained_csr(self, small_mbb):
+        rng = np.random.default_rng(5)
+        dens = DensityField(rng.random(small_mbb.grid.nel))
+        k = assemble(small_mbb, dens, penal=3.0).toarray()
+        fixed = sorted(small_mbb.fixed_dofs)
+        k[fixed, :] = 0.0
+        k[:, fixed] = 0.0
+        k[fixed, fixed] = 1.0
+        kern = kernel_for(small_mbb)
+        ab = kern.assemble_banded(simp_modulus(dens.values, 3.0))
+        ndof = small_mbb.grid.ndof
+        band = np.zeros_like(ab)
+        for d in range(ab.shape[0]):
+            band[d, :ndof - d] = np.diagonal(k, -d)
+        assert np.max(np.abs(ab - band)) <= 1e-13 * np.max(np.abs(k))
+        # nothing of the matrix lies outside the stored band
+        assert not np.any(np.tril(k, -ab.shape[0]))
+
 
 class TestSolve:
     def test_single_element_dense_oracle(self):
         problem = preset("mbb", 1, 1)
-        ones = DensityField(np.ones(1))
-        k = assemble(problem, ones, penal=3.0)
-        u = solve(problem, k)
+        u = kernel_solve(problem, np.ones(1), 3.0)
         c_ref, u_ref = ref.fem_compliance(1, 1, [1.0], 3.0, problem.loads,
                                           problem.fixed_dofs)
         assert np.allclose(u, u_ref, atol=1e-10)
@@ -123,7 +141,7 @@ class TestSolve:
         rng = np.random.default_rng(7)
         dens = DensityField(0.2 + 0.8 * rng.random(small_mbb.grid.nel))
         k = assemble(small_mbb, dens, penal=3.0)
-        u = solve(small_mbb, k)
+        u = kernel_solve(small_mbb, dens.values, 3.0)
         f = small_mbb.load_vector()
         free = np.array([d not in small_mbb.fixed_dofs
                          for d in range(small_mbb.grid.ndof)])
@@ -132,63 +150,52 @@ class TestSolve:
         assert np.all(u[~free] == 0.0)
 
     def test_zero_load_gives_zero(self, tiny_mbb):
-        ones = DensityField(np.ones(tiny_mbb.grid.nel))
-        k = assemble(tiny_mbb, ones, penal=3.0)
         silent = ProblemSpec(tiny_mbb.grid, ((tiny_mbb.loads[0][0], 0.0),),
                              tiny_mbb.fixed_dofs, "silent")
-        u = solve(silent, k)
+        u = kernel_solve(silent, np.ones(tiny_mbb.grid.nel), 3.0)
         assert np.all(u == 0.0)
 
     def test_linearity_modulus_doubling(self, tiny_mbb):
-        half = DensityField(np.full(tiny_mbb.grid.nel, 0.5))
-        ones = DensityField(np.ones(tiny_mbb.grid.nel))
-        u_half = solve(tiny_mbb, assemble(tiny_mbb, half, penal=1.0))
-        u_full = solve(tiny_mbb, assemble(tiny_mbb, ones, penal=1.0))
+        nel = tiny_mbb.grid.nel
+        u_half = kernel_solve(tiny_mbb, np.full(nel, 0.5), 1.0)
+        u_full = kernel_solve(tiny_mbb, np.ones(nel), 1.0)
         # modulus e_min + 0.5(1-e_min) is half of 1.0 up to the tiny floor
         assert np.allclose(u_half, 2.0 * u_full, rtol=1e-6)
 
-    @pytest.mark.parametrize("method", ["dense", "banded", "pcg"])
-    def test_paths_agree(self, small_mbb, method):
+    def test_matches_reference_fem_on_random_densities(self, small_mbb):
         rng = np.random.default_rng(3)
-        dens = DensityField(0.3 + 0.7 * rng.random(small_mbb.grid.nel))
-        k = assemble(small_mbb, dens, penal=3.0)
-        u_auto = solve(small_mbb, k)
-        u = solve(small_mbb, k, method=method)
-        assert np.allclose(u, u_auto, rtol=1e-6, atol=1e-9)
+        dens = 0.3 + 0.7 * rng.random(small_mbb.grid.nel)
+        u = kernel_solve(small_mbb, dens, 3.0)
+        _, u_ref = ref.fem_compliance(30, 10, dens, 3.0, small_mbb.loads,
+                                      small_mbb.fixed_dofs)
+        assert np.allclose(u, u_ref, rtol=1e-6, atol=1e-9)
 
     def test_singular_raises(self):
         g = Grid(2, 2)
         problem = ProblemSpec(g, ((1, -1.0),), frozenset({0}), "underfixed")
-        ones = DensityField(np.ones(4))
-        k = assemble(problem, ones, penal=1.0)
-        with pytest.raises(SolverError):
-            solve(problem, k)
+        with pytest.raises(SolverError, match="banded Cholesky failed"):
+            kernel_solve(problem, np.ones(4), 1.0)
 
 
 class TestCompliance:
     def test_single_point_load_definition(self, tiny_mbb):
-        ones = DensityField(np.ones(tiny_mbb.grid.nel))
-        k = assemble(tiny_mbb, ones, penal=3.0)
-        u = solve(tiny_mbb, k)
+        u = kernel_solve(tiny_mbb, np.ones(tiny_mbb.grid.nel), 3.0)
         f = tiny_mbb.load_vector()
         dof, mag = tiny_mbb.loads[0]
         assert compliance(u, f) == pytest.approx(mag * u[dof], rel=1e-12)
         assert compliance(u, f) > 0
 
     def test_quadratic_in_load_scale(self, tiny_mbb):
-        ones = DensityField(np.ones(tiny_mbb.grid.nel))
+        ones = np.ones(tiny_mbb.grid.nel)
         scaled = ProblemSpec(tiny_mbb.grid,
                              tuple((d, 3.0 * m) for d, m in tiny_mbb.loads),
                              tiny_mbb.fixed_dofs, "scaled")
-        k = assemble(tiny_mbb, ones, penal=3.0)
-        c1 = compliance(solve(tiny_mbb, k), tiny_mbb.load_vector())
-        c9 = compliance(solve(scaled, k), scaled.load_vector())
+        c1 = compliance(kernel_solve(tiny_mbb, ones, 3.0), tiny_mbb.load_vector())
+        c9 = compliance(kernel_solve(scaled, ones, 3.0), scaled.load_vector())
         assert c9 == pytest.approx(9.0 * c1, rel=1e-9)
 
     def test_desk_mbb_matches_reference_fem(self, desk_mbb):
-        ones = DensityField(np.ones(desk_mbb.grid.nel))
-        k = assemble(desk_mbb, ones, penal=3.0)
-        u = solve(desk_mbb, k)
+        u = kernel_solve(desk_mbb, np.ones(desk_mbb.grid.nel), 3.0)
         c = compliance(u, desk_mbb.load_vector())
         c_ref, _ = ref.fem_compliance(60, 20, np.ones(1200), 3.0,
                                       desk_mbb.loads, desk_mbb.fixed_dofs)
@@ -198,27 +205,21 @@ class TestCompliance:
 class TestInvariants:
     def test_stiffer_never_more_compliant(self):
         problem = preset("mbb", 6, 4)
+        f = problem.load_vector()
         rng = np.random.default_rng(11)
         for _ in range(8):
             lo = rng.uniform(0.05, 0.6, problem.grid.nel)
             hi = np.clip(lo + rng.uniform(0.0, 0.4, problem.grid.nel), 0, 1)
-            c_lo = compliance(
-                solve(problem, assemble(problem, DensityField(lo), penal=1.0)),
-                problem.load_vector())
-            c_hi = compliance(
-                solve(problem, assemble(problem, DensityField(hi), penal=1.0)),
-                problem.load_vector())
+            c_lo = compliance(kernel_solve(problem, lo, 1.0), f)
+            c_hi = compliance(kernel_solve(problem, hi, 1.0), f)
             assert c_hi <= c_lo * (1 + 1e-9)
 
     def test_compliance_inversely_proportional_to_modulus(self, tiny_mbb):
         # uniform density at p=1 scales the matrix like a modulus scale
         f = tiny_mbb.load_vector()
-        c_half = compliance(
-            solve(tiny_mbb, assemble(tiny_mbb, DensityField(
-                np.full(tiny_mbb.grid.nel, 0.5)), penal=1.0)), f)
-        c_full = compliance(
-            solve(tiny_mbb, assemble(tiny_mbb, DensityField(
-                np.ones(tiny_mbb.grid.nel)), penal=1.0)), f)
+        nel = tiny_mbb.grid.nel
+        c_half = compliance(kernel_solve(tiny_mbb, np.full(nel, 0.5), 1.0), f)
+        c_full = compliance(kernel_solve(tiny_mbb, np.ones(nel), 1.0), f)
         assert c_half == pytest.approx(2.0 * c_full, rel=1e-6)
 
     def test_assembly_affine_in_densities_at_p1(self, tiny_mbb):
@@ -260,9 +261,8 @@ class TestProblemSpec:
     def test_presets_solve_at_full_density(self):
         for name in ("mbb", "bridge", "complex"):
             problem = preset(name, 12, 6)
-            ones = DensityField(np.ones(problem.grid.nel))
-            k = assemble(problem, ones, penal=3.0)
-            c = compliance(solve(problem, k), problem.load_vector())
+            u = kernel_solve(problem, np.ones(problem.grid.nel), 3.0)
+            c = compliance(u, problem.load_vector())
             assert c > 0
 
     def test_density_field_bounds(self):
