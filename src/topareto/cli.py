@@ -153,10 +153,10 @@ def cmd_pareto(args) -> int:
     out = cfg.out_dir
     strategy = args.strategy
 
-    base = pareto_mod.baseline_sweep(cfg.problem, cfg.vf_grid, cfg.optimizer,
-                                     cache, cfg.workers)
-    front = base
-    if strategy in ("multistart", "refine"):
+    if strategy == "baseline":
+        front = pareto_mod.baseline_sweep(cfg.problem, cfg.vf_grid, cfg.optimizer,
+                                          cache, cfg.workers)
+    else:
         front, states = pareto_mod.multistart_states(cfg.problem, cfg.vf_grid,
                                                      cfg.optimizer, cache, cfg.workers)
     if strategy == "refine":

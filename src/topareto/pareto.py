@@ -176,8 +176,8 @@ def detect_significant(front: ParetoFront,
 # ---------------------------------------------------------------------------
 # sweep execution
 
-def _run_point(payload: dict) -> tuple[int, DesignResult | None, str | None]:
-    """Worker task: one optimization, identified by an opaque task id.
+def _run_point(payload: dict) -> tuple[DesignResult | None, str | None]:
+    """Worker task: one optimization.
 
     Failures come back as messages instead of exceptions so a sweep can
     aggregate them across workers.
@@ -190,9 +190,18 @@ def _run_point(payload: dict) -> tuple[int, DesignResult | None, str | None]:
     else:
         init = DensityField(payload["init_values"])
     try:
-        return payload["task_id"], optimize(problem, vf, cfg, init), None
+        return optimize(problem, vf, cfg, init), None
     except SolverError as exc:
-        return payload["task_id"], None, str(exc)
+        return None, str(exc)
+
+
+def _init_descriptor(task: dict) -> str:
+    kind = task.get("init_kind")
+    if kind is None:
+        return field_descriptor(task["init_values"])
+    # "previous" starts from the uniform field (see simp.initial_design):
+    # the same optimization, so it shares uniform's key
+    return "kind:" + ("uniform" if kind == "previous" else kind)
 
 
 def run_optimizations(problem: ProblemSpec, tasks: list[dict],
@@ -201,29 +210,26 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     """Run a batch of optimization tasks, cache-aware and order-stable.
 
     Each task dict carries ``vf`` plus either ``init_kind`` or
-    ``init_values``. Results come back in task order regardless of worker
+    ``init_values``. Tasks that share a result key run once and share the
+    result. Results come back in task order regardless of worker
     scheduling, so serial and parallel execution produce identical output.
     """
     cache = cache or RunCache(None)
     problem_json = problem.to_json()
-    results: list[DesignResult | None] = [None] * len(tasks)
+    keys = [result_key(problem, task["vf"], _init_descriptor(task), cfg)
+            for task in tasks]
+    found: dict[str, DesignResult | None] = {}
     pending = []
-    for tid, task in enumerate(tasks):
-        if task.get("init_kind") is not None:
-            desc = "kind:" + task["init_kind"]
-        else:
-            desc = field_descriptor(task["init_values"])
-        key = result_key(problem, task["vf"], desc, cfg)
-        hit = cache.get(key)
-        if hit is not None:
-            results[tid] = hit
+    for task, key in zip(tasks, keys):
+        if key in found:
             continue
-        payload = {
-            "task_id": tid, "problem": problem_json, "cfg": asdict(cfg),
-            "vf": task["vf"], "init_kind": task.get("init_kind"),
-            "init_values": task.get("init_values"), "key": key,
-        }
-        pending.append(payload)
+        found[key] = cache.get(key)
+        if found[key] is None:
+            pending.append({
+                "problem": problem_json, "cfg": asdict(cfg), "vf": task["vf"],
+                "init_kind": task.get("init_kind"),
+                "init_values": task.get("init_values"), "key": key,
+            })
 
     if pending:
         if workers > 1:
@@ -231,19 +237,17 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
                 done = list(pool.map(_run_point, pending))
         else:
             done = [_run_point(p) for p in pending]
-        by_id = {tid: (res, err) for tid, res, err in done}
         failures = []
-        for payload in pending:
-            res, err = by_id[payload["task_id"]]
+        for payload, (res, err) in zip(pending, done):
             if err is not None:
                 kind = payload["init_kind"] or "warm"
                 failures.append((f"vf={payload['vf']:.6g} init={kind}", err))
                 continue
-            results[payload["task_id"]] = res
+            found[payload["key"]] = res
             cache.put(payload["key"], res)
         if failures:
             raise SweepFailureError(failures)
-    return results  # type: ignore[return-value]
+    return [found[key] for key in keys]  # type: ignore[return-value]
 
 
 def _validate_grid_arg(vf_grid) -> list[float]:

@@ -143,7 +143,8 @@ def initial_design(kind: str, target_vf: float, grid: Grid) -> DensityField:
     Base patterns live in [0,1]; a global shift clamped to [0,1] is bisected
     until the mean density matches the target within 1e-6. ``previous`` is a
     placeholder kind that degenerates to uniform when no earlier design is
-    supplied by the caller.
+    supplied by the caller; being the same optimization, it shares
+    uniform's cache key, so a sweep runs it once.
     """
     if kind not in INITIAL_DESIGN_KINDS:
         raise InvalidArgumentError(f"unknown initial design kind {kind!r}")
@@ -295,7 +296,10 @@ def _oc_update(x, dc, dv, target_vf, cfg, col_mean):
     """Optimality-criteria step; bisects the volume multiplier on [1e-9, 1e9].
 
     ``col_mean`` (density filter only) lets the bisection evaluate the mean
-    of the filtered field as a dot product instead of a filter apply.
+    of the filtered field as a dot product instead of a filter apply. The
+    clamp to the move limits is ``minimum(maximum(...))``: the same values
+    as ``np.clip``, which costs about three times as much per call, and the
+    step runs some thirty times per iteration.
     """
     ratio = np.maximum(0.0, -dc / dv)
     move = cfg.move_limit
@@ -303,7 +307,7 @@ def _oc_update(x, dc, dv, target_vf, cfg, col_mean):
     upper = np.minimum(1.0, x + move)
 
     def step(lm):
-        x_new = np.clip(x * (ratio / lm) ** cfg.eta, lower, upper)
+        x_new = np.minimum(np.maximum(x * (ratio / lm) ** cfg.eta, lower), upper)
         mean = float(col_mean @ x_new) if col_mean is not None else float(x_new.mean())
         return x_new, mean
 

@@ -227,6 +227,21 @@ class TestWarningsAndFailures:
                     "--strategy", "baseline"])
         assert code == 4
 
+    def test_residual_failure_reaches_exit_4_line(self, tmp_path, monkeypatch,
+                                                   capsys):
+        from topareto import fem2d
+
+        monkeypatch.setattr(fem2d.GridKernel, "factorize",
+                            lambda self, emod: (lambda rhs: np.zeros_like(rhs)))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"sweep": {"points": [0.5]}}))
+        code = run(["--config", str(cfgfile), "pareto",
+                    *tiny("--out", str(tmp_path / "o")), "--strategy", "baseline"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "optimize failed at iteration 1: linear solve residual" in err
+        assert "exceeds limit" in err
+
     def test_twenty_fold_load_flip_through_cli(self, tmp_path, table1_csv):
         out = tmp_path / "o"
         out.mkdir(parents=True)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import reference_impls as ref
@@ -129,6 +130,62 @@ class TestAssemble:
         assert not np.any(np.tril(k, -ab.shape[0]))
 
 
+def _bincount_band(kern, emod):
+    """Lower band of the constrained stiffness by a scatter-add over the
+    element matrices in element order (the assembly before the CSR
+    operator), C-ordered."""
+    i, j = kern.i_idx, kern.j_idx
+    keep = (i >= j) & ~kern.fixed[i] & ~kern.fixed[j]
+    vals = (emod[:, None] * kern.ke.ravel()[None, :])[keep.reshape(-1, 64)]
+    shape = (kern.bandwidth + 1, kern.ndof)
+    ab = np.bincount(((i - j) * kern.ndof + j)[keep], weights=vals,
+                     minlength=shape[0] * shape[1]).reshape(shape)
+    ab[0, kern.fixed] = 1.0
+    return ab
+
+
+def _random_emod(problem, seed, void_solid=False):
+    rho = np.random.default_rng(seed).random(problem.grid.nel)
+    if void_solid:
+        # 1e-9 contrast: the first back-solve misses the residual target
+        rho = np.round(rho)
+    return simp_modulus(rho, 3.0)
+
+
+class TestBitIdentity:
+    """The band assembly and the direct LAPACK calls reproduce the scatter
+    assembly and scipy's banded Cholesky to the bit."""
+
+    @pytest.mark.parametrize("shape", [(30, 10), (60, 20)])
+    def test_band_equals_scatter_and_is_fortran_ordered(self, shape):
+        problem = preset("mbb", *shape)
+        kern = kernel_for(problem)
+        emod = _random_emod(problem, 11)
+        ab = kern.assemble_banded(emod)
+        assert np.array_equal(ab, _bincount_band(kern, emod))
+        # LAPACK reads the band in place, without a transposing copy
+        assert ab.flags.f_contiguous
+
+    @pytest.mark.parametrize("void_solid", [False, True])
+    @pytest.mark.parametrize("shape", [(30, 10), (60, 20)])
+    def test_solve_equals_scipy_banded_cholesky(self, shape, void_solid):
+        problem = preset("mbb", *shape)
+        kern = kernel_for(problem)
+        emod = _random_emod(problem, 12, void_solid)
+        f = problem.load_vector()
+        cb = scipy.linalg.cholesky_banded(_bincount_band(kern, emod), lower=True)
+        fc = kern.constrained_rhs(f)
+        u = scipy.linalg.cho_solve_banded((cb, True), fc)
+        for _ in range(4):
+            r = fc - kern.apply_constrained(emod, u)
+            r[kern.fixed] = 0.0
+            if np.linalg.norm(r) <= fem2d.RESID_TOL * np.linalg.norm(fc):
+                break
+            u = u + scipy.linalg.cho_solve_banded((cb, True), r)
+        u[kern.fixed] = 0.0
+        assert np.array_equal(kern.solve(emod, f), u)
+
+
 class TestSolve:
     def test_single_element_dense_oracle(self):
         problem = preset("mbb", 1, 1)
@@ -175,6 +232,19 @@ class TestSolve:
         problem = ProblemSpec(g, ((1, -1.0),), frozenset({0}), "underfixed")
         with pytest.raises(SolverError, match="banded Cholesky failed"):
             kernel_solve(problem, np.ones(4), 1.0)
+
+    def test_residual_failure_names_residual_and_limit(self, tiny_mbb):
+        kern = fem2d.GridKernel(tiny_mbb.grid, tiny_mbb.fixed_dofs)
+        # a back-solve that returns nothing leaves the whole load unbalanced
+        kern.factorize = lambda emod: (lambda rhs: np.zeros_like(rhs))
+        f = tiny_mbb.load_vector()
+        fnorm = np.linalg.norm(kern.constrained_rhs(f))
+        with pytest.raises(SolverError) as info:
+            kern.solve(np.ones(tiny_mbb.grid.nel), f)
+        assert info.value.residual == pytest.approx(fnorm)
+        limit = 10 * fem2d.RESID_TOL * fnorm
+        assert str(info.value) == (f"linear solve residual {fnorm:.3e} "
+                                   f"exceeds limit {limit:.3e}")
 
 
 class TestCompliance:

@@ -190,9 +190,30 @@ class TestSweeps:
             multi, _ = multistart_states(tiny_mbb, grid, cfg, cache)
         finally:
             par_mod.optimize = orig
-        # uniform runs must come from the cache: 2 points x 10 new kinds
-        # ("previous" degenerates to uniform but hashes as its own kind)
-        assert len(calls) == 20
+        # uniform runs must come from the cache, and "previous" (which
+        # degenerates to uniform) shares uniform's key: 2 points x 9 new kinds
+        assert len(calls) == 18
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicate_tasks_run_once(self, tiny_mbb, tmp_path, monkeypatch,
+                                      workers):
+        # a file counts calls made in pool workers too
+        log = tmp_path / "calls"
+        log.touch()
+        orig = par.optimize
+
+        def spy(problem, vf, cfg_, init=None):
+            with open(log, "a") as fh:
+                fh.write(f"{vf}\n")
+            return orig(problem, vf, cfg_, init)
+
+        monkeypatch.setattr(par, "optimize", spy)
+        cfg = OptimizerConfig(max_iters=5)
+        task = {"vf": 0.5, "init_kind": "vstripes2"}
+        results = par.run_optimizations(tiny_mbb, [task, dict(task)], cfg,
+                                        workers=workers)
+        assert log.read_text().splitlines() == ["0.5"]
+        assert results[0] is results[1]
 
     def test_parallel_equals_serial(self, tiny_mbb, cfg, tmp_path):
         grid = [0.3, 0.7, 1.0]
