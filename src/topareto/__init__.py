@@ -12,8 +12,8 @@ from .materials import (LoadCase, Material, SelectionReport, ashby_index,
 from .metamodel import (MetaModel, eval_er, eval_front, fit, fit_problem,
                         full_density_compliance, inverse)
 from .pareto import (FrontPoint, ParetoFront, SignificantPoints,
-                     baseline_sweep, default_vf_grid, detect_significant,
-                     envelope, multistart_sweep, refine, smooth)
+                     baseline_states, default_vf_grid, detect_significant,
+                     envelope, multistart_states, refine_states, smooth)
 from .simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
                    evaluate_p1, filter_build, initial_design, optimize)
 
@@ -24,11 +24,11 @@ __all__ = [
     "FrontPoint", "Grid", "INITIAL_DESIGN_KINDS", "LoadCase", "Material",
     "MetaModel", "OptimizerConfig", "ParetoFront", "ProblemSpec", "RunCache",
     "SelectionReport", "SignificantPoints", "analytic_er", "analytic_front",
-    "analytic_stiffness", "ashby_index", "assemble", "baseline_sweep",
+    "analytic_stiffness", "ashby_index", "assemble", "baseline_states",
     "compliance", "compute_er", "default_vf_grid", "detect_significant",
     "element_stiffness", "envelope", "eval_er", "eval_front", "evaluate_p1",
     "filter_build", "filter_er", "fit", "fit_problem",
     "full_density_compliance", "initial_design", "inverse", "load_materials",
-    "multistart_sweep", "optimize", "preset", "refine", "refine_vf",
+    "multistart_states", "optimize", "preset", "refine_states", "refine_vf",
     "screen_density", "screen_pareto", "select", "smooth",
 ]

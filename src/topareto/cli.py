@@ -74,12 +74,9 @@ def _load_config(args) -> RunConfig:
         problem = ProblemSpec.from_json(json.dumps(prob_spec))
 
     opt_doc = dict(doc.get("optimizer", {}))
-    if getattr(args, "penal", None) is not None:
-        opt_doc["penal"] = args.penal
-    if getattr(args, "rmin", None) is not None:
-        opt_doc["rmin"] = args.rmin
-    if getattr(args, "filter_kind", None):
-        opt_doc["filter_kind"] = args.filter_kind
+    for name in ("penal", "rmin", "filter_kind"):
+        if getattr(args, name, None) is not None:
+            opt_doc[name] = getattr(args, name)
     try:
         optimizer = OptimizerConfig(**opt_doc)
     except TypeError as exc:
@@ -127,11 +124,9 @@ def _front_svg(front, title: str) -> str:
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
-    from .pareto import run_optimizations
-
-    norm = cfg.problem.with_unit_load()
-    res = run_optimizations(norm, [{"vf": args.vf, "init_kind": "uniform"}],
-                            cfg.optimizer, cfg.cache(), cfg.workers)[0]
+    res = pareto_mod.run_optimizations(
+        cfg.problem, [{"vf": args.vf, "init_kind": "uniform"}],
+        cfg.optimizer, cfg.cache(), cfg.workers)[0]
     out = cfg.out_dir
     grid = cfg.problem.grid
     img = res.densities.as_grid(grid)
@@ -153,16 +148,14 @@ def cmd_pareto(args) -> int:
     out = cfg.out_dir
     strategy = args.strategy
 
-    if strategy == "baseline":
-        front = pareto_mod.baseline_sweep(cfg.problem, cfg.vf_grid, cfg.optimizer,
-                                          cache, cfg.workers)
-    else:
-        front, states = pareto_mod.multistart_states(cfg.problem, cfg.vf_grid,
-                                                     cfg.optimizer, cache, cfg.workers)
+    sweep = (pareto_mod.baseline_states if strategy == "baseline"
+             else pareto_mod.multistart_states)
+    front, states = sweep(cfg.problem, cfg.vf_grid, cfg.optimizer, cache,
+                          cfg.workers)
     if strategy == "refine":
-        front = pareto_mod.refine(cfg.problem, front, states, cfg.rounds,
-                                  cfg.optimizer, cache, cfg.workers,
-                                  cfg.min_threshold, cfg.drop_threshold)
+        front, _ = pareto_mod.refine_states(
+            cfg.problem, front, states, cfg.rounds, cfg.optimizer, cache,
+            cfg.workers, cfg.min_threshold, cfg.drop_threshold)
     _write(out / f"front_{strategy}.csv", front.to_csv())
     _write(out / f"front_{strategy}.svg",
            _front_svg(front, f"{cfg.problem.name} front ({strategy})"))

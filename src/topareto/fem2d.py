@@ -35,6 +35,7 @@ from .errors import InvalidArgumentError, SolverError
 
 RESID_TOL = 1e-8
 E_MIN_DEFAULT = 1e-9
+NU = 0.3  # Poisson ratio of the solid phase
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def simp_modulus(values: np.ndarray, penal: float, e_min: float = E_MIN_DEFAULT)
 
 
 class GridKernel:
-    """Precomputed index machinery for one (grid, fixed_dofs, nu) triple.
+    """Precomputed index machinery for one (grid, fixed_dofs) pair.
 
     Carries the element DOF table, scatter indices for sparse assembly, the
     banded assembly operator (a CSR matrix from element moduli to the
@@ -237,10 +238,9 @@ class GridKernel:
     linear solver of the package.
     """
 
-    def __init__(self, grid: Grid, fixed_dofs: frozenset[int], nu: float = 0.3):
+    def __init__(self, grid: Grid, fixed_dofs: frozenset[int]):
         self.grid = grid
-        self.nu = nu
-        self.ke = element_stiffness(nu)
+        self.ke = element_stiffness(NU)
         ndof = grid.ndof
         self.ndof = ndof
 
@@ -379,20 +379,20 @@ class GridKernel:
 
 
 @lru_cache(maxsize=32)
-def _kernel_cached(grid: Grid, fixed_dofs: frozenset, nu: float) -> GridKernel:
-    return GridKernel(grid, fixed_dofs, nu)
+def _kernel_cached(grid: Grid, fixed_dofs: frozenset) -> GridKernel:
+    return GridKernel(grid, fixed_dofs)
 
 
-def kernel_for(problem: ProblemSpec, nu: float = 0.3) -> GridKernel:
-    return _kernel_cached(problem.grid, problem.fixed_dofs, nu)
+def kernel_for(problem: ProblemSpec) -> GridKernel:
+    return _kernel_cached(problem.grid, problem.fixed_dofs)
 
 
 def assemble(problem: ProblemSpec, densities: DensityField, penal: float,
-             e_min: float = E_MIN_DEFAULT, nu: float = 0.3) -> scipy.sparse.csr_matrix:
+             e_min: float = E_MIN_DEFAULT) -> scipy.sparse.csr_matrix:
     """Global stiffness for a density field under penalized moduli."""
     if densities.values.size != problem.grid.nel:
         raise InvalidArgumentError("density field does not match problem grid")
-    kern = kernel_for(problem, nu)
+    kern = kernel_for(problem)
     return kern.assemble_csr(simp_modulus(densities.values, penal, e_min))
 
 

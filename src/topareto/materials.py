@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,8 +42,9 @@ class Material:
     def __post_init__(self):
         if not self.name:
             raise InvalidArgumentError("material needs a name")
-        if self.e <= 0 or self.rho <= 0:
-            raise ValidationError(f"{self.name}: modulus and density must be positive")
+        if not (0 < self.e < math.inf and 0 < self.rho < math.inf):
+            raise ValidationError(
+                f"{self.name}: modulus and density must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ class LoadCase:
 
     def __post_init__(self):
         for nm in ("force", "delta_max", "thickness", "length", "height"):
-            if getattr(self, nm) <= 0:
-                raise InvalidArgumentError(f"{nm} must be positive")
+            if not 0 < getattr(self, nm) < math.inf:
+                raise InvalidArgumentError(f"{nm} must be positive and finite")
 
     def required_compliance(self, mat: Material) -> float:
         """Dimensionless front value the material must reach: t E delta / F."""
@@ -122,9 +124,9 @@ def load_materials(path) -> list[Material]:
             rho = float(row[2])
         except ValueError as exc:
             raise ParseError(f"bad number in row for {name!r}: {exc}", line=ln) from exc
-        if e_gpa <= 0 or rho <= 0:
+        if not (0 < e_gpa < math.inf and 0 < rho < math.inf):
             raise ValidationError(
-                f"line {ln}: {name!r} needs positive modulus and density")
+                f"line {ln}: {name!r} needs positive finite modulus and density")
         if name in seen:
             raise ValidationError(f"line {ln}: duplicate material {name!r}")
         seen.add(name)
@@ -173,15 +175,6 @@ def ashby_index(mat: Material, m: MetaModel, lc: LoadCase) -> tuple[float, float
     return vf * mat.rho, vf
 
 
-def _default_optimize_fn(cfg: OptimizerConfig, cache: RunCache | None,
-                         workers: int):
-    def run(problem: ProblemSpec, vf: float, _cfg=None) -> float:
-        res = run_optimizations(problem, [{"vf": vf, "init_kind": "uniform"}],
-                                cfg, cache, workers)[0]
-        return res.compliance_p1
-    return run
-
-
 def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
               cfg: OptimizerConfig | None = None, optimize_fn=None,
               cache: RunCache | None = None, workers: int = 1
@@ -191,7 +184,9 @@ def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
     Runs one optimization at the first-guess volume fraction, refits with
     that anchor in place of the default one, and inverts again. Falls back
     to the original model when the refit anchor ratio leaves the feasible
-    band.
+    band. Without ``optimize_fn(problem, vf, cfg)``, the run is a
+    :func:`run_optimizations` task, which rescales the load to unit norm;
+    a supplied ``optimize_fn`` receives the problem as given.
     """
     cfg = cfg or OptimizerConfig()
     x_req = lc.required_compliance(mat)
@@ -200,9 +195,10 @@ def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
     m1 = m0
     if vf0 < 1.0 - 1e-9:
         if optimize_fn is None:
-            optimize_fn = _default_optimize_fn(cfg, cache, workers)
-        norm = problem.with_unit_load() if problem is not None else None
-        c0 = float(optimize_fn(norm, vf0, cfg))
+            c0 = run_optimizations(problem, [{"vf": vf0, "init_kind": "uniform"}],
+                                   cfg, cache, workers)[0].compliance_p1
+        else:
+            c0 = float(optimize_fn(problem, vf0, cfg))
         try:
             m1 = fit((vf0, c0), c_full, m0.problem_name)
         except FitInfeasibleError:

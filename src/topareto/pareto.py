@@ -5,9 +5,12 @@ a baseline sweep (one optimization per volume fraction from the uniform
 start), a multi-start sweep over all eleven initial designs, and an
 iterative refinement that re-optimizes every point from the designs of
 nearby significant points (product-curve minima to the left, compliance
-drops to the right), keeping the pointwise best. Stored compliances are
-always the penalization-1 re-evaluations of the final designs under the
-unit-norm load pattern.
+drops to the right), keeping the pointwise best. Each stage is one
+function that returns ``(front, designs)``, the designs aligned with the
+front points. Every stage hands its optimizations to
+:func:`run_optimizations`, which rescales the load pattern to unit norm
+once, so stored compliances are always the penalization-1 re-evaluations
+of the final designs under the unit-norm load pattern.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +34,7 @@ DEFAULT_MIN_THRESHOLD = 0.002
 # refinement catches the local-optimum artifacts that otherwise leave the
 # filtered efficiency ratio above its theoretical band
 DEFAULT_DROP_THRESHOLD = 0.025
-DEFAULT_IMPROVE_TOL = 5e-4
+IMPROVE_TOL = 5e-4
 DEFAULT_SIGMA = 0.04
 
 
@@ -58,10 +61,10 @@ class ParetoFront:
         vfs = [p.vf for p in pts]
         if any(b <= a for a, b in zip(vfs, vfs[1:])):
             raise InvalidArgumentError("volume fractions must be strictly increasing")
-        if vfs[0] <= 0 or vfs[-1] > 1:
+        if not all(0 < v <= 1 for v in vfs):
             raise InvalidArgumentError("volume fractions must lie in (0, 1]")
-        if any(p.c <= 0 for p in pts):
-            raise InvalidArgumentError("compliances must be positive")
+        if not all(0 < p.c < np.inf for p in pts):
+            raise InvalidArgumentError("compliances must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -92,9 +95,12 @@ class ParetoFront:
             if len(row) != 3:
                 raise ParseError(f"expected 3 columns, got {len(row)}", line=ln)
             try:
-                pts.append(FrontPoint(float(row[0]), float(row[1]), row[2]))
+                vf, c = float(row[0]), float(row[1])
+                if not np.isfinite([vf, c]).all():
+                    raise ValueError(f"non-finite value in {row[:2]}")
             except ValueError as exc:
                 raise ParseError(f"bad number: {exc}", line=ln) from exc
+            pts.append(FrontPoint(vf, c, row[2]))
         if not pts:
             raise ParseError("front file has no data rows", line=1)
         return ParetoFront(tuple(pts), problem_name)
@@ -182,9 +188,7 @@ def _run_point(payload: dict) -> tuple[DesignResult | None, str | None]:
     Failures come back as messages instead of exceptions so a sweep can
     aggregate them across workers.
     """
-    problem = ProblemSpec.from_json(payload["problem"])
-    cfg = OptimizerConfig(**payload["cfg"])
-    vf = payload["vf"]
+    problem, cfg, vf = payload["problem"], payload["cfg"], payload["vf"]
     if payload["init_kind"] is not None:
         init = initial_design(payload["init_kind"], vf, problem.grid)
     else:
@@ -210,12 +214,15 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     """Run a batch of optimization tasks, cache-aware and order-stable.
 
     Each task dict carries ``vf`` plus either ``init_kind`` or
-    ``init_values``. Tasks that share a result key run once and share the
-    result. Results come back in task order regardless of worker
-    scheduling, so serial and parallel execution produce identical output.
+    ``init_values``. The problem's load pattern is rescaled to unit norm
+    here, once (rescaling is not idempotent in floating point, so callers
+    pass the problem as given); result keys hash the rescaled problem.
+    Tasks that share a result key run once and share the result. Results
+    come back in task order regardless of worker scheduling, so serial and
+    parallel execution produce identical output.
     """
     cache = cache or RunCache(None)
-    problem_json = problem.to_json()
+    problem = problem.with_unit_load()
     keys = [result_key(problem, task["vf"], _init_descriptor(task), cfg)
             for task in tasks]
     found: dict[str, DesignResult | None] = {}
@@ -226,7 +233,7 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
         found[key] = cache.get(key)
         if found[key] is None:
             pending.append({
-                "problem": problem_json, "cfg": asdict(cfg), "vf": task["vf"],
+                "problem": problem, "cfg": cfg, "vf": task["vf"],
                 "init_kind": task.get("init_kind"),
                 "init_values": task.get("init_values"), "key": key,
             })
@@ -265,40 +272,26 @@ def default_vf_grid(count: int = 50, lo: float = 0.02, hi: float = 1.0) -> list[
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
-def baseline_sweep(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
-                   cache: RunCache | None = None, workers: int = 1) -> ParetoFront:
-    """One optimization per volume fraction from the uniform start."""
-    front, _ = baseline_states(problem, vf_grid, cfg, cache, workers)
-    return front
-
-
 def baseline_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
                     cache: RunCache | None = None, workers: int = 1
                     ) -> tuple[ParetoFront, list[DesignResult]]:
+    """One optimization per volume fraction from the uniform start."""
     vfs = _validate_grid_arg(vf_grid)
-    norm_problem = problem.with_unit_load()
     tasks = [{"vf": vf, "init_kind": "uniform"} for vf in vfs]
-    results = run_optimizations(norm_problem, tasks, cfg, cache, workers)
+    results = run_optimizations(problem, tasks, cfg, cache, workers)
     pts = tuple(FrontPoint(vf, res.compliance_p1, "uniform")
                 for vf, res in zip(vfs, results))
     return ParetoFront(pts, problem.name), results
 
 
-def multistart_sweep(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
-                     cache: RunCache | None = None, workers: int = 1) -> ParetoFront:
-    """Best of the eleven initial designs at every volume fraction."""
-    front, _ = multistart_states(problem, vf_grid, cfg, cache, workers)
-    return front
-
-
 def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
                       cache: RunCache | None = None, workers: int = 1
                       ) -> tuple[ParetoFront, list[DesignResult]]:
+    """Best of the eleven initial designs at every volume fraction."""
     vfs = _validate_grid_arg(vf_grid)
-    norm_problem = problem.with_unit_load()
     kinds = INITIAL_DESIGN_KINDS
     tasks = [{"vf": vf, "init_kind": kind} for vf in vfs for kind in kinds]
-    results = run_optimizations(norm_problem, tasks, cfg, cache, workers)
+    results = run_optimizations(problem, tasks, cfg, cache, workers)
     pts = []
     winners = []
     for i, vf in enumerate(vfs):
@@ -309,35 +302,23 @@ def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
     return ParetoFront(tuple(pts), problem.name), winners
 
 
-def refine(problem: ProblemSpec, front: ParetoFront, designs, rounds: int,
-           cfg: OptimizerConfig, cache: RunCache | None = None, workers: int = 1,
-           min_threshold: float = DEFAULT_MIN_THRESHOLD,
-           drop_threshold: float = DEFAULT_DROP_THRESHOLD,
-           improve_tol: float = DEFAULT_IMPROVE_TOL) -> ParetoFront:
+def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int,
+                  cfg: OptimizerConfig, cache: RunCache | None = None,
+                  workers: int = 1,
+                  min_threshold: float = DEFAULT_MIN_THRESHOLD,
+                  drop_threshold: float = DEFAULT_DROP_THRESHOLD
+                  ) -> tuple[ParetoFront, list[DesignResult]]:
     """Iteratively re-optimize every point from nearby significant designs.
 
     Each round warm-starts every point from the nearest product-curve
     minimum to its left and the nearest compliance-drop design to its
     right (volume-rescaled), keeping the pointwise best result. Rounds
-    stop early once no point improves by more than ``improve_tol``.
+    stop early once no point improves by more than ``IMPROVE_TOL``.
     """
-    front2, _ = refine_states(problem, front, designs, rounds, cfg, cache,
-                              workers, min_threshold, drop_threshold, improve_tol)
-    return front2
-
-
-def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int,
-                  cfg: OptimizerConfig, cache: RunCache | None = None,
-                  workers: int = 1,
-                  min_threshold: float = DEFAULT_MIN_THRESHOLD,
-                  drop_threshold: float = DEFAULT_DROP_THRESHOLD,
-                  improve_tol: float = DEFAULT_IMPROVE_TOL
-                  ) -> tuple[ParetoFront, list[DesignResult]]:
     states = list(designs)
     if len(states) != len(front):
         raise InvalidArgumentError("designs must align with front points")
     points = list(front.points)
-    norm_problem = problem.with_unit_load()
 
     for _ in range(rounds):
         cur = ParetoFront(tuple(points), front.problem_name)
@@ -354,7 +335,7 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
                 owners.append((j, src))
         if not tasks:
             break
-        results = run_optimizations(norm_problem, tasks, cfg, cache, workers)
+        results = run_optimizations(problem, tasks, cfg, cache, workers)
         best_gain = 0.0
         for (j, src), res in zip(owners, results):
             old = points[j].c
@@ -363,6 +344,6 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
                 points[j] = FrontPoint(points[j].vf, res.compliance_p1,
                                        f"warm:{front.points[src].vf:.6g}")
                 states[j] = res
-        if best_gain <= improve_tol:
+        if best_gain <= IMPROVE_TOL:
             break
     return ParetoFront(tuple(points), front.problem_name), states

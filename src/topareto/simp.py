@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -92,14 +92,9 @@ class DesignResult:
     descent_violations: int = 0
 
     def summary(self) -> dict:
-        return {
-            "compliance_p": self.compliance_p,
-            "compliance_p1": self.compliance_p1,
-            "vf": self.vf,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "descent_violations": self.descent_violations,
-        }
+        """Every field but the densities."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "densities"}
 
 
 def filter_build(grid: Grid, rmin: float) -> scipy.sparse.csr_matrix:
@@ -187,16 +182,19 @@ def _base_pattern(kind: str, grid: Grid) -> np.ndarray:
     raise InvalidArgumentError(f"unknown initial design kind {kind!r}")
 
 
-def rescale_to_volume(base: np.ndarray, target_vf: float, tol: float = 1e-7) -> np.ndarray:
-    """Shift-and-clamp ``base`` so the mean density hits ``target_vf``."""
+def rescale_to_volume(base: np.ndarray, target_vf: float,
+                      weights: np.ndarray | None = None,
+                      tol: float = 1e-7) -> np.ndarray:
+    """Shift-and-clamp ``base`` so its mean density hits ``target_vf``.
+
+    The shift is bisected on [-1, 1]. With ``weights`` the mean is the dot
+    product ``weights @ v`` (for instance the mean of a filtered field).
+    """
     lo, hi = -1.0, 1.0
-    out = np.clip(base, 0.0, 1.0)
-    if abs(out.mean() - target_vf) <= tol:
-        return out
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         out = np.clip(base + mid, 0.0, 1.0)
-        m = out.mean()
+        m = float(weights @ out) if weights is not None else float(out.mean())
         if abs(m - target_vf) <= tol:
             return out
         if m < target_vf:
@@ -227,12 +225,27 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     rmin = cfg.resolve_rmin(grid)
     w = filter_build(grid, rmin)
     w_t = w.T.tocsr()
-    col_mean = np.asarray(w.sum(axis=0)).ravel() / grid.nel
     dv = np.full(grid.nel, 1.0 / grid.nel)
-    dv_t = np.asarray(w_t @ dv) if cfg.filter_kind == "density" else dv
+    # the filter kind fixes the physical field of the design variables, the
+    # filtered sensitivity, the volume weights and the volume sensitivity
+    if cfg.filter_kind == "density":
+        phys = w.dot
+        # mean of the filtered field as a dot product with the design
+        weights = np.asarray(w.sum(axis=0)).ravel() / grid.nel
+        dv_t = w_t.dot(dv)
+
+        def filter_dc(v, dc):
+            return w_t.dot(dc)
+    else:
+        phys = np.asarray  # the design itself
+        weights = None
+        dv_t = dv
+
+        def filter_dc(v, dc):
+            return w.dot(v * dc) / np.maximum(1e-3, v)
 
     x = init.values.copy()
-    x_phys = np.asarray(w @ x) if cfg.filter_kind == "density" else x.copy()
+    x_phys = phys(x)
 
     iterations = 0
     converged = False
@@ -253,16 +266,10 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         c_prev = c
 
         dc = -cfg.penal * (1.0 - cfg.e_min) * x_phys ** (cfg.penal - 1.0) * ce
-        if cfg.filter_kind == "sensitivity":
-            dc_f = np.asarray(w @ (x * dc)) / np.maximum(1e-3, x)
-        else:
-            dc_f = np.asarray(w_t @ dc)
-
-        x_new = _oc_update(x, dc_f, dv_t, target_vf, cfg,
-                           col_mean if cfg.filter_kind == "density" else None)
+        x_new = _oc_update(x, filter_dc(x, dc), dv_t, target_vf, cfg, weights)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
-        x_phys = np.asarray(w @ x) if cfg.filter_kind == "density" else x.copy()
+        x_phys = phys(x)
         if change < cfg.change_tol:
             converged = True
             break
@@ -273,11 +280,13 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         # zero-sensitivity regions (dying disconnected islands) can leave
         # the last OC step short of the volume target: the move limit caps
         # how much the live elements can absorb in one update. Project the
-        # design back onto the constraint.
-        x = _project_volume(x, target_vf,
-                            col_mean if cfg.filter_kind == "density" else None)
-        x_phys = np.asarray(w @ x) if cfg.filter_kind == "density" else x.copy()
-        x_phys = np.clip(x_phys, 0.0, 1.0)
+        # design back onto the constraint; a projection that does not
+        # converge is reported by the volume check below.
+        try:
+            x = rescale_to_volume(x, target_vf, weights)
+        except InvalidArgumentError:
+            pass
+        x_phys = np.clip(phys(x), 0.0, 1.0)
         achieved = float(x_phys.mean())
     if abs(achieved - target_vf) > 1e-4:
         raise SolverError(
@@ -292,10 +301,10 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
                         iterations, converged, violations)
 
 
-def _oc_update(x, dc, dv, target_vf, cfg, col_mean):
+def _oc_update(x, dc, dv, target_vf, cfg, weights):
     """Optimality-criteria step; bisects the volume multiplier on [1e-9, 1e9].
 
-    ``col_mean`` (density filter only) lets the bisection evaluate the mean
+    ``weights`` (density filter only) lets the bisection evaluate the mean
     of the filtered field as a dot product instead of a filter apply. The
     clamp to the move limits is ``minimum(maximum(...))``: the same values
     as ``np.clip``, which costs about three times as much per call, and the
@@ -308,7 +317,7 @@ def _oc_update(x, dc, dv, target_vf, cfg, col_mean):
 
     def step(lm):
         x_new = np.minimum(np.maximum(x * (ratio / lm) ** cfg.eta, lower), upper)
-        mean = float(col_mean @ x_new) if col_mean is not None else float(x_new.mean())
+        mean = float(weights @ x_new) if weights is not None else float(x_new.mean())
         return x_new, mean
 
     l1, l2 = 1e-9, 1e9
@@ -336,27 +345,6 @@ def _oc_update(x, dc, dv, target_vf, cfg, col_mean):
         if (l2 - l1) / (l1 + l2) < 1e-14:
             break
     return x_new
-
-
-def _project_volume(x, target_vf, weights, tol=1e-7):
-    """Shift-and-clamp the design so its (weighted) mean hits the target."""
-    def mean_at(c):
-        v = np.clip(x + c, 0.0, 1.0)
-        return (float(weights @ v) if weights is not None
-                else float(v.mean())), v
-
-    lo, hi = -1.0, 1.0
-    out = x
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        m, out = mean_at(mid)
-        if abs(m - target_vf) <= tol:
-            return out
-        if m < target_vf:
-            lo = mid
-        else:
-            hi = mid
-    return out
 
 
 def evaluate_p1(problem: ProblemSpec, densities: DensityField,

@@ -118,6 +118,15 @@ class TestErCmd:
         assert run(["er", *tiny("--out", str(tmp_path / "o")),
                     "--front", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("row", ["0.5,nan,x", "nan,2.0,x", "0.5,inf,x"])
+    def test_non_finite_front_row_exit_2(self, tmp_path, capsys, row):
+        path = tmp_path / "front.csv"
+        path.write_text(f"vf,c,provenance\n0.2,5.0,x\n{row}\n1.0,1.0,x\n")
+        out = tmp_path / "o"
+        assert run(["er", *tiny("--out", str(out)), "--front", str(path)]) == 2
+        assert "(line 3)" in capsys.readouterr().err
+        assert not (out / "er_raw.csv").exists()
+
     def test_empty_front_exit_2(self, tmp_path):
         path = tmp_path / "front.csv"
         path.write_text("")

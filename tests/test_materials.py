@@ -74,6 +74,19 @@ class TestLoadMaterials:
         with pytest.raises(ValidationError):
             load_materials(path)
 
+    @pytest.mark.parametrize("row", ["foo,inf,1000", "foo,10,nan", "foo,-inf,1"])
+    def test_non_finite_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"name,E_GPa,rho_kgm3\nok,10,100\n{row}\n")
+        with pytest.raises(ValidationError, match="line 3"):
+            load_materials(path)
+
+    def test_non_finite_material_rejected(self):
+        with pytest.raises(ValidationError):
+            Material("foo", float("nan"), 1000.0)
+        with pytest.raises(ValidationError):
+            Material("foo", 1e9, float("inf"))
+
     def test_malformed_row_carries_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\nok,10,100\nbad,ten,100\n")
@@ -250,6 +263,18 @@ class TestSelect:
                 continue
             report = select(mats, m, MBB_CASE, tie_tol=0.0)
             assert report.winner.name == best.name
+
+
+class TestLoadCase:
+    @pytest.mark.parametrize("field", ["force", "delta_max", "thickness",
+                                       "length", "height"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_rejected(self, field, bad):
+        args = dict(force=20e3, delta_max=5e-3, thickness=5e-3, length=2.0,
+                    height=0.5)
+        args[field] = bad
+        with pytest.raises(InvalidArgumentError, match=field):
+            LoadCase(**args)
 
 
 class TestRefineVf:

@@ -6,12 +6,12 @@ import pytest
 from topareto import pareto as par
 from topareto.cache import RunCache
 from topareto.errors import InvalidArgumentError, ParseError
-from topareto.fem2d import DensityField, preset
+from topareto.fem2d import DensityField, ProblemSpec, preset
 from topareto.pareto import (FrontPoint, ParetoFront, SignificantPoints,
-                             baseline_sweep, baseline_states, default_vf_grid,
+                             baseline_states, default_vf_grid,
                              detect_significant, envelope, multistart_states,
-                             multistart_sweep, refine, refine_states, smooth)
-from topareto.simp import OptimizerConfig
+                             refine_states, smooth)
+from topareto.simp import OptimizerConfig, initial_design, optimize
 
 
 def synth_front(vfs, fn, tag="synthetic"):
@@ -29,6 +29,11 @@ class TestParetoFront:
             ParetoFront((FrontPoint(0.0, 1.0),))
         with pytest.raises(InvalidArgumentError):
             ParetoFront(tuple())
+        for bad in ((0.5, float("nan")), (float("nan"), 1.0),
+                    (0.5, float("inf"))):
+            with pytest.raises(InvalidArgumentError):
+                ParetoFront((FrontPoint(0.2, 3.0), FrontPoint(*bad),
+                             FrontPoint(1.0, 1.0)))
 
     def test_csv_round_trip(self):
         front = synth_front(np.linspace(0.1, 1, 9), lambda v: 2.0 / v + 0.3 * v)
@@ -43,6 +48,9 @@ class TestParetoFront:
         assert exc.value.line == 2
         with pytest.raises(ParseError):
             ParetoFront.from_csv("vf,c,provenance\n")
+        with pytest.raises(ParseError) as exc:
+            ParetoFront.from_csv("vf,c,provenance\n0.1,2,a\n0.2,nan,b\n")
+        assert exc.value.line == 3
 
 
 class TestEnvelope:
@@ -145,7 +153,7 @@ class TestDetectSignificant:
 
 class TestSweeps:
     def test_single_full_density_point(self, tiny_mbb, cfg):
-        front = baseline_sweep(tiny_mbb, [1.0], cfg)
+        front, _ = baseline_states(tiny_mbb, [1.0], cfg)
         import reference_impls as ref
         c_full, _ = ref.fem_compliance(8, 4, np.ones(tiny_mbb.grid.nel), 1.0,
                                        tiny_mbb.loads, tiny_mbb.fixed_dofs)
@@ -153,30 +161,48 @@ class TestSweeps:
 
     def test_determinism(self, tiny_mbb, cfg):
         grid = [0.3, 0.6, 1.0]
-        a = baseline_sweep(tiny_mbb, grid, cfg)
-        b = baseline_sweep(tiny_mbb, grid, cfg)
+        a, _ = baseline_states(tiny_mbb, grid, cfg)
+        b, _ = baseline_states(tiny_mbb, grid, cfg)
         assert a == b
 
     def test_multistart_dominates_baseline(self, tiny_mbb, cfg, tmp_path):
         cache = RunCache(tmp_path)
         grid = [0.2, 0.5, 1.0]
-        base = baseline_sweep(tiny_mbb, grid, cfg, cache)
-        multi = multistart_sweep(tiny_mbb, grid, cfg, cache)
+        base, _ = baseline_states(tiny_mbb, grid, cfg, cache)
+        multi, _ = multistart_states(tiny_mbb, grid, cfg, cache)
         assert np.all(multi.cs() <= base.cs() + 1e-12)
         assert multi.points[-1].c == pytest.approx(base.points[-1].c, rel=1e-12)
 
+    def test_load_normalized_exactly_once(self, tiny_mbb, cfg):
+        # loads (+1, -1) rescale to norm 0.9999999999999999, so rescaling
+        # twice changes the loads: only one rescale matches the direct run
+        g = tiny_mbb.grid
+        p = ProblemSpec(g, ((2 * g.node_id(0, 0) + 1, 1.0),
+                            (2 * g.node_id(4, 0) + 1, -1.0)),
+                        tiny_mbb.fixed_dofs, name="two-load")
+        once = p.with_unit_load()
+        assert once.with_unit_load().loads != once.loads
+        direct = optimize(once, 0.4, cfg, initial_design("uniform", 0.4, g))
+        _, (swept,) = baseline_states(p, [0.4], cfg)
+        (batch,) = par.run_optimizations(p, [{"vf": 0.4, "init_kind": "uniform"}],
+                                         cfg)
+        for res in (swept, batch):
+            assert np.array_equal(res.densities.values, direct.densities.values)
+            assert (res.compliance_p, res.compliance_p1, res.iterations) == \
+                (direct.compliance_p, direct.compliance_p1, direct.iterations)
+
     def test_invalid_grid_rejected(self, tiny_mbb, cfg):
         with pytest.raises(InvalidArgumentError):
-            baseline_sweep(tiny_mbb, [0.5, 0.4], cfg)
+            baseline_states(tiny_mbb, [0.5, 0.4], cfg)
         with pytest.raises(InvalidArgumentError):
-            baseline_sweep(tiny_mbb, [], cfg)
+            baseline_states(tiny_mbb, [], cfg)
         with pytest.raises(InvalidArgumentError):
-            baseline_sweep(tiny_mbb, [0.5, 1.2], cfg)
+            baseline_states(tiny_mbb, [0.5, 1.2], cfg)
 
     def test_cache_reuse_between_sweeps(self, tiny_mbb, cfg, tmp_path):
         cache = RunCache(tmp_path)
         grid = [0.4, 1.0]
-        baseline_sweep(tiny_mbb, grid, cfg, cache)
+        baseline_states(tiny_mbb, grid, cfg, cache)
         import topareto.pareto as par_mod
         calls = []
         orig = par_mod.optimize
@@ -217,9 +243,9 @@ class TestSweeps:
 
     def test_parallel_equals_serial(self, tiny_mbb, cfg, tmp_path):
         grid = [0.3, 0.7, 1.0]
-        serial = multistart_sweep(tiny_mbb, grid, cfg, RunCache(tmp_path / "a"))
-        parallel = multistart_sweep(tiny_mbb, grid, cfg,
-                                    RunCache(tmp_path / "b"), workers=2)
+        serial, _ = multistart_states(tiny_mbb, grid, cfg, RunCache(tmp_path / "a"))
+        parallel, _ = multistart_states(tiny_mbb, grid, cfg,
+                                        RunCache(tmp_path / "b"), workers=2)
         assert serial.to_csv() == parallel.to_csv()
 
 
@@ -237,20 +263,20 @@ class TestRefine:
             return designs[i]
 
         monkeypatch.setattr(par, "optimize", stub)
-        out = refine(tiny_mbb, front, designs, rounds=3, cfg=cfg)
+        out, _ = refine_states(tiny_mbb, front, designs, rounds=3, cfg=cfg)
         assert out.cs() == pytest.approx(front.cs())
 
     def test_refine_dominates_input(self, tiny_mbb, cfg, tmp_path):
         cache = RunCache(tmp_path)
         grid = [0.15, 0.3, 0.5, 0.75, 1.0]
         multi, states = multistart_states(tiny_mbb, grid, cfg, cache)
-        out = refine(tiny_mbb, multi, states, 2, cfg, cache)
+        out, _ = refine_states(tiny_mbb, multi, states, 2, cfg, cache)
         assert np.all(out.cs() <= multi.cs() + 1e-12)
 
     def test_misaligned_designs_rejected(self, tiny_mbb, cfg):
         front = synth_front([0.5, 1.0], lambda v: 1 / v)
         with pytest.raises(InvalidArgumentError):
-            refine(tiny_mbb, front, [], 1, cfg)
+            refine_states(tiny_mbb, front, [], 1, cfg)
 
 
 def _fake_result(problem, vf, c):

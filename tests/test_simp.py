@@ -110,6 +110,22 @@ class TestInitialDesign:
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert abs(out.mean() - 0.9) <= 1e-6
 
+    def test_rescale_hits_weighted_mean(self):
+        # the density-filter weights: col_mean @ x is the mean of W @ x
+        grid = Grid(12, 6)
+        w = filter_build(grid, 2.5)
+        col_mean = np.asarray(w.sum(axis=0)).ravel() / grid.nel
+        base = np.random.default_rng(3).random(grid.nel) ** 3
+        out = rescale_to_volume(base, 0.45, col_mean)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert abs(col_mean @ out - 0.45) <= 1e-7
+        assert abs(np.asarray(w @ out).mean() - 0.45) <= 1e-7 + 1e-12
+        assert abs(out.mean() - 0.45) > 1e-6  # the weights matter here
+
+    def test_rescale_unreachable_target_raises(self):
+        with pytest.raises(InvalidArgumentError, match="did not converge"):
+            rescale_to_volume(np.full(10, 0.5), 0.5, np.zeros(10))
+
 
 class TestOptimize:
     def test_full_volume_trivial(self, small_mbb, cfg):
