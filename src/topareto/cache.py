@@ -1,7 +1,7 @@
 """On-disk cache for optimization results.
 
-One entry per (problem, volume fraction, initial design, optimizer config),
-stored as a JSON summary plus a raw ``.npy`` density array. Writes go
+One entry per (problem, volume fraction, initial design, optimizer config,
+cache version), stored as a JSON summary plus a raw ``.npy`` density array. Writes go
 through a temp file and an atomic rename, so concurrent insert-or-get from
 several workers is safe: last writer wins with identical content.
 """
@@ -19,10 +19,15 @@ import numpy as np
 from .fem2d import DensityField, ProblemSpec
 from .simp import DesignResult, OptimizerConfig
 
+# enters every result key: bump it whenever a change to the optimizer can
+# change a stored result, so that caches written before are never served
+CACHE_VERSION = 1
+
 
 def result_key(problem: ProblemSpec, vf: float, init_desc: str,
                cfg: OptimizerConfig) -> str:
     doc = {
+        "version": CACHE_VERSION,
         "problem": problem.to_json(),
         "vf": repr(float(vf)),
         "init": init_desc,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -102,18 +103,34 @@ def _load_config(args) -> RunConfig:
         out_dir=out_dir,
         cache_dir=Path(cache_dir) if cache_dir else None,
         workers=int(workers),
-        rounds=int(doc.get("rounds", 3)),
-        min_threshold=float(doc.get("min_threshold", pareto_mod.DEFAULT_MIN_THRESHOLD)),
-        drop_threshold=float(doc.get("drop_threshold", pareto_mod.DEFAULT_DROP_THRESHOLD)),
-        sigma=float(doc.get("sigma", pareto_mod.DEFAULT_SIGMA)),
-        anchor_vf=float(doc.get("anchor_vf", mm_mod.DEFAULT_ANCHOR_VF)),
-        tie_tol=float(doc.get("tie_tol", mat_mod.DEFAULT_TIE_TOL)),
+        rounds=int(_finite(doc, "rounds", 3)),
+        min_threshold=_finite(doc, "min_threshold", pareto_mod.DEFAULT_MIN_THRESHOLD),
+        drop_threshold=_finite(doc, "drop_threshold", pareto_mod.DEFAULT_DROP_THRESHOLD),
+        sigma=_finite(doc, "sigma", pareto_mod.DEFAULT_SIGMA),
+        anchor_vf=_finite(doc, "anchor_vf", mm_mod.DEFAULT_ANCHOR_VF),
+        tie_tol=_finite(doc, "tie_tol", mat_mod.DEFAULT_TIE_TOL),
     )
+
+
+def _finite(doc: dict, name: str, default: float) -> float:
+    """A config number; JSON's ``NaN`` and ``Infinity`` are invalid input."""
+    try:
+        value = float(doc.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad {name} in config: {exc}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _census(label: str):
+    """Prints the census line of each batch a command runs."""
+    return lambda line: print(f"{label}: {line}")
 
 
 def _front_svg(front, title: str) -> str:
@@ -148,14 +165,17 @@ def cmd_pareto(args) -> int:
     out = cfg.out_dir
     strategy = args.strategy
 
-    sweep = (pareto_mod.baseline_states if strategy == "baseline"
-             else pareto_mod.multistart_states)
+    if strategy == "baseline":
+        sweep, kind = pareto_mod.baseline_states, "baseline"
+    else:
+        sweep, kind = pareto_mod.multistart_states, "multistart"
     front, states = sweep(cfg.problem, cfg.vf_grid, cfg.optimizer, cache,
-                          cfg.workers)
+                          cfg.workers, _census(kind))
     if strategy == "refine":
         front, _ = pareto_mod.refine_states(
             cfg.problem, front, states, cfg.rounds, cfg.optimizer, cache,
-            cfg.workers, cfg.min_threshold, cfg.drop_threshold)
+            cfg.workers, cfg.min_threshold, cfg.drop_threshold,
+            _census("refine round"))
     _write(out / f"front_{strategy}.csv", front.to_csv())
     _write(out / f"front_{strategy}.svg",
            _front_svg(front, f"{cfg.problem.name} front ({strategy})"))
@@ -192,7 +212,7 @@ def cmd_er(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,
-                               cfg.cache(), cfg.workers)
+                               cfg.cache(), cfg.workers, _census("fit anchor"))
     out = cfg.out_dir
     _write(out / "metamodel.json", model.to_json() + "\n")
 

@@ -162,15 +162,18 @@ def full_density_compliance(problem: ProblemSpec,
 
 def fit_problem(problem: ProblemSpec, cfg: OptimizerConfig | None = None,
                 anchor_vf: float = DEFAULT_ANCHOR_VF,
-                cache: RunCache | None = None, workers: int = 1) -> MetaModel:
+                cache: RunCache | None = None, workers: int = 1,
+                report=None) -> MetaModel:
     """Fit the model for a problem from one multi-start anchor optimization.
 
     The anchor at ``anchor_vf`` controls the whole model, so all eleven
     initial designs are run there and the best penalization-1 compliance is
-    kept; the second point is the direct full-density solve.
+    kept; the second point is the direct full-density solve. ``report``
+    receives the anchor batch's census line.
     """
     cfg = cfg or OptimizerConfig()
     c_full = full_density_compliance(problem, cfg)
-    front, _ = multistart_states(problem, [anchor_vf], cfg, cache, workers)
+    front, _ = multistart_states(problem, [anchor_vf], cfg, cache, workers,
+                                 report)
     c1 = front.points[0].c
     return fit((anchor_vf, c1), c_full, problem.name)

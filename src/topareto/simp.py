@@ -35,6 +35,8 @@ INITIAL_DESIGN_KINDS = (
 )
 
 _NOISE_SEED = 130904
+# first iteration at which a bounded run is checked; later checks double it
+FIRST_RUNG = 5
 
 
 @dataclass(frozen=True)
@@ -205,12 +207,21 @@ def rescale_to_volume(base: np.ndarray, target_vf: float,
 
 
 def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
-             init: DensityField | None = None) -> DesignResult:
+             init: DensityField | None = None, *,
+             _abandon_above: float = np.inf) -> DesignResult:
     """Minimize compliance at a fixed volume fraction from a given start.
 
     Deterministic: identical inputs give bit-identical density fields. The
     result carries the compliance at the optimization penalization and the
     penalization-1 re-evaluation of the same final field.
+
+    ``_abandon_above`` is the multi-start race's bound (see
+    ``pareto.ABANDON_FACTOR``). At the rung iterations 5, 10, 20, 40, ...
+    below ``cfg.max_iters``, a penalized compliance above it ends the loop
+    before the OC update; the current field then goes through the same
+    volume check, final solve and penalization-1 evaluation, so the result
+    is valid with ``converged=False`` and ``iterations < cfg.max_iters``.
+    A run the bound never stops is bit-identical to an unbounded one.
     """
     if not 0 < target_vf <= 1:
         raise InvalidArgumentError("target_vf must lie in (0, 1]")
@@ -251,6 +262,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     converged = False
     violations = 0
     c_prev = None
+    rung = FIRST_RUNG
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         emod = simp_modulus(x_phys, cfg.penal, cfg.e_min)
@@ -264,6 +276,10 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         if c_prev is not None and c > c_prev * (1.0 + 1e-9):
             violations += 1
         c_prev = c
+        if it == rung:
+            rung *= 2
+            if it < cfg.max_iters and c > _abandon_above:
+                break
 
         dc = -cfg.penal * (1.0 - cfg.e_min) * x_phys ** (cfg.penal - 1.0) * ce
         x_new = _oc_update(x, filter_dc(x, dc), dv_t, target_vf, cfg, weights)

@@ -39,6 +39,13 @@ class TestRunCache:
         cache.put("k", make_result())
         assert cache.get("k") is None
 
+    def test_cache_version_enters_key(self, monkeypatch):
+        from topareto import cache as cache_mod
+        p = preset("mbb", 8, 4)
+        k1 = result_key(p, 0.5, "kind:uniform", OptimizerConfig())
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", cache_mod.CACHE_VERSION + 1)
+        assert result_key(p, 0.5, "kind:uniform", OptimizerConfig()) != k1
+
     def test_keys_are_stable_and_distinct(self):
         p = preset("mbb", 8, 4)
         cfg = OptimizerConfig()

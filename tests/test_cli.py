@@ -71,6 +71,21 @@ class TestParetoCmd:
         assert np.all(multi.cs() <= base.cs() + 1e-12)
         assert np.all(ref.cs() <= multi.cs() + 1e-12)
 
+    def test_census_line_per_batch(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"sweep": {"points": [0.3, 1.0]},
+                                       "optimizer": {"max_iters": 20}}))
+        args = ["--config", str(cfgfile)]
+        common = tiny("--out", str(tmp_path / "o"), "--cache", str(tmp_path / "c"))
+        assert run([*args, "pareto", *common, "--strategy", "refine"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("multistart: 22 tasks, 20 distinct, 0 cached, ")
+        assert all(line.startswith("refine round: ") for line in lines[1:-1])
+        assert run([*args, "fit", *common]) == 0
+        fit_line = capsys.readouterr().out.splitlines()[0]
+        assert fit_line.startswith("fit anchor: 11 tasks, 10 distinct, ")
+        assert fit_line.endswith(" iterations")
+
     def test_warm_cache_rerun_identical(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         cache = tmp_path / "c"
@@ -276,6 +291,21 @@ class TestConfigPrecedence:
         dens = (out / "densities.csv").read_text().strip().splitlines()
         assert len(dens) == 4  # rows = nely from the flag, not the file
         assert len(dens[0].split(",")) == 8
+
+    @pytest.mark.parametrize("name", ["rounds", "min_threshold", "drop_threshold",
+                                      "sigma", "anchor_vf", "tie_tol"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, name, value):
+        front = tmp_path / "front.csv"
+        front.write_text("vf,c,provenance\n0.2,5.0,x\n0.5,2.0,x\n1.0,1.0,x\n")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(f'{{"{name}": {value}}}')
+        out = tmp_path / "o"
+        code = run(["--config", str(cfgfile), "er", *tiny("--out", str(out)),
+                    "--front", str(front)])
+        assert code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

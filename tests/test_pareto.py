@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from topareto import pareto as par
-from topareto.cache import RunCache
+from topareto.cache import RunCache, result_key
 from topareto.errors import InvalidArgumentError, ParseError
 from topareto.fem2d import DensityField, ProblemSpec, preset
 from topareto.pareto import (FrontPoint, ParetoFront, SignificantPoints,
                              baseline_states, default_vf_grid,
                              detect_significant, envelope, multistart_states,
                              refine_states, smooth)
-from topareto.simp import OptimizerConfig, initial_design, optimize
+from topareto.simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
+                           initial_design, optimize)
 
 
 def synth_front(vfs, fn, tag="synthetic"):
@@ -207,9 +208,9 @@ class TestSweeps:
         calls = []
         orig = par_mod.optimize
 
-        def spy(problem, vf, cfg_, init=None):
+        def spy(problem, vf, cfg_, init=None, **bound):
             calls.append(vf)
-            return orig(problem, vf, cfg_, init)
+            return orig(problem, vf, cfg_, init, **bound)
 
         par_mod.optimize = spy
         try:
@@ -247,6 +248,110 @@ class TestSweeps:
         parallel, _ = multistart_states(tiny_mbb, grid, cfg,
                                         RunCache(tmp_path / "b"), workers=2)
         assert serial.to_csv() == parallel.to_csv()
+
+
+def _exhaustive(problem, vf, cfg):
+    """All eleven starts run in full; the first lowest in kind order wins."""
+    norm = problem.with_unit_load()
+    runs = [optimize(norm, vf, cfg, initial_design(kind, vf, problem.grid))
+            for kind in INITIAL_DESIGN_KINDS]
+    best = min(range(len(runs)), key=lambda j: runs[j].compliance_p1)
+    return INITIAL_DESIGN_KINDS[best], runs[best]
+
+
+class TestRace:
+    """Multi-start starts abandoned against the uniform start's compliance."""
+
+    @pytest.mark.parametrize("max_iters", [10, 40])
+    def test_equals_exhaustive_minimum(self, small_mbb, max_iters):
+        cfg = OptimizerConfig(max_iters=max_iters)
+        lines = []
+        front, (winner,) = multistart_states(small_mbb, [0.3], cfg,
+                                             report=lines.append)
+        kind, best = _exhaustive(small_mbb, 0.3, cfg)
+        assert front.points == (FrontPoint(0.3, best.compliance_p1, kind),)
+        assert np.array_equal(winner.densities.values, best.densities.values)
+        # the race did stop some starts: vstripes2, vstripes4 and ring are
+        # disconnected designs at vf 0.3
+        assert ", 3 abandoned," in lines[0]
+
+    def test_abandoned_start_never_wins(self, tiny_mbb, cfg, monkeypatch):
+        # an abandoned start with the lowest compliance, and a tie between
+        # two finished ones that the first in kind order (disc before ring)
+        # wins
+        def fake(problem, tasks, cfg_, *args, **kwargs):
+            out = []
+            for task in tasks:
+                c = {"vstripes2": 1.0, "disc": 3.0, "ring": 3.0}.get(
+                    task["init_kind"], 5.0)
+                iters = 5 if task["init_kind"] == "vstripes2" else cfg_.max_iters
+                out.append(DesignResult(DensityField(np.full(32, 0.5)), c, c,
+                                        0.5, iters, False, 0))
+            return out
+
+        monkeypatch.setattr(par, "run_optimizations", fake)
+        front, _ = multistart_states(tiny_mbb, [0.5], cfg)
+        assert front.points[0].provenance == "disc"
+
+    def test_abandoned_result_only_under_its_bounded_key(self, small_mbb,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # a factor of 1 abandons every start above the uniform final value
+        monkeypatch.setattr(par, "ABANDON_FACTOR", 1.0)
+        cfg = OptimizerConfig(max_iters=40)
+        cache = RunCache(tmp_path)
+        tasks = [{"vf": 0.3, "init_kind": kind} for kind in INITIAL_DESIGN_KINDS]
+        for task in tasks[1:-1]:
+            task["bound_by"] = 0
+        results = par.run_optimizations(small_mbb, tasks, cfg, cache)
+        stopped = [t["init_kind"] for t, r in zip(tasks, results)
+                   if par.abandoned(r, cfg)]
+        assert len(stopped) >= 5 and "uniform" not in stopped
+        front, _ = multistart_states(small_mbb, [0.3], cfg, cache)
+        assert front.points[0].provenance not in stopped
+        norm = small_mbb.with_unit_load()
+        bound = repr(1.0 * results[0].compliance_p)
+        for kind in stopped:
+            full = result_key(norm, 0.3, f"kind:{kind}", cfg)
+            raced = result_key(norm, 0.3, f"kind:{kind}|abandon_above:{bound}",
+                               cfg)
+            assert cache.get(full) is None
+            assert par.abandoned(cache.get(raced), cfg)
+
+    def test_warm_cache_serves_every_start(self, small_mbb, tmp_path):
+        cfg = OptimizerConfig(max_iters=40)
+        cache = RunCache(tmp_path)
+        cold, warm = [], []
+        a, _ = multistart_states(small_mbb, [0.2, 0.3], cfg, cache,
+                                 report=cold.append)
+        b, _ = multistart_states(small_mbb, [0.2, 0.3], cfg, cache,
+                                 report=warm.append)
+        assert a == b
+        assert cold[0].startswith("22 tasks, 20 distinct, 0 cached, ")
+        assert warm[0].startswith("22 tasks, 20 distinct, 20 cached, ")
+        assert cold[0].split(", ")[3:] == warm[0].split(", ")[3:]
+
+    def test_one_and_two_workers_agree(self, small_mbb, tmp_path):
+        cfg = OptimizerConfig(max_iters=40)
+        out = {}
+        for workers in (1, 2):
+            lines = []
+            front, states = multistart_states(
+                small_mbb, [0.2, 0.3, 0.7], cfg, RunCache(tmp_path / str(workers)),
+                workers=workers, report=lines.append)
+            out[workers] = (front.to_csv(), lines,
+                            [s.densities.values.tobytes() for s in states])
+        assert out[1] == out[2]
+        assert sorted(p.name for p in (tmp_path / "1").iterdir()) == \
+            sorted(p.name for p in (tmp_path / "2").iterdir())
+
+    @pytest.mark.parametrize("bound_by", [1, 5, -1])
+    def test_bound_must_name_an_unbounded_task(self, tiny_mbb, cfg, bound_by):
+        tasks = [{"vf": 0.5, "init_kind": "uniform"},
+                 {"vf": 0.5, "init_kind": "disc", "bound_by": 0},
+                 {"vf": 0.5, "init_kind": "ring", "bound_by": bound_by}]
+        with pytest.raises(InvalidArgumentError):
+            par.run_optimizations(tiny_mbb, tasks, cfg)
 
 
 class TestRefine:

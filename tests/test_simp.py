@@ -201,6 +201,60 @@ class TestOptimize:
             optimize(small_mbb, 0.0, cfg)
 
 
+class TestRaceBound:
+    """The private ``_abandon_above`` bound used by the multi-start race."""
+
+    @staticmethod
+    def _same(a, b):
+        return (np.array_equal(a.densities.values, b.densities.values)
+                and (a.compliance_p, a.compliance_p1, a.vf, a.iterations,
+                     a.converged, a.descent_violations)
+                == (b.compliance_p, b.compliance_p1, b.vf, b.iterations,
+                    b.converged, b.descent_violations))
+
+    @pytest.mark.parametrize("kind", ["uniform", "vstripes2", "noise"])
+    def test_unreached_bound_is_plain_run(self, small_mbb, kind):
+        cfg = OptimizerConfig(max_iters=40)
+        init = initial_design(kind, 0.3, small_mbb.grid)
+        plain = optimize(small_mbb, 0.3, cfg, init)
+        for bound in (np.inf, 1e300):
+            assert self._same(optimize(small_mbb, 0.3, cfg, init,
+                                       _abandon_above=bound), plain)
+
+    def test_bound_stops_at_first_rung(self, small_mbb):
+        cfg = OptimizerConfig(max_iters=40)
+        init = initial_design("vstripes2", 0.3, small_mbb.grid)
+        res = optimize(small_mbb, 0.3, cfg, init, _abandon_above=0.0)
+        assert res.iterations == 5 and not res.converged
+        assert abs(res.densities.volume_fraction - 0.3) <= 1e-4
+        assert np.isfinite([res.compliance_p, res.compliance_p1]).all()
+
+    def test_rungs_double_and_stay_below_max_iters(self, small_mbb):
+        class Probe:
+            """A bound that records each check (``c > probe`` falls back to
+            ``probe < c``) and trips at the given check."""
+
+            def __init__(self, trip_at=None):
+                self.checks = 0
+                self.trip_at = trip_at
+
+            def __lt__(self, c):
+                self.checks += 1
+                return self.checks == self.trip_at
+
+        # vstripes2 at vf 0.3 is still moving after 41 iterations
+        init = initial_design("vstripes2", 0.3, small_mbb.grid)
+        for max_iters, rungs in ((41, 4), (40, 3), (5, 0), (6, 1)):
+            probe = Probe()
+            res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=max_iters),
+                           init, _abandon_above=probe)
+            assert (probe.checks, res.iterations) == (rungs, max_iters)
+        for trip_at, stop in ((1, 5), (2, 10), (3, 20), (4, 40)):
+            res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=41), init,
+                           _abandon_above=Probe(trip_at))
+            assert res.iterations == stop and not res.converged
+
+
 class TestEvaluateP1:
     def test_all_ones_equals_p3(self, small_mbb, cfg):
         ones = DensityField(np.ones(small_mbb.grid.nel))
