@@ -4,8 +4,7 @@ stiffness-driven material selection for 2D topology optimization."""
 from .cache import RunCache
 from .er import (AnalyticComponent, ErSeries, analytic_er, analytic_front,
                  analytic_stiffness, compute_er, filter_er)
-from .fem2d import (DensityField, Grid, ProblemSpec, assemble, compliance,
-                    element_stiffness, preset)
+from .fem2d import DensityField, Grid, ProblemSpec, element_stiffness, preset
 from .materials import (LoadCase, Material, SelectionReport, ashby_index,
                         load_materials, refine_vf, screen_density,
                         screen_pareto, select)
@@ -24,11 +23,11 @@ __all__ = [
     "FrontPoint", "Grid", "INITIAL_DESIGN_KINDS", "LoadCase", "Material",
     "MetaModel", "OptimizerConfig", "ParetoFront", "ProblemSpec", "RunCache",
     "SelectionReport", "SignificantPoints", "analytic_er", "analytic_front",
-    "analytic_stiffness", "ashby_index", "assemble", "baseline_states",
-    "compliance", "compute_er", "default_vf_grid", "detect_significant",
-    "element_stiffness", "envelope", "eval_er", "eval_front", "evaluate_p1",
-    "filter_build", "filter_er", "fit", "fit_problem",
-    "full_density_compliance", "initial_design", "inverse", "load_materials",
-    "multistart_states", "optimize", "preset", "refine_states", "refine_vf",
-    "screen_density", "screen_pareto", "select", "smooth",
+    "analytic_stiffness", "ashby_index", "baseline_states", "compute_er",
+    "default_vf_grid", "detect_significant", "element_stiffness", "envelope",
+    "eval_er", "eval_front", "evaluate_p1", "filter_build", "filter_er", "fit",
+    "fit_problem", "full_density_compliance", "initial_design", "inverse",
+    "load_materials", "multistart_states", "optimize", "preset",
+    "refine_states", "refine_vf", "screen_density", "screen_pareto", "select",
+    "smooth",
 ]

@@ -85,37 +85,40 @@ def _load_config(args) -> RunConfig:
 
     sweep = doc.get("sweep", {})
     if "points" in sweep:
-        vf_grid = [float(v) for v in sweep["points"]]
+        vf_grid = [_finite(v, "sweep.points") for v in sweep["points"]]
     else:
         vf_grid = pareto_mod.default_vf_grid(
-            int(sweep.get("count", 50)),
-            float(sweep.get("lo", 0.02)),
-            float(sweep.get("hi", 1.0)))
+            int(_finite(sweep.get("count", 50), "sweep.count")),
+            _finite(sweep.get("lo", 0.02), "sweep.lo"),
+            _finite(sweep.get("hi", 1.0), "sweep.hi"))
 
     out_dir = Path(getattr(args, "out", None) or doc.get("out_dir", "out"))
     cache_dir = getattr(args, "cache", None) or os.environ.get(CACHE_ENV) \
         or doc.get("cache_dir")
-    workers = getattr(args, "workers", None) or int(doc.get("workers", 1))
+    workers = getattr(args, "workers", None)
+    if workers is None:
+        workers = int(_finite(doc.get("workers", 1), "workers"))
+    if workers < 1:
+        raise ParseError(f"workers must be at least 1, got {workers}")
+    numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
+               for name in ("rounds", "min_threshold", "drop_threshold",
+                            "sigma", "anchor_vf", "tie_tol")}
+    numbers["rounds"] = int(numbers["rounds"])
     return RunConfig(
         problem=problem,
         optimizer=optimizer,
         vf_grid=vf_grid,
         out_dir=out_dir,
         cache_dir=Path(cache_dir) if cache_dir else None,
-        workers=int(workers),
-        rounds=int(_finite(doc, "rounds", 3)),
-        min_threshold=_finite(doc, "min_threshold", pareto_mod.DEFAULT_MIN_THRESHOLD),
-        drop_threshold=_finite(doc, "drop_threshold", pareto_mod.DEFAULT_DROP_THRESHOLD),
-        sigma=_finite(doc, "sigma", pareto_mod.DEFAULT_SIGMA),
-        anchor_vf=_finite(doc, "anchor_vf", mm_mod.DEFAULT_ANCHOR_VF),
-        tie_tol=_finite(doc, "tie_tol", mat_mod.DEFAULT_TIE_TOL),
+        workers=workers,
+        **numbers,
     )
 
 
-def _finite(doc: dict, name: str, default: float) -> float:
+def _finite(value, name: str) -> float:
     """A config number; JSON's ``NaN`` and ``Infinity`` are invalid input."""
     try:
-        value = float(doc.get(name, default))
+        value = float(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad {name} in config: {exc}") from exc
     if not math.isfinite(value):
@@ -190,7 +193,7 @@ def cmd_er(args) -> int:
         text = Path(args.front).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read front file {args.front}: {exc}") from exc
-    front = pareto_mod.ParetoFront.from_csv(text, cfg.problem.name)
+    front = pareto_mod.ParetoFront.from_csv(text)
     raw = er_mod.compute_er(front)
     filt = er_mod.filter_er(front, cfg.sigma)
     out = cfg.out_dir

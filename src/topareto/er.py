@@ -105,8 +105,6 @@ def compute_er(front: ParetoFront) -> ErSeries:
     if len(front) < 3:
         raise InvalidArgumentError("need at least 3 front points")
     v = front.vfs()
-    if np.any(np.diff(v) <= 0):
-        raise InvalidArgumentError("front has duplicate volume fractions")
     n = -_loglog_slope(v, front.cs())
     return ErSeries(tuple(zip(v, n)), source="raw")
 
@@ -172,4 +170,4 @@ def analytic_front(comp: AnalyticComponent, vf_grid) -> ParetoFront:
     """Compliance front (inverse stiffness) sampled on a vf grid."""
     pts = tuple(FrontPoint(float(v), 1.0 / analytic_stiffness(comp, float(v)),
                            f"analytic:{comp.kind}") for v in vf_grid)
-    return ParetoFront(pts, f"analytic-{comp.kind}")
+    return ParetoFront(pts)

@@ -66,14 +66,6 @@ class Grid:
             raise InvalidArgumentError(f"node ({ix},{iy}) outside grid")
         return ix * (self.nely + 1) + iy
 
-    def node_coords(self, node: int) -> tuple[int, int]:
-        return divmod(node, self.nely + 1)
-
-    def element_id(self, ex: int, ey: int) -> int:
-        if not (0 <= ex < self.nelx and 0 <= ey < self.nely):
-            raise InvalidArgumentError(f"element ({ex},{ey}) outside grid")
-        return ex * self.nely + ey
-
     def element_coords(self, el: int) -> tuple[int, int]:
         return divmod(el, self.nely)
 
@@ -230,16 +222,15 @@ def simp_modulus(values: np.ndarray, penal: float, e_min: float = E_MIN_DEFAULT)
 class GridKernel:
     """Precomputed index machinery for one (grid, fixed_dofs) pair.
 
-    Carries the element DOF table, scatter indices for sparse assembly, the
-    banded assembly operator (a CSR matrix from element moduli to the
-    Fortran-ordered constrained lower band), the LAPACK ``pbtrf``/``pbtrs``
-    routines, and the constrained load/free masks. Its :meth:`solve`, a
-    banded Cholesky factorization with iterative refinement, is the one
-    linear solver of the package.
+    Carries the element DOF table, the global (row, column) of every
+    element-matrix entry, the banded assembly operator (a CSR matrix from
+    element moduli to the Fortran-ordered constrained lower band), the
+    LAPACK ``pbtrf``/``pbtrs`` routines, and the fixed-DOF mask. Its
+    :meth:`solve`, a banded Cholesky factorization with iterative
+    refinement, is the one linear solver of the package.
     """
 
     def __init__(self, grid: Grid, fixed_dofs: frozenset[int]):
-        self.grid = grid
         self.ke = element_stiffness(NU)
         ndof = grid.ndof
         self.ndof = ndof
@@ -251,10 +242,8 @@ class GridKernel:
 
         self.fixed = np.zeros(ndof, dtype=bool)
         self.fixed[list(fixed_dofs)] = True
-        self.free = ~self.fixed
-        self.n_fixed = int(self.fixed.sum())
 
-        # scatter indices for COO assembly
+        # global (row, column) of each element-matrix entry, element-major
         self.i_idx = np.repeat(edof, 8, axis=1).ravel()
         self.j_idx = np.tile(edof, (1, 8)).ravel()
 
@@ -286,13 +275,6 @@ class GridKernel:
         ab = (self._band_op @ emod).reshape(self.ndof, self.bandwidth + 1).T
         ab[0, self.fixed] = 1.0
         return ab
-
-    def assemble_csr(self, emod: np.ndarray) -> scipy.sparse.csr_matrix:
-        """Unconstrained global stiffness as CSR."""
-        data = (emod[:, None] * self._ke_flat[None, :]).ravel()
-        k = scipy.sparse.coo_matrix((data, (self.i_idx, self.j_idx)),
-                                    shape=(self.ndof, self.ndof))
-        return k.tocsr()
 
     def apply_constrained(self, emod: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Matrix-free product of the constrained stiffness with ``u``."""
@@ -387,20 +369,6 @@ def kernel_for(problem: ProblemSpec) -> GridKernel:
     return _kernel_cached(problem.grid, problem.fixed_dofs)
 
 
-def assemble(problem: ProblemSpec, densities: DensityField, penal: float,
-             e_min: float = E_MIN_DEFAULT) -> scipy.sparse.csr_matrix:
-    """Global stiffness for a density field under penalized moduli."""
-    if densities.values.size != problem.grid.nel:
-        raise InvalidArgumentError("density field does not match problem grid")
-    kern = kernel_for(problem)
-    return kern.assemble_csr(simp_modulus(densities.values, penal, e_min))
-
-
-def compliance(u: np.ndarray, f: np.ndarray) -> float:
-    """External work ``sum F_i U_i`` (equals U^T K U at the solution)."""
-    return float(np.dot(f, u))
-
-
 # ---------------------------------------------------------------------------
 # presets
 
@@ -411,7 +379,9 @@ def preset(name: str, nelx: int | None = None, nely: int | None = None) -> Probl
                  (x fixed), roller under the bottom-right corner, unit
                  downward load at the top-left corner; symmetry_factor 2.
     ``bridge``   deck bridge (60x20): pin at bottom-left, roller at
-                 bottom-right, unit total load spread over the bottom edge.
+                 bottom-right, downward load ``1/sqrt(nelx+1)`` at each of
+                 the ``nelx+1`` bottom nodes: unit 2-norm, total force
+                 ``sqrt(nelx+1)``.
     ``complex``  cantilever with two offset loads (60x30): left edge fully
                  clamped, loads at the bottom-right corner and mid-top.
 

@@ -176,17 +176,16 @@ def ashby_index(mat: Material, m: MetaModel, lc: LoadCase) -> tuple[float, float
 
 
 def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
-              cfg: OptimizerConfig | None = None, optimize_fn=None,
+              cfg: OptimizerConfig | None = None,
               cache: RunCache | None = None, workers: int = 1
               ) -> tuple[float, float, MetaModel]:
     """Re-anchor the model at the material's own operating point.
 
-    Runs one optimization at the first-guess volume fraction, refits with
-    that anchor in place of the default one, and inverts again. Falls back
-    to the original model when the refit anchor ratio leaves the feasible
-    band. Without ``optimize_fn(problem, vf, cfg)``, the run is a
-    :func:`run_optimizations` task, which rescales the load to unit norm;
-    a supplied ``optimize_fn`` receives the problem as given.
+    Runs one optimization at the first-guess volume fraction (a
+    :func:`run_optimizations` task, which rescales the load to unit norm),
+    refits with that anchor in place of the default one, and inverts again.
+    Falls back to the original model when the refit anchor ratio leaves the
+    feasible band.
     """
     cfg = cfg or OptimizerConfig()
     x_req = lc.required_compliance(mat)
@@ -194,11 +193,8 @@ def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
     c_full = m0.fit_points[1][1]
     m1 = m0
     if vf0 < 1.0 - 1e-9:
-        if optimize_fn is None:
-            c0 = run_optimizations(problem, [{"vf": vf0, "init_kind": "uniform"}],
-                                   cfg, cache, workers)[0].compliance_p1
-        else:
-            c0 = float(optimize_fn(problem, vf0, cfg))
+        c0 = run_optimizations(problem, [{"vf": vf0, "init_kind": "uniform"}],
+                               cfg, cache, workers)[0].compliance_p1
         try:
             m1 = fit((vf0, c0), c_full, m0.problem_name)
         except FitInfeasibleError:
@@ -210,7 +206,7 @@ def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
 
 def select(mats: list[Material], m: MetaModel, lc: LoadCase,
            tie_tol: float = DEFAULT_TIE_TOL, problem: ProblemSpec | None = None,
-           cfg: OptimizerConfig | None = None, optimize_fn=None,
+           cfg: OptimizerConfig | None = None,
            cache: RunCache | None = None, workers: int = 1) -> SelectionReport:
     """Screen, rank by index, and pick the minimum-mass material.
 
@@ -260,11 +256,11 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
     if near:
         trail.append(f"near-tie within {tie_tol:.0%}: "
                      f"{', '.join(mt.name for mt in near)}")
-        if problem is not None or optimize_fn is not None:
+        if problem is not None:
             rescored = []
             for mt in [best] + near:
-                vf1, mass1, m1 = refine_vf(mt, problem, lc, m, cfg,
-                                           optimize_fn, cache, workers)
+                vf1, mass1, m1 = refine_vf(mt, problem, lc, m, cfg, cache,
+                                           workers)
                 if m1 is m:
                     trail.append(f"{mt.name}: refit anchor ratio out of band, "
                                  f"kept original model")

@@ -67,7 +67,6 @@ class ParetoFront:
     """Ordered (vf, c) samples with provenance tags."""
 
     points: tuple[FrontPoint, ...]
-    problem_name: str = ""
 
     def __post_init__(self):
         pts = tuple(FrontPoint(float(p.vf), float(p.c), str(p.provenance))
@@ -101,7 +100,7 @@ class ParetoFront:
         return out.getvalue()
 
     @staticmethod
-    def from_csv(text: str, problem_name: str = "") -> "ParetoFront":
+    def from_csv(text: str) -> "ParetoFront":
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["vf", "c", "provenance"]:
             raise ParseError("expected header vf,c,provenance", line=1)
@@ -120,7 +119,7 @@ class ParetoFront:
             pts.append(FrontPoint(vf, c, row[2]))
         if not pts:
             raise ParseError("front file has no data rows", line=1)
-        return ParetoFront(tuple(pts), problem_name)
+        return ParetoFront(tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def envelope(front: ParetoFront) -> ParetoFront:
             best = p.c
             best_prov = p.provenance
         pts.append(FrontPoint(p.vf, best, best_prov))
-    return ParetoFront(tuple(pts), front.problem_name)
+    return ParetoFront(tuple(pts))
 
 
 def smooth(vf: np.ndarray, y: np.ndarray, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
@@ -350,7 +349,7 @@ def baseline_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
     results = run_optimizations(problem, tasks, cfg, cache, workers, report)
     pts = tuple(FrontPoint(vf, res.compliance_p1, "uniform")
                 for vf, res in zip(vfs, results))
-    return ParetoFront(pts, problem.name), results
+    return ParetoFront(pts), results
 
 
 def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
@@ -384,7 +383,7 @@ def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
         best = min(finished, key=lambda j: block[j].compliance_p1)
         pts.append(FrontPoint(vf, block[best].compliance_p1, kinds[best]))
         winners.append(block[best])
-    return ParetoFront(tuple(pts), problem.name), winners
+    return ParetoFront(tuple(pts)), winners
 
 
 def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int,
@@ -397,16 +396,20 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
 
     Each round warm-starts every point from the nearest product-curve
     minimum to its left and the nearest compliance-drop design to its
-    right (volume-rescaled), keeping the pointwise best result. Rounds
-    stop early once no point improves by more than ``IMPROVE_TOL``.
+    right (volume-rescaled), keeping the pointwise best result. A warm
+    start already run (same volume fraction, same seed field) is not run
+    again: its result competed for that point once, and a point only
+    improves. Rounds stop early once no point improves by more than
+    ``IMPROVE_TOL``.
     """
     states = list(designs)
     if len(states) != len(front):
         raise InvalidArgumentError("designs must align with front points")
     points = list(front.points)
+    ran = set()
 
     for _ in range(rounds):
-        cur = ParetoFront(tuple(points), front.problem_name)
+        cur = ParetoFront(tuple(points))
         sig = detect_significant(cur, min_threshold, drop_threshold)
         tasks = []
         owners = []
@@ -416,8 +419,11 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
             right = [i for i in sig.drops if i > j]
             for src in ([max(left)] if left else []) + ([min(right)] if right else []):
                 seed = rescale_to_volume(states[src].densities.values, vf)
-                tasks.append({"vf": vf, "init_values": seed})
-                owners.append((j, src))
+                start = (vf, field_descriptor(seed))
+                if start not in ran:
+                    ran.add(start)
+                    tasks.append({"vf": vf, "init_values": seed})
+                    owners.append((j, src))
         if not tasks:
             break
         results = run_optimizations(problem, tasks, cfg, cache, workers, report)
@@ -431,4 +437,4 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
                 states[j] = res
         if best_gain <= IMPROVE_TOL:
             break
-    return ParetoFront(tuple(points), front.problem_name), states
+    return ParetoFront(tuple(points)), states

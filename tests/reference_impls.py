@@ -58,9 +58,8 @@ def element_dof_table(nelx, nely):
     return np.array(table)
 
 
-def fem_compliance(nelx, nely, densities, penal, loads, fixed_dofs,
-                   nu=0.3, e_min=1e-9):
-    """Loop-assembled dense FEM: reduced-system solve, returns (C, U)."""
+def loop_stiffness(nelx, nely, densities, penal, nu=0.3, e_min=1e-9):
+    """Unconstrained global stiffness, loop-assembled into a dense matrix."""
     ndof = 2 * (nelx + 1) * (nely + 1)
     ke = quad_element_stiffness(nu)
     table = element_dof_table(nelx, nely)
@@ -72,6 +71,14 @@ def fem_compliance(nelx, nely, densities, penal, loads, fixed_dofs,
         for i in range(8):
             for j in range(8):
                 k[dofs[i], dofs[j]] += emod * ke[i, j]
+    return k
+
+
+def fem_compliance(nelx, nely, densities, penal, loads, fixed_dofs,
+                   nu=0.3, e_min=1e-9):
+    """Loop-assembled dense FEM: reduced-system solve, returns (C, U)."""
+    k = loop_stiffness(nelx, nely, densities, penal, nu, e_min)
+    ndof = k.shape[0]
     f = np.zeros(ndof)
     for dof, mag in loads:
         f[dof] += mag

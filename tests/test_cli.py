@@ -166,7 +166,7 @@ class TestFitCmd:
         m = MetaModel(2.0, 0.5, ((0.1, 20.01), (1.0, 3.0)), "mbb")
         vfs = np.linspace(0.05, 1.0, 40)
         front = ParetoFront(tuple(
-            FrontPoint(float(v), eval_front(m, float(v))) for v in vfs), "mbb")
+            FrontPoint(float(v), eval_front(m, float(v))) for v in vfs))
         out = tmp_path / "o"
         out.mkdir()
         (out / "front_refine.csv").write_text(front.to_csv())
@@ -292,20 +292,48 @@ class TestConfigPrecedence:
         assert len(dens) == 4  # rows = nely from the flag, not the file
         assert len(dens[0].split(",")) == 8
 
-    @pytest.mark.parametrize("name", ["rounds", "min_threshold", "drop_threshold",
-                                      "sigma", "anchor_vf", "tie_tol"])
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_number_exit_2(self, tmp_path, capsys, name, value):
+    @staticmethod
+    def _er_with_config(tmp_path, name, value, *flags):
+        """Runs ``er`` on a valid front with the config setting ``name`` to
+        the raw JSON ``value`` (``sweep.<key>`` nests, ``sweep.points`` is a
+        one-item list); returns the exit code, with no output written."""
         front = tmp_path / "front.csv"
         front.write_text("vf,c,provenance\n0.2,5.0,x\n0.5,2.0,x\n1.0,1.0,x\n")
+        if name == "sweep.points":
+            value = f"[{value}]"
+        section, _, key = name.rpartition(".")
+        text = f'{{"{key}": {value}}}'
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(f'{{"{name}": {value}}}')
+        cfgfile.write_text(f'{{"{section}": {text}}}' if section else text)
         out = tmp_path / "o"
         code = run(["--config", str(cfgfile), "er", *tiny("--out", str(out)),
-                    "--front", str(front)])
-        assert code == 2
-        assert f"{name} must be finite" in capsys.readouterr().err
+                    "--front", str(front), *flags])
         assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("name", ["rounds", "min_threshold", "drop_threshold",
+                                      "sigma", "anchor_vf", "tie_tol", "workers",
+                                      "sweep.count", "sweep.lo", "sweep.hi",
+                                      "sweep.points"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, name, value):
+        assert self._er_with_config(tmp_path, name, value) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("workers", '"two"'),
+                                             ("sweep.count", '"x"'),
+                                             ("sweep.points", '"a"')])
+    def test_non_numeric_number_exit_2(self, tmp_path, capsys, name, value):
+        assert self._er_with_config(tmp_path, name, value) == 2
+        assert f"bad {name} in config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [(), ("--workers", "-3"), ("--workers", "0")])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, flags):
+        # a flag wins over the config's 1; without one, the config's -3
+        value = "1" if flags else "-3"
+        assert self._er_with_config(tmp_path, "workers", value, *flags) == 2
+        got = flags[1] if flags else "-3"
+        assert f"workers must be at least 1, got {got}" in capsys.readouterr().err
 
     def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

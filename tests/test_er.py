@@ -12,7 +12,7 @@ from topareto.pareto import FrontPoint, ParetoFront
 
 def power_law_front(n, vfs, a=2.0):
     return ParetoFront(tuple(FrontPoint(float(v), a * float(v) ** (-n))
-                             for v in vfs), "powerlaw")
+                             for v in vfs))
 
 
 class TestComputeEr:

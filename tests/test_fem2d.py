@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 import reference_impls as ref
 from conftest import kernel_solve
 from topareto import fem2d
 from topareto.errors import InvalidArgumentError, SolverError
-from topareto.fem2d import (DensityField, Grid, ProblemSpec, assemble,
-                            compliance, element_stiffness, kernel_for, preset,
-                            simp_modulus)
+from topareto.fem2d import (DensityField, Grid, ProblemSpec, element_stiffness,
+                            kernel_for, preset, simp_modulus)
 
 
 class TestGrid:
@@ -25,10 +23,10 @@ class TestGrid:
         g = Grid(5, 3)
         for ix in range(6):
             for iy in range(4):
-                assert g.node_coords(g.node_id(ix, iy)) == (ix, iy)
-        for ex in range(5):
-            for ey in range(3):
-                assert g.element_coords(g.element_id(ex, ey)) == (ex, ey)
+                assert g.node_id(ix, iy) == ref.node_id(ix, iy, 3)
+        # elements in the reference table's order
+        pairs = [(ex, ey) for ex in range(5) for ey in range(3)]
+        assert [g.element_coords(el) for el in range(g.nel)] == pairs
 
     def test_bad_grid(self):
         with pytest.raises(InvalidArgumentError):
@@ -74,57 +72,67 @@ class TestElementStiffness:
             element_stiffness(nu)
 
 
+def _free(problem):
+    free = np.ones(problem.grid.ndof, dtype=bool)
+    free[sorted(problem.fixed_dofs)] = False
+    return free
+
+
+def _constrained(k, fixed_dofs):
+    """``k`` with fixed rows and columns zeroed and a unit diagonal there."""
+    k = k.copy()
+    fixed = sorted(fixed_dofs)
+    k[fixed, :] = 0.0
+    k[:, fixed] = 0.0
+    k[fixed, fixed] = 1.0
+    return k
+
+
+def _lower_band(k, rows):
+    """The first ``rows`` diagonals of ``k`` in ``assemble_banded`` storage."""
+    band = np.zeros((rows, k.shape[0]))
+    for d in range(rows):
+        band[d, :k.shape[0] - d] = np.diagonal(k, -d)
+    return band
+
+
 class TestAssemble:
     def test_full_density_penal_independent(self, tiny_mbb):
-        ones = DensityField(np.ones(tiny_mbb.grid.nel))
-        k1 = assemble(tiny_mbb, ones, penal=1.0)
-        k3 = assemble(tiny_mbb, ones, penal=3.0)
-        assert np.allclose((k1 - k3).data, 0.0, atol=1e-15) or (k1 != k3).nnz == 0
+        kern = kernel_for(tiny_mbb)
+        ones = np.ones(tiny_mbb.grid.nel)
+        ab1 = kern.assemble_banded(simp_modulus(ones, 1.0))
+        ab3 = kern.assemble_banded(simp_modulus(ones, 3.0))
+        assert np.allclose(ab1 - ab3, 0.0, atol=1e-15)
 
     def test_half_density_scaling(self, tiny_mbb):
         e_min = 1e-9
-        ones = DensityField(np.ones(tiny_mbb.grid.nel))
-        half = DensityField(np.full(tiny_mbb.grid.nel, 0.5))
-        k_full = assemble(tiny_mbb, ones, penal=3.0)
-        k_half = assemble(tiny_mbb, half, penal=3.0)
+        kern = kernel_for(tiny_mbb)
+        nel = tiny_mbb.grid.nel
+        ab_full = kern.assemble_banded(simp_modulus(np.ones(nel), 3.0))
+        ab_half = kern.assemble_banded(simp_modulus(np.full(nel, 0.5), 3.0))
         scale = e_min + 0.125 * (1 - e_min)
-        assert np.allclose(k_half.toarray(), scale * k_full.toarray(), rtol=1e-12)
+        # the unit diagonal at fixed DOFs does not scale
+        free = _free(tiny_mbb)
+        assert np.allclose(ab_half[:, free], scale * ab_full[:, free], rtol=1e-12)
 
     def test_checkerboard_against_bruteforce(self):
         problem = preset("mbb", 2, 2)
         vals = np.array([1.0, 0.25, 0.5, 0.75])
-        k = assemble(problem, DensityField(vals), penal=3.0).toarray()
-        ke = ref.quad_element_stiffness(0.3)
-        table = ref.element_dof_table(2, 2)
-        dense = np.zeros_like(k)
-        e_min = 1e-9
-        for el in range(4):
-            emod = e_min + vals[el] ** 3 * (1 - e_min)
-            dofs = table[el]
-            for i in range(8):
-                for j in range(8):
-                    dense[dofs[i], dofs[j]] += emod * ke[i, j]
-        assert np.allclose(k, dense, rtol=1e-12, atol=1e-15)
+        ab = kernel_for(problem).assemble_banded(simp_modulus(vals, 3.0))
+        dense = _constrained(ref.loop_stiffness(2, 2, vals, 3.0), problem.fixed_dofs)
+        assert np.allclose(ab, _lower_band(dense, ab.shape[0]), rtol=1e-12, atol=1e-15)
 
     def test_rejects_bad_penal(self, tiny_mbb):
-        ones = DensityField(np.ones(tiny_mbb.grid.nel))
         with pytest.raises(InvalidArgumentError):
-            assemble(tiny_mbb, ones, penal=0.5)
+            simp_modulus(np.ones(tiny_mbb.grid.nel), penal=0.5)
 
-    def test_banded_is_lower_band_of_constrained_csr(self, small_mbb):
+    def test_banded_is_lower_band_of_constrained_loop_matrix(self, small_mbb):
         rng = np.random.default_rng(5)
-        dens = DensityField(rng.random(small_mbb.grid.nel))
-        k = assemble(small_mbb, dens, penal=3.0).toarray()
-        fixed = sorted(small_mbb.fixed_dofs)
-        k[fixed, :] = 0.0
-        k[:, fixed] = 0.0
-        k[fixed, fixed] = 1.0
+        dens = rng.random(small_mbb.grid.nel)
+        k = _constrained(ref.loop_stiffness(30, 10, dens, 3.0), small_mbb.fixed_dofs)
         kern = kernel_for(small_mbb)
-        ab = kern.assemble_banded(simp_modulus(dens.values, 3.0))
-        ndof = small_mbb.grid.ndof
-        band = np.zeros_like(ab)
-        for d in range(ab.shape[0]):
-            band[d, :ndof - d] = np.diagonal(k, -d)
+        ab = kern.assemble_banded(simp_modulus(dens, 3.0))
+        band = _lower_band(k, ab.shape[0])
         assert np.max(np.abs(ab - band)) <= 1e-13 * np.max(np.abs(k))
         # nothing of the matrix lies outside the stored band
         assert not np.any(np.tril(k, -ab.shape[0]))
@@ -196,14 +204,15 @@ class TestSolve:
 
     def test_residual_contract_and_fixed_dofs(self, small_mbb):
         rng = np.random.default_rng(7)
-        dens = DensityField(0.2 + 0.8 * rng.random(small_mbb.grid.nel))
-        k = assemble(small_mbb, dens, penal=3.0)
-        u = kernel_solve(small_mbb, dens.values, 3.0)
+        dens = 0.2 + 0.8 * rng.random(small_mbb.grid.nel)
+        k = ref.loop_stiffness(30, 10, dens, 3.0)
+        u = kernel_solve(small_mbb, dens, 3.0)
         f = small_mbb.load_vector()
-        free = np.array([d not in small_mbb.fixed_dofs
-                         for d in range(small_mbb.grid.ndof)])
-        resid = np.linalg.norm((f - k @ u)[free])
-        assert resid <= 1e-8 * np.linalg.norm(f)
+        free = _free(small_mbb)
+        ku = kernel_for(small_mbb).apply_constrained(simp_modulus(dens, 3.0), u)
+        for product in (k @ u, ku):
+            resid = np.linalg.norm((f - product)[free])
+            assert resid <= 1e-8 * np.linalg.norm(f)
         assert np.all(u[~free] == 0.0)
 
     def test_zero_load_gives_zero(self, tiny_mbb):
@@ -252,21 +261,21 @@ class TestCompliance:
         u = kernel_solve(tiny_mbb, np.ones(tiny_mbb.grid.nel), 3.0)
         f = tiny_mbb.load_vector()
         dof, mag = tiny_mbb.loads[0]
-        assert compliance(u, f) == pytest.approx(mag * u[dof], rel=1e-12)
-        assert compliance(u, f) > 0
+        assert float(f @ u) == pytest.approx(mag * u[dof], rel=1e-12)
+        assert float(f @ u) > 0
 
     def test_quadratic_in_load_scale(self, tiny_mbb):
         ones = np.ones(tiny_mbb.grid.nel)
         scaled = ProblemSpec(tiny_mbb.grid,
                              tuple((d, 3.0 * m) for d, m in tiny_mbb.loads),
                              tiny_mbb.fixed_dofs, "scaled")
-        c1 = compliance(kernel_solve(tiny_mbb, ones, 3.0), tiny_mbb.load_vector())
-        c9 = compliance(kernel_solve(scaled, ones, 3.0), scaled.load_vector())
+        c1 = float(tiny_mbb.load_vector() @ kernel_solve(tiny_mbb, ones, 3.0))
+        c9 = float(scaled.load_vector() @ kernel_solve(scaled, ones, 3.0))
         assert c9 == pytest.approx(9.0 * c1, rel=1e-9)
 
     def test_desk_mbb_matches_reference_fem(self, desk_mbb):
         u = kernel_solve(desk_mbb, np.ones(desk_mbb.grid.nel), 3.0)
-        c = compliance(u, desk_mbb.load_vector())
+        c = float(desk_mbb.load_vector() @ u)
         c_ref, _ = ref.fem_compliance(60, 20, np.ones(1200), 3.0,
                                       desk_mbb.loads, desk_mbb.fixed_dofs)
         assert abs(c - c_ref) / c_ref <= 0.005
@@ -280,16 +289,16 @@ class TestInvariants:
         for _ in range(8):
             lo = rng.uniform(0.05, 0.6, problem.grid.nel)
             hi = np.clip(lo + rng.uniform(0.0, 0.4, problem.grid.nel), 0, 1)
-            c_lo = compliance(kernel_solve(problem, lo, 1.0), f)
-            c_hi = compliance(kernel_solve(problem, hi, 1.0), f)
+            c_lo = float(f @ kernel_solve(problem, lo, 1.0))
+            c_hi = float(f @ kernel_solve(problem, hi, 1.0))
             assert c_hi <= c_lo * (1 + 1e-9)
 
     def test_compliance_inversely_proportional_to_modulus(self, tiny_mbb):
         # uniform density at p=1 scales the matrix like a modulus scale
         f = tiny_mbb.load_vector()
         nel = tiny_mbb.grid.nel
-        c_half = compliance(kernel_solve(tiny_mbb, np.full(nel, 0.5), 1.0), f)
-        c_full = compliance(kernel_solve(tiny_mbb, np.ones(nel), 1.0), f)
+        c_half = float(f @ kernel_solve(tiny_mbb, np.full(nel, 0.5), 1.0))
+        c_full = float(f @ kernel_solve(tiny_mbb, np.ones(nel), 1.0))
         assert c_half == pytest.approx(2.0 * c_full, rel=1e-6)
 
     def test_assembly_affine_in_densities_at_p1(self, tiny_mbb):
@@ -297,10 +306,11 @@ class TestInvariants:
         a = rng.random(tiny_mbb.grid.nel)
         b = rng.random(tiny_mbb.grid.nel)
         mix = 0.3 * a + 0.7 * b
-        k_mix = assemble(tiny_mbb, DensityField(mix), penal=1.0).toarray()
-        k_a = assemble(tiny_mbb, DensityField(a), penal=1.0).toarray()
-        k_b = assemble(tiny_mbb, DensityField(b), penal=1.0).toarray()
-        # affine combination preserves the e_min floor exactly
+        kern = kernel_for(tiny_mbb)
+        k_mix, k_a, k_b = (kern.assemble_banded(simp_modulus(x, 1.0))
+                           for x in (mix, a, b))
+        # affine combination preserves the e_min floor and the unit
+        # diagonal at fixed DOFs exactly
         assert np.allclose(k_mix, 0.3 * k_a + 0.7 * k_b, rtol=1e-12, atol=1e-13)
 
     def test_front_invariant_to_load_magnitude(self, tiny_mbb):
@@ -332,7 +342,7 @@ class TestProblemSpec:
         for name in ("mbb", "bridge", "complex"):
             problem = preset(name, 12, 6)
             u = kernel_solve(problem, np.ones(problem.grid.nel), 3.0)
-            c = compliance(u, problem.load_vector())
+            c = float(problem.load_vector() @ u)
             assert c > 0
 
     def test_density_field_bounds(self):

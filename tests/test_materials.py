@@ -1,8 +1,11 @@
 """Material ingestion, screening, indices, and the selection pipeline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from topareto import materials
 from topareto.errors import (InfeasibleProblemError, InfeasibleStiffnessError,
                              InvalidArgumentError, ParseError, ValidationError)
 from topareto.materials import (LoadCase, Material, ashby_index,
@@ -277,67 +280,65 @@ class TestLoadCase:
             LoadCase(**args)
 
 
+def _front_runs(monkeypatch, c_of_vf):
+    """Stands ``c_of_vf`` in for the optimization runs behind ``refine_vf``;
+    returns the list of volume fractions it is asked for."""
+    calls = []
+
+    def fake(problem, tasks, *args):
+        calls.extend(t["vf"] for t in tasks)
+        return [SimpleNamespace(compliance_p1=c_of_vf(t["vf"])) for t in tasks]
+
+    monkeypatch.setattr(materials, "run_optimizations", fake)
+    return calls
+
+
 class TestRefineVf:
-    def test_fixed_point_with_exact_front(self, worked_example_model):
+    def test_fixed_point_with_exact_front(self, worked_example_model, tiny_mbb,
+                                          monkeypatch):
         m0 = worked_example_model
         mat = TABLE_MATS[2]
-
-        def stub(problem, vf, cfg):
-            return eval_front(m0, vf)
-
-        vf1, mass, m1 = refine_vf(mat, None, MBB_CASE, m0, optimize_fn=stub)
+        _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
+        vf1, mass, m1 = refine_vf(mat, tiny_mbb, MBB_CASE, m0)
         vf0 = inverse(m0, MBB_CASE.required_compliance(mat))
         assert vf1 == pytest.approx(vf0, abs=1e-6)
         assert m1.a == pytest.approx(m0.a, rel=1e-4)
 
-    def test_fallback_when_anchor_ratio_violated(self, worked_example_model):
+    def test_fallback_when_anchor_ratio_violated(self, worked_example_model,
+                                                 tiny_mbb, monkeypatch):
         m0 = worked_example_model
         mat = TABLE_MATS[2]
-
-        def bad_stub(problem, vf, cfg):
-            return eval_front(m0, 1.0) * 0.5  # below the full-density value
-
-        vf1, mass, m1 = refine_vf(mat, None, MBB_CASE, m0, optimize_fn=bad_stub)
+        # below the full-density value
+        _front_runs(monkeypatch, lambda vf: eval_front(m0, 1.0) * 0.5)
+        vf1, mass, m1 = refine_vf(mat, tiny_mbb, MBB_CASE, m0)
         assert m1 is m0
         assert vf1 == pytest.approx(inverse(m0, MBB_CASE.required_compliance(mat)),
                                     abs=1e-9)
 
-    def test_mass_formula(self, worked_example_model):
+    def test_mass_formula(self, worked_example_model, tiny_mbb, monkeypatch):
         m0 = worked_example_model
         mat = TABLE_MATS[3]
-
-        def stub(problem, vf, cfg):
-            return eval_front(m0, vf)
-
-        vf1, mass, _ = refine_vf(mat, None, MBB_CASE, m0, optimize_fn=stub)
+        _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
+        vf1, mass, _ = refine_vf(mat, tiny_mbb, MBB_CASE, m0)
         assert mass == pytest.approx(
             MBB_CASE.length * MBB_CASE.height * MBB_CASE.thickness
             * vf1 * mat.rho)
 
 
 class TestNearTie:
-    def test_tie_triggers_rescoring(self, worked_example_model):
+    def test_tie_triggers_rescoring(self, worked_example_model, tiny_mbb,
+                                    monkeypatch):
         m0 = worked_example_model
-        calls = []
-
-        def stub(problem, vf, cfg):
-            calls.append(vf)
-            return eval_front(m0, vf)
-
-        report = select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.02,
-                        optimize_fn=stub)
+        calls = _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
+        report = select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.02, problem=tiny_mbb)
         # indices differ by 1.3 percent: both candidates re-scored
         assert len(calls) == 2
         assert report.near_ties == ["Inconel 713"]
         assert report.winner.name == "Titanium alloy (Ti-6Al-4V)"
 
-    def test_no_tie_no_rescoring(self, worked_example_model):
+    def test_no_tie_no_rescoring(self, worked_example_model, tiny_mbb,
+                                 monkeypatch):
         m0 = worked_example_model
-        calls = []
-
-        def stub(problem, vf, cfg):
-            calls.append(vf)
-            return eval_front(m0, vf)
-
-        select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.001, optimize_fn=stub)
+        calls = _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
+        select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.001, problem=tiny_mbb)
         assert calls == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topareto import pareto as par
-from topareto.cache import RunCache, result_key
+from topareto.cache import RunCache, field_descriptor, result_key
 from topareto.errors import InvalidArgumentError, ParseError
 from topareto.fem2d import DensityField, ProblemSpec, preset
 from topareto.pareto import (FrontPoint, ParetoFront, SignificantPoints,
@@ -17,7 +17,7 @@ from topareto.simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
 
 def synth_front(vfs, fn, tag="synthetic"):
     return ParetoFront(tuple(FrontPoint(float(v), float(fn(v)), tag)
-                             for v in vfs), "synthetic")
+                             for v in vfs))
 
 
 class TestParetoFront:
@@ -38,7 +38,7 @@ class TestParetoFront:
 
     def test_csv_round_trip(self):
         front = synth_front(np.linspace(0.1, 1, 9), lambda v: 2.0 / v + 0.3 * v)
-        back = ParetoFront.from_csv(front.to_csv(), "synthetic")
+        back = ParetoFront.from_csv(front.to_csv())
         assert back == front
 
     def test_csv_parse_errors(self):
@@ -377,6 +377,37 @@ class TestRefine:
         multi, states = multistart_states(tiny_mbb, grid, cfg, cache)
         out, _ = refine_states(tiny_mbb, multi, states, 2, cfg, cache)
         assert np.all(out.cs() <= multi.cs() + 1e-12)
+
+    def test_rounds_skip_warm_starts_already_run(self, monkeypatch):
+        problem = preset("mbb", 20, 8)
+        cfg = OptimizerConfig(max_iters=40)
+        front, states = baseline_states(problem, default_vf_grid(14, 0.05), cfg)
+        starts = []
+        orig = par.optimize
+
+        def spy(problem_, vf, cfg_, init=None, **bound):
+            starts.append((vf, field_descriptor(init.values)))
+            return orig(problem_, vf, cfg_, init, **bound)
+
+        monkeypatch.setattr(par, "optimize", spy)
+        lines = []
+        out = refine_states(problem, front, states, 3, cfg, RunCache(None),
+                            drop_threshold=0.01, report=lines.append)
+        skipping = starts[:]
+        del starts[:]
+        # one round per call: each call starts afresh and so runs every
+        # warm start of its round, as rounds did before they skipped repeats
+        again = (front, states)
+        for _ in lines:
+            again = refine_states(problem, *again, 1, cfg, RunCache(None),
+                                  drop_threshold=0.01)
+        assert len(lines) == 3
+        assert len(set(skipping)) == len(skipping) < len(starts)
+        assert out[0] == again[0]
+        for a, b in zip(out[1], again[1]):
+            assert np.array_equal(a.densities.values, b.densities.values)
+            assert (a.compliance_p, a.compliance_p1, a.iterations) == \
+                (b.compliance_p, b.compliance_p1, b.iterations)
 
     def test_misaligned_designs_rejected(self, tiny_mbb, cfg):
         front = synth_front([0.5, 1.0], lambda v: 1 / v)

@@ -49,21 +49,20 @@ class TestFilterBuild:
         # diagonal neighbors 1.5-sqrt(2); everything further is outside
         grid = Grid(5, 5)
         w = filter_build(grid, 1.5)
-        center = grid.element_id(2, 2)
+        eid = {grid.element_coords(el): el for el in range(grid.nel)}
+        center = eid[2, 2]
         impulse = np.zeros(25)
         impulse[center] = 1.0
         out = w @ impulse
         w_diag = 1.5 - np.sqrt(2.0)
         total = 1.5 + 4 * 0.5 + 4 * w_diag
         assert out[center] == pytest.approx(1.5 / total)
-        for nb in (grid.element_id(1, 2), grid.element_id(3, 2),
-                   grid.element_id(2, 1), grid.element_id(2, 3)):
+        for nb in (eid[1, 2], eid[3, 2], eid[2, 1], eid[2, 3]):
             assert out[nb] == pytest.approx(0.5 / total)
-        for nb in (grid.element_id(1, 1), grid.element_id(3, 3),
-                   grid.element_id(1, 3), grid.element_id(3, 1)):
+        for nb in (eid[1, 1], eid[3, 3], eid[1, 3], eid[3, 1]):
             assert out[nb] == pytest.approx(w_diag / total)
-        assert out[grid.element_id(0, 0)] == 0.0
-        assert out[grid.element_id(2, 4)] == 0.0
+        assert out[eid[0, 0]] == 0.0
+        assert out[eid[2, 4]] == 0.0
 
     def test_rows_normalized(self):
         w = filter_build(Grid(9, 6), 3.0)
