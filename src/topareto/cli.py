@@ -64,17 +64,31 @@ def _load_config(args) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
 
+    if not isinstance(doc, dict):
+        raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
     prob_spec = doc.get("problem", "mbb")
-    nelx = getattr(args, "nelx", None) or doc.get("nelx")
-    nely = getattr(args, "nely", None) or doc.get("nely")
+    sizes = []
+    for name in ("nelx", "nely"):
+        size = getattr(args, name, None)
+        if size is None:
+            size = doc.get(name)
+        sizes.append(None if size is None else _grid_size(size, name))
     if getattr(args, "preset", None):
         prob_spec = args.preset
     if isinstance(prob_spec, str):
-        problem = preset(prob_spec, nelx, nely)
+        problem = preset(prob_spec, *sizes)
+    elif isinstance(prob_spec, dict):
+        try:
+            problem = ProblemSpec.from_json(json.dumps(prob_spec))
+        except KeyError as exc:
+            raise ParseError(f"problem config is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad problem config: {exc}") from exc
     else:
-        problem = ProblemSpec.from_json(json.dumps(prob_spec))
+        raise ParseError("problem must be a preset name or a JSON object, "
+                         f"got {type(prob_spec).__name__}")
 
-    opt_doc = dict(doc.get("optimizer", {}))
+    opt_doc = dict(_section(doc, "optimizer"))
     for name in ("penal", "rmin", "filter_kind"):
         if getattr(args, name, None) is not None:
             opt_doc[name] = getattr(args, name)
@@ -83,8 +97,11 @@ def _load_config(args) -> RunConfig:
     except TypeError as exc:
         raise ParseError(f"bad optimizer config: {exc}") from exc
 
-    sweep = doc.get("sweep", {})
+    sweep = _section(doc, "sweep")
     if "points" in sweep:
+        if not isinstance(sweep["points"], list):
+            raise ParseError("sweep.points must be a JSON array, "
+                             f"got {type(sweep['points']).__name__}")
         vf_grid = [_finite(v, "sweep.points") for v in sweep["points"]]
     else:
         vf_grid = pareto_mod.default_vf_grid(
@@ -113,6 +130,21 @@ def _load_config(args) -> RunConfig:
         workers=workers,
         **numbers,
     )
+
+
+def _section(doc: dict, name: str) -> dict:
+    """A config section: a JSON object, empty when absent."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"{name} must be a JSON object, got {type(section).__name__}")
+    return section
+
+
+def _grid_size(value, name: str) -> int:
+    """A grid size from a flag or the config: an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
 
 
 def _finite(value, name: str) -> float:

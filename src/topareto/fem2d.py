@@ -252,15 +252,18 @@ class GridKernel:
         # j*(bw+1) + i-j), is ``P @ emod``. Entries in fixed rows/cols are
         # dropped; every band entry gets at most one term per element, and
         # sorted indices sum them in element order, as a scatter would.
+        # Most band entries are structurally zero (four in five at 60x20),
+        # so ``P`` keeps only its non-empty rows, ``_band_rows``, and the
+        # product is scattered into a zeroed band.
         bw = int(np.max(edof.max(axis=1) - edof.min(axis=1)))
         self.bandwidth = bw
         keep = (self.i_idx >= self.j_idx) & ~self.fixed[self.i_idx] & ~self.fixed[self.j_idx]
-        rows = (self.j_idx * (bw + 1) + self.i_idx - self.j_idx)[keep]
+        self._band_rows, rows = np.unique(
+            (self.j_idx * (bw + 1) + self.i_idx - self.j_idx)[keep], return_inverse=True)
         cols = np.repeat(np.arange(grid.nel), 64)[keep]
-        self._ke_flat = self.ke.ravel()
-        data = np.tile(self._ke_flat, grid.nel)[keep]
-        self._band_op = scipy.sparse.csr_matrix((data, (rows, cols)),
-                                                shape=(ndof * (bw + 1), grid.nel))
+        data = np.tile(self.ke.ravel(), grid.nel)[keep]
+        self._band_op = scipy.sparse.csr_matrix(
+            (data, (rows, cols)), shape=(self._band_rows.size, grid.nel))
         self._band_op.sort_indices()
         self._pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(
             ("pbtrf", "pbtrs"), dtype=np.float64)
@@ -272,7 +275,9 @@ class GridKernel:
         subdiagonal, as in :func:`scipy.linalg.cholesky_banded`; the array
         is F-contiguous, so LAPACK factors it without a copy.
         """
-        ab = (self._band_op @ emod).reshape(self.ndof, self.bandwidth + 1).T
+        ab = np.zeros(self.ndof * (self.bandwidth + 1))
+        ab[self._band_rows] = self._band_op @ emod
+        ab = ab.reshape(self.ndof, self.bandwidth + 1).T
         ab[0, self.fixed] = 1.0
         return ab
 
@@ -372,6 +377,9 @@ def kernel_for(problem: ProblemSpec) -> GridKernel:
 # ---------------------------------------------------------------------------
 # presets
 
+# (nelx, nely) of each preset when the caller gives none
+PRESET_SIZES = {"mbb": (60, 20), "bridge": (60, 20), "complex": (60, 30)}
+
 def preset(name: str, nelx: int | None = None, nely: int | None = None) -> ProblemSpec:
     """Built-in benchmark problems on desk-scale grids.
 
@@ -389,9 +397,12 @@ def preset(name: str, nelx: int | None = None, nely: int | None = None) -> Probl
     than copied from any external mesh.
     """
     key = name.lower()
+    if key not in PRESET_SIZES:
+        raise InvalidArgumentError(f"unknown preset {name!r}")
+    nx, ny = (default if size is None else size
+              for size, default in zip((nelx, nely), PRESET_SIZES[key]))
+    g = Grid(nx, ny)
     if key == "mbb":
-        nx, ny = nelx or 60, nely or 20
-        g = Grid(nx, ny)
         fixed = {2 * g.node_id(0, iy) for iy in range(ny + 1)}
         fixed.add(2 * g.node_id(nx, ny) + 1)
         loads = ((2 * g.node_id(0, 0) + 1, -1.0),)
@@ -399,8 +410,6 @@ def preset(name: str, nelx: int | None = None, nely: int | None = None) -> Probl
                            length=nx / ny, height=1.0, thickness=1.0,
                            symmetry_factor=2.0)
     if key == "bridge":
-        nx, ny = nelx or 60, nely or 20
-        g = Grid(nx, ny)
         fixed = {2 * g.node_id(0, ny), 2 * g.node_id(0, ny) + 1,
                  2 * g.node_id(nx, ny) + 1}
         mag = -1.0 / np.sqrt(nx + 1.0)
@@ -408,16 +417,13 @@ def preset(name: str, nelx: int | None = None, nely: int | None = None) -> Probl
         return ProblemSpec(g, loads, frozenset(fixed), name="bridge",
                            length=nx / ny, height=1.0, thickness=1.0,
                            symmetry_factor=1.0)
-    if key == "complex":
-        nx, ny = nelx or 60, nely or 30
-        g = Grid(nx, ny)
-        fixed = set()
-        for iy in range(ny + 1):
-            fixed.add(2 * g.node_id(0, iy))
-            fixed.add(2 * g.node_id(0, iy) + 1)
-        loads = ((2 * g.node_id(nx, ny) + 1, -0.8),
-                 (2 * g.node_id(nx // 2, 0) + 1, -0.6))
-        return ProblemSpec(g, loads, frozenset(fixed), name="complex",
-                           length=nx / ny, height=1.0, thickness=1.0,
-                           symmetry_factor=1.0)
-    raise InvalidArgumentError(f"unknown preset {name!r}")
+    # complex
+    fixed = set()
+    for iy in range(ny + 1):
+        fixed.add(2 * g.node_id(0, iy))
+        fixed.add(2 * g.node_id(0, iy) + 1)
+    loads = ((2 * g.node_id(nx, ny) + 1, -0.8),
+             (2 * g.node_id(nx // 2, 0) + 1, -0.6))
+    return ProblemSpec(g, loads, frozenset(fixed), name="complex",
+                       length=nx / ny, height=1.0, thickness=1.0,
+                       symmetry_factor=1.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
@@ -196,7 +197,7 @@ def rescale_to_volume(base: np.ndarray, target_vf: float,
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         out = np.clip(base + mid, 0.0, 1.0)
-        m = float(weights @ out) if weights is not None else float(out.mean())
+        m = _mean(out, weights)
         if abs(m - target_vf) <= tol:
             return out
         if m < target_vf:
@@ -204,6 +205,11 @@ def rescale_to_volume(base: np.ndarray, target_vf: float,
         else:
             hi = mid
     raise InvalidArgumentError("volume rescaling did not converge")
+
+
+def _mean(v: np.ndarray, weights: np.ndarray | None) -> float:
+    """``weights @ v``, or the plain mean without weights."""
+    return float(weights @ v) if weights is not None else float(v.mean())
 
 
 def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
@@ -219,8 +225,9 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     ``pareto.ABANDON_FACTOR``). At the rung iterations 5, 10, 20, 40, ...
     below ``cfg.max_iters``, a penalized compliance above it ends the loop
     before the OC update; the current field then goes through the same
-    volume check, final solve and penalization-1 evaluation, so the result
-    is valid with ``converged=False`` and ``iterations < cfg.max_iters``.
+    volume check and penalization-1 evaluation, so the result is valid
+    with ``converged=False`` and ``iterations < cfg.max_iters``. Its final
+    solve is the last iteration's, unless the volume check moved the field.
     A run the bound never stops is bit-identical to an unbounded one.
     """
     if not 0 < target_vf <= 1:
@@ -262,6 +269,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     converged = False
     violations = 0
     c_prev = None
+    lm = None  # the OC multiplier of the last update
     rung = FIRST_RUNG
     for it in range(1, cfg.max_iters + 1):
         iterations = it
@@ -282,7 +290,8 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
                 break
 
         dc = -cfg.penal * (1.0 - cfg.e_min) * x_phys ** (cfg.penal - 1.0) * ce
-        x_new = _oc_update(x, filter_dc(x, dc), dv_t, target_vf, cfg, weights)
+        x_new, lm = _oc_update(x, filter_dc(x, dc), dv_t, target_vf, cfg,
+                               weights, lm)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         x_phys = phys(x)
@@ -308,8 +317,12 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         raise SolverError(
             f"volume constraint missed: got {achieved:.6f}, want {target_vf:.6f}")
 
+    emod_last = emod
     emod = simp_modulus(x_phys, cfg.penal, cfg.e_min)
-    u = kern.solve(emod, f)
+    # a run abandoned at a rung stopped before the OC update: its last
+    # solve was of these very moduli
+    if not np.array_equal(emod, emod_last):
+        u = kern.solve(emod, f)
     compliance_p = float(f @ u)
     densities = DensityField(x_phys)
     compliance_p1 = evaluate_p1(problem, densities, cfg)
@@ -317,50 +330,159 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
                         iterations, converged, violations)
 
 
-def _oc_update(x, dc, dv, target_vf, cfg, weights):
-    """Optimality-criteria step; bisects the volume multiplier on [1e-9, 1e9].
+def _oc_update(x, dc, dv, target_vf, cfg, weights, lm_hint=None):
+    """Optimality-criteria step; returns the new design and its multiplier.
 
-    ``weights`` (density filter only) lets the bisection evaluate the mean
-    of the filtered field as a dot product instead of a filter apply. The
-    clamp to the move limits is ``minimum(maximum(...))``: the same values
-    as ``np.clip``, which costs about three times as much per call, and the
-    step runs some thirty times per iteration.
+    The volume multiplier is bisected as in the 88-line code (see
+    :class:`_MultiplierSearch`), after probes started from ``lm_hint``, the
+    previous update's multiplier, when there is one.
     """
-    ratio = np.maximum(0.0, -dc / dv)
-    move = cfg.move_limit
-    lower = np.maximum(0.0, x - move)
-    upper = np.minimum(1.0, x + move)
+    lower = np.maximum(0.0, x - cfg.move_limit)
+    upper = np.minimum(1.0, x + cfg.move_limit)
+    search = _MultiplierSearch(x, np.maximum(0.0, -dc / dv), lower, upper,
+                               target_vf, cfg.eta, weights)
+    search.probe(lm_hint)
+    return search.bisect()
 
-    def step(lm):
-        x_new = np.minimum(np.maximum(x * (ratio / lm) ** cfg.eta, lower), upper)
-        mean = float(weights @ x_new) if weights is not None else float(x_new.mean())
+
+class _MultiplierSearch:
+    """The OC bisection for the volume multiplier ``lm`` on [1e-9, 1e9].
+
+    :meth:`bisect` runs the bracket extensions and the bisection of the
+    88-line code (Andreassen et al. 2011, *SMO* 43:1) and returns its
+    design bit for bit, but calls :meth:`step` only where a test's outcome
+    is not already known. The mean of ``step(lm)`` does not increase with
+    ``lm``: once some ``a`` gave a mean above ``target + VOLUME_TOL +
+    DECIDE_MARGIN``, every test at a multiplier ``<= a`` comes out
+    "above", and mirror-wise below. The margin covers the rounding of
+    the mean; a NaN mean decides nothing. :meth:`probe` places such points
+    just outside the tolerance band first; it chooses which points are
+    evaluated, never the result.
+
+    ``weights`` (density filter only) lets ``step`` evaluate the mean of
+    the filtered field as a dot product instead of a filter apply. The
+    clamp to the move limits is ``minimum(maximum(...))``: the same values
+    as ``np.clip``, which costs about three times as much per call.
+    """
+
+    # the bisection stops when the mean is within VOLUME_TOL of the target;
+    # DECIDE_MARGIN is far above the rounding error of a mean of a million
+    # terms in [0, 1] and far below the tolerance
+    VOLUME_TOL = 1e-6
+    DECIDE_MARGIN = 1e-9
+    # probes per update, the offset from the target they aim at and the one
+    # within which a known side ends them
+    PROBES = 6
+    PROBE_AIM = 2e-6
+    PROBE_CAP = 4e-6
+
+    def __init__(self, x, ratio, lower, upper, target, eta, weights):
+        self.x, self.ratio, self.lower, self.upper = x, ratio, lower, upper
+        self.target, self.eta, self.weights = target, eta, weights
+        # a mean above ``hi`` (below ``lo``) decides its side; the largest
+        # multiplier seen above the band and the smallest seen below it,
+        # with their means
+        margin = self.VOLUME_TOL + self.DECIDE_MARGIN
+        self.hi, self.lo = target + margin, target - margin
+        self.above = (0.0, np.nan)
+        self.below = (np.inf, np.nan)
+        # below ``lm_safe``, ``ratio / lm`` may overflow and turn a zero
+        # density into NaN, so "above" is not decided there
+        self.lm_safe = float(ratio.max()) * 1e-300
+
+    def step(self, lm):
+        x_new = np.minimum(np.maximum(self.x * (self.ratio / lm) ** self.eta,
+                                      self.lower), self.upper)
+        return x_new, _mean(x_new, self.weights)
+
+    def mean_at(self, lm):
+        """``step(lm)``, recording ``lm`` when its mean decides a side."""
+        x_new, mean = self.step(lm)
+        if mean > self.hi and lm > self.above[0]:
+            self.above = (lm, mean)
+        elif mean < self.lo and lm < self.below[0]:
+            self.below = (lm, mean)
         return x_new, mean
 
-    l1, l2 = 1e-9, 1e9
-    # badly scaled sensitivities (disconnected starts) can push the root
-    # outside the standard bracket; extend only when provably needed
-    for _ in range(40):
-        if step(l2)[1] <= target_vf:
-            break
-        l1, l2 = l2, l2 * 100.0
-    for _ in range(40):
-        if step(l1)[1] >= target_vf:
-            break
-        l1, l2 = l1 / 100.0, l1
+    def side(self, lm):
+        """+1 (-1) when the mean at ``lm`` is known above (below) the band."""
+        if self.lm_safe <= lm <= self.above[0]:
+            return 1
+        if lm >= self.below[0]:
+            return -1
+        return 0
 
-    x_new = x
-    for _ in range(200):
-        lmid = 0.5 * (l1 + l2)
-        x_new, mean = step(lmid)
-        if abs(mean - target_vf) <= 1e-6:
-            break
-        if mean > target_vf:
-            l1 = lmid
+    def probe(self, lm_hint):
+        """Secant steps in ``ln lm`` toward the mean ``target +- PROBE_AIM``.
+
+        Starts from ``lm_hint`` or, without one, from the closed-form
+        estimate ``(mean(x * ratio**eta) / target)**(1/eta)`` of Ferrari &
+        Sigmund 2020, which ignores the move limits. Aims above the band
+        until a point within ``PROBE_CAP`` of it is known there, then below;
+        stops once both sides have one, after ``PROBES`` steps, or when the
+        mean stops falling.
+        """
+        target, eta = self.target, self.eta
+        if lm_hint is None:
+            m0 = _mean(self.x * self.ratio ** eta, self.weights)
+            if not 0 < m0 < np.inf:
+                return
+            s = (math.log(m0) - math.log(target)) / eta
         else:
-            l2 = lmid
-        if (l2 - l1) / (l1 + l2) < 1e-14:
-            break
-    return x_new
+            s = math.log(lm_hint)
+        s_min = math.log(max(self.lm_safe, 1e-300))
+        s_prev = g_prev = None
+        for _ in range(self.PROBES):
+            if not s_min <= s <= 690.0:
+                return
+            g = self.mean_at(math.exp(s))[1] - target
+            if not math.isfinite(g):
+                return
+            near_above = self.above[1] - target <= self.PROBE_CAP
+            if near_above and target - self.below[1] <= self.PROBE_CAP:
+                return
+            # unclamped, the mean scales as lm**-eta
+            slope = -eta * (g + target) if s_prev is None else (g - g_prev) / (s - s_prev)
+            if not slope < 0:
+                return
+            aim = -self.PROBE_AIM if near_above else self.PROBE_AIM
+            s_prev, g_prev = s, g
+            s += (aim - g) / slope
+            if s == s_prev:
+                return
+
+    def bisect(self):
+        """The bisection's design and last midpoint."""
+        target, side = self.target, self.side
+        l1, l2 = 1e-9, 1e9
+        # badly scaled sensitivities (disconnected starts) can push the root
+        # outside the standard bracket; extend only when provably needed
+        for _ in range(40):
+            known = side(l2)
+            if (known < 0) if known else self.mean_at(l2)[1] <= target:
+                break
+            l1, l2 = l2, l2 * 100.0
+        for _ in range(40):
+            known = side(l1)
+            if (known > 0) if known else self.mean_at(l1)[1] >= target:
+                break
+            l1, l2 = l1 / 100.0, l1
+
+        for i in range(200):
+            lmid = 0.5 * (l1 + l2)
+            x_new = None
+            known = side(lmid)
+            if not known:
+                x_new, mean = self.mean_at(lmid)
+                if abs(mean - target) <= self.VOLUME_TOL:
+                    return x_new, lmid
+                known = 1 if mean > target else -1
+            if known > 0:
+                l1 = lmid
+            else:
+                l2 = lmid
+            if (l2 - l1) / (l1 + l2) < 1e-14 or i == 199:
+                return (self.step(lmid)[0] if x_new is None else x_new), lmid
 
 
 def evaluate_p1(problem: ProblemSpec, densities: DensityField,

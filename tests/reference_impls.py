@@ -108,6 +108,47 @@ def build_filter(nelx, nely, rmin):
     return h, hs
 
 
+def oc_bisection(x, dc, dv, target, move, eta, weights=None):
+    """OC update by the plain volume-multiplier bisection on [1e-9, 1e9].
+
+    The bracket grows by factors of 100 while the root lies outside it;
+    every test evaluates the update. Stops when the mean (``weights @ x``
+    with weights, else the plain mean) is within 1e-6 of ``target`` or the
+    bracket's relative width falls below 1e-14. Returns the last
+    midpoint's design and the midpoint.
+    """
+    ratio = np.maximum(0.0, -dc / dv)
+    lower = np.maximum(0.0, x - move)
+    upper = np.minimum(1.0, x + move)
+
+    def step(lm):
+        x_new = np.minimum(np.maximum(x * (ratio / lm) ** eta, lower), upper)
+        mean = float(weights @ x_new) if weights is not None else float(x_new.mean())
+        return x_new, mean
+
+    l1, l2 = 1e-9, 1e9
+    for _ in range(40):
+        if step(l2)[1] <= target:
+            break
+        l1, l2 = l2, l2 * 100.0
+    for _ in range(40):
+        if step(l1)[1] >= target:
+            break
+        l1, l2 = l1 / 100.0, l1
+    for _ in range(200):
+        lmid = 0.5 * (l1 + l2)
+        x_new, mean = step(lmid)
+        if abs(mean - target) <= 1e-6:
+            break
+        if mean > target:
+            l1 = lmid
+        else:
+            l2 = lmid
+        if (l2 - l1) / (l1 + l2) < 1e-14:
+            break
+    return x_new, lmid
+
+
 def simp_reference(nelx, nely, volfrac, penal, rmin, loads, fixed_dofs,
                    filter_kind="density", max_iters=300, move=0.2,
                    change_tol=0.01, nu=0.3, e_min=1e-9):

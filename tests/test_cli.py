@@ -335,6 +335,45 @@ class TestConfigPrecedence:
         got = flags[1] if flags else "-3"
         assert f"workers must be at least 1, got {got}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, doc", [
+        (("--nelx", "0", "--nely", "4"), {}),
+        (("--nelx", "8", "--nely", "-2"), {}),
+        (("--nelx", "0"), {"nelx": 8, "nely": 4}),
+        ((), {"nelx": 0, "nely": 4}),
+        ((), {"nelx": 8, "nely": -1}),
+        ((), {"nelx": 8.5, "nely": 4}),
+        ((), {"nelx": "8", "nely": 4}),
+    ])
+    def test_bad_grid_size_exit_2(self, tmp_path, capsys, flags, doc):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run(["--config", str(cfgfile), "optimize", "--preset", "mbb",
+                    *flags, "--out", str(out), "--vf", "1.0"])
+        assert code == 2 and not out.exists()
+        assert "must be an integer of at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"problem": {"name": "x"}}, "problem config is missing key 'nelx'"),
+        ({"problem": {"nelx": 4, "nely": 2, "loads": [[3, -1.0]]}},
+         "problem config is missing key 'fixed_dofs'"),
+        ({"problem": {"nelx": 4, "nely": 2, "loads": 3, "fixed_dofs": []}},
+         "bad problem config"),
+        ({"problem": [1, 2]}, "problem must be a preset name or a JSON object"),
+        ({"sweep": [1, 2]}, "sweep must be a JSON object"),
+        ({"sweep": {"points": 0.5}}, "sweep.points must be a JSON array"),
+        ({"optimizer": [1, 2]}, "optimizer must be a JSON object"),
+        ([1, 2], "config must be a JSON object"),
+    ])
+    def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run(["--config", str(cfgfile), "optimize", "--out", str(out),
+                    "--vf", "0.5"])
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"optimizer": {"solve_method": "dense"}}))

@@ -164,7 +164,7 @@ class TestBitIdentity:
     """The band assembly and the direct LAPACK calls reproduce the scatter
     assembly and scipy's banded Cholesky to the bit."""
 
-    @pytest.mark.parametrize("shape", [(30, 10), (60, 20)])
+    @pytest.mark.parametrize("shape", [(30, 10), (60, 20), (120, 40)])
     def test_band_equals_scatter_and_is_fortran_ordered(self, shape):
         problem = preset("mbb", *shape)
         kern = kernel_for(problem)
@@ -344,6 +344,20 @@ class TestProblemSpec:
             u = kernel_solve(problem, np.ones(problem.grid.nel), 3.0)
             c = float(problem.load_vector() @ u)
             assert c > 0
+
+    @pytest.mark.parametrize("name", ["mbb", "bridge", "complex"])
+    def test_preset_sizes(self, name):
+        default = {"mbb": (60, 20), "bridge": (60, 20), "complex": (60, 30)}[name]
+        g = preset(name).grid
+        assert (g.nelx, g.nely) == default
+        g = preset(name, None, 5).grid
+        assert (g.nelx, g.nely) == (default[0], 5)
+        # a zero size is an error, not the default
+        for sizes in ((0, 4), (4, 0), (-3, 4)):
+            with pytest.raises(InvalidArgumentError):
+                preset(name, *sizes)
+        with pytest.raises(InvalidArgumentError):
+            preset("cantilever")
 
     def test_density_field_bounds(self):
         with pytest.raises(InvalidArgumentError):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
+from conftest import kernel_solve
 from topareto.errors import InvalidArgumentError
-from topareto.fem2d import DensityField, Grid
-from topareto.simp import (INITIAL_DESIGN_KINDS, OptimizerConfig, evaluate_p1,
-                           filter_build, initial_design, optimize,
+from topareto.fem2d import DensityField, Grid, GridKernel
+from topareto.simp import (INITIAL_DESIGN_KINDS, OptimizerConfig, _oc_update,
+                           evaluate_p1, filter_build, initial_design, optimize,
                            rescale_to_volume)
 
 
@@ -173,9 +174,9 @@ class TestOptimize:
         import topareto.simp as simp_mod
         orig = simp_mod._oc_update
 
-        def spy(x, dc, dv, target, cfg_, col_mean):
-            out = orig(x, dc, dv, target, cfg_, col_mean)
-            seen.append((x.copy(), out.copy()))
+        def spy(x, *args):
+            out = orig(x, *args)
+            seen.append((x.copy(), out[0].copy()))
             return out
 
         simp_mod._oc_update = spy
@@ -228,6 +229,23 @@ class TestRaceBound:
         assert abs(res.densities.volume_fraction - 0.3) <= 1e-4
         assert np.isfinite([res.compliance_p, res.compliance_p1]).all()
 
+    def test_abandoned_run_reuses_its_last_solve(self, small_mbb, monkeypatch):
+        solves = []
+        orig = GridKernel.solve
+
+        def counting(kern, emod, f):
+            solves.append(1)
+            return orig(kern, emod, f)
+
+        monkeypatch.setattr(GridKernel, "solve", counting)
+        init = initial_design("vstripes2", 0.3, small_mbb.grid)
+        res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=40), init,
+                       _abandon_above=0.0)
+        # one solve per iteration, none for the final field, one at p = 1
+        assert len(solves) == res.iterations + 1
+        u = kernel_solve(small_mbb, res.densities.values, 3.0)
+        assert res.compliance_p == float(small_mbb.load_vector() @ u)
+
     def test_rungs_double_and_stay_below_max_iters(self, small_mbb):
         class Probe:
             """A bound that records each check (``c > probe`` falls back to
@@ -252,6 +270,107 @@ class TestRaceBound:
             res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=41), init,
                            _abandon_above=Probe(trip_at))
             assert res.iterations == stop and not res.converged
+
+
+class TestOCUpdate:
+    """``_oc_update`` against the plain bisection it replays."""
+
+    @staticmethod
+    def _inputs(seed, n=300, scale=1.0, weighted=True):
+        rng = np.random.default_rng(seed)
+        x = rng.random(n)
+        x[:10], x[10:20] = 0.0, 1.0
+        dc = -scale * rng.lognormal(0.0, 2.0, n)
+        dv = rng.uniform(0.5, 1.5, n) / n
+        weights = None
+        if weighted:
+            weights = rng.random(n)
+            weights /= weights.sum()
+        return x, dc, dv, weights
+
+    @staticmethod
+    def _check(x, dc, dv, target, cfg, weights, hints=(None, 1e-3, 1.0, 1e3)):
+        want_x, want_lm = ref.oc_bisection(x, dc, dv, target, cfg.move_limit,
+                                           cfg.eta, weights)
+        for hint in hints:
+            got_x, got_lm = _oc_update(x, dc, dv, target, cfg, weights, hint)
+            assert np.array_equal(got_x, want_x, equal_nan=True)
+            assert got_lm == want_lm
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("eta", [0.5, 0.3])
+    @pytest.mark.parametrize("scale", [1.0, 1e12, 1e-12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_plain_bisection(self, seed, scale, eta, weighted):
+        # scales 1e+-12 put the root outside [1e-9, 1e9]: the bracket grows
+        x, dc, dv, weights = self._inputs(seed, scale=scale, weighted=weighted)
+        cfg = OptimizerConfig(eta=eta)
+        lo, hi = (np.average(np.clip(x + d, 0.0, 1.0), weights=weights)
+                  for d in (-0.2, 0.2))
+        # targets the move limits let the update reach
+        for frac in (0.1, 0.5, 0.9):
+            self._check(x, dc, dv, lo + frac * (hi - lo), cfg, weights)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_edge_cases_equal_plain_bisection(self, weighted):
+        x, dc, dv, weights = self._inputs(7, weighted=weighted)
+        cfg = OptimizerConfig()
+        # every element at its upper, then its lower move limit, and a target
+        # that only all elements at their upper limits reach
+        at_upper = np.average(np.minimum(1.0, x + 0.2), weights=weights)
+        for target in (0.99, 0.01, at_upper):
+            self._check(x, dc, dv, target, cfg, weights)
+        # zero sensitivities: the update is the lower limit at any multiplier
+        self._check(x, np.zeros_like(dc), dv, 0.3, cfg, weights)
+        self._check(x, np.zeros_like(dc), dv, 0.0001, cfg, weights)
+        # a NaN sensitivity makes every mean NaN: nothing is decided
+        nan_dc = dc.copy()
+        nan_dc[5] = np.nan
+        self._check(x, nan_dc, dv, 0.3, cfg, weights)
+
+    def test_overflowing_update_equals_plain_bisection(self):
+        # below lm ~ 1e-8, ratio / lm overflows on the void elements and
+        # 0 * inf turns their update into NaN, which the mean carries
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.2, 0.8, 300)
+        x[:10] = 0.0
+        ratio = rng.lognormal(0.0, 1.0, 300) * 1e-8
+        ratio[:10] = 1.5e300
+        dv = np.full(300, 1.0 / 300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for target in (0.4, 0.5):
+                self._check(x, -ratio * dv, dv, target, OptimizerConfig(), None)
+
+    def test_few_step_evaluations_on_an_optimization(self, small_mbb, monkeypatch):
+        class Counting:
+            """Volume weights that count their products: one per step."""
+
+            def __init__(self, weights):
+                self.weights = weights
+                self.calls = 0
+
+            def __matmul__(self, v):
+                self.calls += 1
+                return self.weights @ v
+
+        import topareto.simp as simp_mod
+        orig = simp_mod._oc_update
+        calls = []
+
+        def spy(x, dc, dv, target, cfg_, weights, lm_hint):
+            counting = Counting(weights)
+            out = orig(x, dc, dv, target, cfg_, counting, lm_hint)
+            want, _ = ref.oc_bisection(x, dc, dv, target, cfg_.move_limit,
+                                       cfg_.eta, weights)
+            assert np.array_equal(out[0], want)
+            calls.append(counting.calls)
+            return out
+
+        monkeypatch.setattr(simp_mod, "_oc_update", spy)
+        for vf in (0.1, 0.5):
+            optimize(small_mbb, vf, OptimizerConfig(max_iters=60))
+        # the plain bisection takes about 30
+        assert len(calls) > 60 and np.mean(calls) <= 10
 
 
 class TestEvaluateP1:
