@@ -21,7 +21,7 @@ from .simp import DesignResult, OptimizerConfig
 
 # enters every result key: bump it whenever a change to the optimizer can
 # change a stored result, so that caches written before are never served
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def result_key(problem: ProblemSpec, vf: float, init_desc: str,
@@ -69,6 +69,7 @@ class RunCache:
             iterations=meta["iterations"],
             converged=meta["converged"],
             descent_violations=meta.get("descent_violations", 0),
+            history=tuple(meta["history"]),
         )
 
     def put(self, key: str, result: DesignResult) -> None:

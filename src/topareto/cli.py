@@ -84,6 +84,11 @@ def _load_config(args) -> RunConfig:
             raise ParseError(f"problem config is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad problem config: {exc}") from exc
+        grid = (problem.grid.nelx, problem.grid.nely)
+        for name, size, have in zip(("nelx", "nely"), sizes, grid):
+            if size is not None and size != have:
+                raise ParseError(f"{name} {size} conflicts with the problem "
+                                 f"document's {grid[0]}x{grid[1]} grid")
     else:
         raise ParseError("problem must be a preset name or a JSON object, "
                          f"got {type(prob_spec).__name__}")

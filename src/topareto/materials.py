@@ -29,6 +29,8 @@ from .pareto import run_optimizations
 from .simp import OptimizerConfig
 
 DEFAULT_TIE_TOL = 0.02
+# relative difference of aspect ratios L/h above which select warns
+ASPECT_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -212,11 +214,22 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
 
     When the runner-up index is within ``tie_tol`` relative of the best and
     a problem is supplied, the tied candidates are re-scored by
-    :func:`refine_vf` and the lower final mass wins.
+    :func:`refine_vf` and the lower final mass wins. With a problem, the
+    trail warns when the load case's aspect ``L/h`` differs by more than
+    ``ASPECT_TOL`` from the physical part the problem models (its
+    ``length/height``, times ``symmetry_factor`` for a model mirrored
+    along its length, as the half-MBB is); the ranking does not change.
     """
     if not mats:
         raise InvalidArgumentError("material list must be nonempty")
     trail = [f"candidates: {', '.join(mt.name for mt in mats)}"]
+    if problem is not None:
+        aspect = problem.symmetry_factor * problem.length / problem.height
+        lc_aspect = lc.length / lc.height
+        if abs(lc_aspect / aspect - 1.0) > ASPECT_TOL:
+            trail.append(f"warning: load case aspect L/h = {lc_aspect:.4g} "
+                         f"differs from the {aspect:.4g}:1 part that the "
+                         f"{problem.name} problem models")
 
     kept1 = screen_pareto(mats)
     for mt in mats:

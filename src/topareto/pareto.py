@@ -12,13 +12,16 @@ front points. Every stage hands its optimizations to
 once, so stored compliances are always the penalization-1 re-evaluations
 of the final designs under the unit-norm load pattern.
 
-The multi-start sweep races its starts. At rungs (iterations 5, 10, 20,
-40, ... below ``max_iters``) a non-uniform start is abandoned when its
-penalized compliance exceeds ``ABANDON_FACTOR`` (100) times the final
-penalized compliance of the uniform start at the same volume fraction;
-every other start runs to the end exactly as an unraced run would. The
-bound depends only on the uniform start's deterministic result, so which
-starts are abandoned does not depend on worker count or cache state.
+The multi-start sweep races its starts. At every iteration from the third
+to ``max_iters - 1``, a non-uniform start is abandoned when its penalized
+compliance exceeds ``ABANDON_FACTOR`` (10) times the uniform start's
+penalized compliance at the same iteration and volume fraction (its last
+one, once the uniform run has ended); every other start runs to the end
+exactly as an unraced run would. This is the racing rule of Maron & Moore
+1994 ("Hoeffding races") and of successive halving (Li et al. 2018,
+"Hyperband"), judged against a reference trajectory. The bound depends
+only on the uniform start's deterministic result, so which starts are
+abandoned does not depend on worker count or cache state.
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ DEFAULT_MIN_THRESHOLD = 0.002
 DEFAULT_DROP_THRESHOLD = 0.025
 IMPROVE_TOL = 5e-4
 DEFAULT_SIGMA = 0.04
-# a multi-start run is abandoned at a rung when its penalized compliance
-# exceeds this multiple of the uniform start's final one at the same vf.
-# Measured at 60x20: eventual winners stay within 4.4x of that value at
-# every rung, abandoned starts sit at 530x or more; a factor of 3 would
-# already lose winners
-ABANDON_FACTOR = 100.0
+# a multi-start run is abandoned when its penalized compliance exceeds this
+# multiple of the uniform start's at the same iteration and vf. Measured on
+# unraced runs (all 50 desk vfs of the 60x20 half-MBB; bridge and complex
+# at 6 vfs each): from iteration 3 on, eventual winners stay within 1.51x,
+# 1.45x and 1.77x of the uniform start's compliance at the same iteration,
+# so 10 leaves a margin of 5.6x or more
+ABANDON_FACTOR = 10.0
 # starts that run the uniform start's optimization, which sets the bound
 UNBOUNDED_KINDS = ("uniform", "previous")
 
@@ -258,14 +262,16 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     parallel execution produce identical output.
 
     A task with ``bound_by`` (the index of an unbounded task in the same
-    batch) races against that task's result: it is abandoned at a rung
-    when its penalized compliance exceeds ``ABANDON_FACTOR`` times the
-    other's final ``compliance_p`` (see ``simp.optimize``). Unbounded tasks
-    run first, then the bounded ones, in the same pool. A bounded task is
-    keyed by its descriptor plus the ``repr`` of its bound, so an abandoned
-    result never sits under a full-run key, and a warm cache, which gives
-    the same bound, serves it again. A bounded task whose reference failed
-    is skipped; the batch raises for the failure. ``report``, when given,
+    batch) races against that task's result: its bound is
+    ``ABANDON_FACTOR`` times the other's ``history``, so it is abandoned at
+    the first iteration from the third on whose penalized compliance
+    exceeds that multiple of the reference's at the same iteration (see
+    ``simp.optimize``). Unbounded tasks run first, then the bounded ones,
+    in the same pool. A bounded task is keyed by its descriptor plus the
+    factor and its reference's result key, so an abandoned result never
+    sits under a full-run key, and a warm cache, which gives the same
+    bound, serves it again. A bounded task whose reference failed is
+    skipped; the batch raises for the failure. ``report``, when given,
     receives the batch's :func:`census` line.
     """
     cache = cache or RunCache(None)
@@ -287,11 +293,12 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
                     continue
                 desc = _init_descriptor(task)
                 if bounded:
-                    ref = found[keys[task["bound_by"]]]
+                    ref_key = keys[task["bound_by"]]
+                    ref = found[ref_key]
                     if ref is None:  # the reference failed: the batch raises
                         continue
-                    bound = ABANDON_FACTOR * ref.compliance_p
-                    desc += f"|abandon_above:{bound!r}"
+                    bound = tuple(ABANDON_FACTOR * c for c in ref.history)
+                    desc += f"|abandon_above:{ABANDON_FACTOR!r}x{ref_key}"
                 key = keys[i] = result_key(problem, task["vf"], desc, cfg)
                 if key in found:
                     continue
@@ -359,8 +366,9 @@ def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
 
     The starts race against the uniform start at the same volume fraction
     (``bound_by``, see :func:`run_optimizations`): a start whose penalized
-    compliance at a rung exceeds ``ABANDON_FACTOR`` times the uniform
-    start's final one is abandoned. The winner is the first start in
+    compliance at some iteration from the third on exceeds
+    ``ABANDON_FACTOR`` times the uniform start's at the same iteration is
+    abandoned. The winner is the first start in
     ``INITIAL_DESIGN_KINDS`` order with the lowest penalization-1
     compliance among the finished ones; uniform always finishes.
     """

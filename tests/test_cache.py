@@ -31,6 +31,24 @@ class TestRunCache:
         assert back.iterations == res.iterations
         assert back.converged == res.converged
 
+    def test_history_round_trips_bit_for_bit(self, tmp_path, small_mbb):
+        from topareto.simp import initial_design, optimize
+        cache = RunCache(tmp_path)
+        rng = np.random.default_rng(2)
+        awkward = (0.1, 1 / 3, 2.0 ** -1074, 1.7976931348623157e308,
+                   *(rng.random(20) * 10.0 ** rng.integers(-300, 300, 20)))
+        res = replace(make_result(), history=tuple(float(c) for c in awkward))
+        run = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=12),
+                       initial_design("disc", 0.3, small_mbb.grid))
+        for key, result in (("k1", res), ("k2", run)):
+            cache.put(key, result)
+            back = cache.get(key)
+            assert len(back.history) == len(result.history) > 0
+            assert all(type(c) is float for c in back.history)
+            assert (np.array(back.history).tobytes()
+                    == np.array(result.history).tobytes())
+            assert back.summary() == result.summary()
+
     def test_miss_returns_none(self, tmp_path):
         assert RunCache(tmp_path).get("missing") is None
 

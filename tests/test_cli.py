@@ -374,6 +374,34 @@ class TestConfigPrecedence:
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, doc, code, message", [
+        (("--nelx", "30", "--nely", "10"), {}, 2,
+         "nelx 30 conflicts with the problem document's 6x3 grid"),
+        (("--nely", "4"), {}, 2,
+         "nely 4 conflicts with the problem document's 6x3 grid"),
+        ((), {"nelx": 7}, 2,
+         "nelx 7 conflicts with the problem document's 6x3 grid"),
+        (("--nelx", "6", "--nely", "3"), {}, 0, ""),
+        ((), {"nelx": 6}, 0, ""),
+        ((), {}, 0, ""),
+    ])
+    def test_custom_problem_grid_flags(self, tmp_path, capsys, flags, doc,
+                                       code, message):
+        from topareto.fem2d import preset
+        cfgfile = tmp_path / "cfg.json"
+        problem = json.loads(preset("mbb", 6, 3).to_json())
+        cfgfile.write_text(json.dumps({"problem": problem, **doc}))
+        out = tmp_path / "o"
+        got = run(["--config", str(cfgfile), "optimize", *flags,
+                   "--out", str(out), "--vf", "0.5"])
+        assert got == code
+        if code:
+            assert not out.exists()
+            assert message in capsys.readouterr().err
+        else:
+            dens = (out / "densities.csv").read_text().strip().splitlines()
+            assert (len(dens[0].split(",")), len(dens)) == (6, 3)
+
     def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"optimizer": {"solve_method": "dense"}}))

@@ -241,6 +241,32 @@ class TestSelect:
         assert any("pareto screen removed" in line for line in report.trail)
         assert "winner:" in report.to_text()
 
+    @pytest.mark.parametrize("length, height, warned", [
+        (2.0, 0.5, True),     # 4:1 against the 6:1 beam
+        (3.0, 0.5, False),
+        (3.02, 0.5, False),   # within 1%
+        (3.04, 0.5, True),
+        (1.2, 0.2, False),
+    ])
+    def test_aspect_mismatch_warns_in_trail(self, worked_example_model,
+                                            length, height, warned):
+        from topareto.fem2d import preset
+        case = LoadCase(force=20e3, delta_max=5e-3, thickness=5e-3,
+                        length=length, height=height)
+        plain = select(TABLE_MATS, worked_example_model, case, tie_tol=0.0)
+        report = select(TABLE_MATS, worked_example_model, case, tie_tol=0.0,
+                        problem=preset("mbb"))
+        warnings = [line for line in report.trail if line.startswith("warning:")]
+        if warned:
+            assert len(warnings) == 1
+            assert f"L/h = {length / height:.4g}" in warnings[0]
+            assert "6:1 part that the mbb problem models" in warnings[0]
+        else:
+            assert warnings == []
+        assert [line for line in report.trail if line not in warnings] == plain.trail
+        assert (report.winner, report.winner_vf, report.winner_mass) == \
+            (plain.winner, plain.winner_vf, plain.winner_mass)
+
     def test_selector_equals_exhaustive_oracle(self, worked_example_model):
         # screening must never lose the global index minimizer
         rng = np.random.default_rng(31)

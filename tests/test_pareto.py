@@ -271,9 +271,10 @@ class TestRace:
         kind, best = _exhaustive(small_mbb, 0.3, cfg)
         assert front.points == (FrontPoint(0.3, best.compliance_p1, kind),)
         assert np.array_equal(winner.densities.values, best.densities.values)
-        # the race did stop some starts: vstripes2, vstripes4 and ring are
-        # disconnected designs at vf 0.3
-        assert ", 3 abandoned," in lines[0]
+        # the race did stop some starts: vstripes2, vstripes4, diag_sum and
+        # ring at iteration 3, and with 40 iterations diag_diff at 23
+        abandoned = {10: 4, 40: 5}[max_iters]
+        assert f", {abandoned} abandoned," in lines[0]
 
     def test_abandoned_start_never_wins(self, tiny_mbb, cfg, monkeypatch):
         # an abandoned start with the lowest compliance, and a tie between
@@ -310,13 +311,35 @@ class TestRace:
         front, _ = multistart_states(small_mbb, [0.3], cfg, cache)
         assert front.points[0].provenance not in stopped
         norm = small_mbb.with_unit_load()
-        bound = repr(1.0 * results[0].compliance_p)
+        ref_key = result_key(norm, 0.3, "kind:uniform", cfg)
         for kind in stopped:
             full = result_key(norm, 0.3, f"kind:{kind}", cfg)
-            raced = result_key(norm, 0.3, f"kind:{kind}|abandon_above:{bound}",
-                               cfg)
+            raced = result_key(norm, 0.3,
+                               f"kind:{kind}|abandon_above:1.0x{ref_key}", cfg)
             assert cache.get(full) is None
             assert par.abandoned(cache.get(raced), cfg)
+
+    def test_abandoned_at_first_iteration_above_factor_times_reference(
+            self, small_mbb, monkeypatch):
+        monkeypatch.setattr(par, "ABANDON_FACTOR", 1.5)
+        cfg = OptimizerConfig(max_iters=40)
+        tasks = [{"vf": 0.3, "init_kind": kind} for kind in INITIAL_DESIGN_KINDS]
+        for task in tasks[1:-1]:
+            task["bound_by"] = 0
+        results = par.run_optimizations(small_mbb, tasks, cfg)
+        ref = results[0].history
+        n_stopped = 0
+        for res in results[1:-1]:
+            bound = [1.5 * ref[min(it, len(ref)) - 1]
+                     for it in range(1, len(res.history) + 1)]
+            over = [it for it, (c, b) in enumerate(zip(res.history, bound), start=1)
+                    if 3 <= it < cfg.max_iters and c > b]
+            if par.abandoned(res, cfg):
+                n_stopped += 1
+                assert over == [res.iterations]
+            else:
+                assert over == []
+        assert n_stopped >= 5
 
     def test_warm_cache_serves_every_start(self, small_mbb, tmp_path):
         cfg = OptimizerConfig(max_iters=40)

@@ -208,26 +208,89 @@ class TestRaceBound:
     def _same(a, b):
         return (np.array_equal(a.densities.values, b.densities.values)
                 and (a.compliance_p, a.compliance_p1, a.vf, a.iterations,
-                     a.converged, a.descent_violations)
+                     a.converged, a.descent_violations, a.history)
                 == (b.compliance_p, b.compliance_p1, b.vf, b.iterations,
-                    b.converged, b.descent_violations))
+                    b.converged, b.descent_violations, b.history))
+
+    class Probe:
+        """A bound of ``length`` entries that records the index of each
+        check and trips at the given check."""
+
+        def __init__(self, length, trip_at=None):
+            self.length, self.trip_at, self.seen = length, trip_at, []
+
+        def __len__(self):
+            return self.length
+
+        def __getitem__(self, i):
+            self.seen.append(i)
+            return -np.inf if len(self.seen) == self.trip_at else np.inf
 
     @pytest.mark.parametrize("kind", ["uniform", "vstripes2", "noise"])
     def test_unreached_bound_is_plain_run(self, small_mbb, kind):
         cfg = OptimizerConfig(max_iters=40)
         init = initial_design(kind, 0.3, small_mbb.grid)
         plain = optimize(small_mbb, 0.3, cfg, init)
-        for bound in (np.inf, 1e300):
+        assert len(plain.history) == plain.iterations
+        for bound in ((), (np.inf,), (1e300,) * 3, [1e300] * 100):
             assert self._same(optimize(small_mbb, 0.3, cfg, init,
                                        _abandon_above=bound), plain)
 
-    def test_bound_stops_at_first_rung(self, small_mbb):
+    def test_history_is_the_penalized_compliance_of_each_iteration(self, small_mbb):
+        init = initial_design("disc", 0.3, small_mbb.grid)
+        cfg = OptimizerConfig(max_iters=1)
+        res = optimize(small_mbb, 0.3, cfg, init)
+        w = filter_build(small_mbb.grid, cfg.resolve_rmin(small_mbb.grid))
+        u = kernel_solve(small_mbb, w @ init.values, 3.0)
+        assert len(res.history) == 1
+        assert res.history[0] == pytest.approx(
+            float(small_mbb.load_vector() @ u), rel=1e-9)
+        longer = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=6), init)
+        assert longer.history[:1] == res.history
+        assert len(longer.history) == 6
+        assert all(type(c) is float for c in longer.history)
+
+    def test_bound_stops_at_first_check(self, small_mbb):
         cfg = OptimizerConfig(max_iters=40)
         init = initial_design("vstripes2", 0.3, small_mbb.grid)
-        res = optimize(small_mbb, 0.3, cfg, init, _abandon_above=0.0)
-        assert res.iterations == 5 and not res.converged
+        res = optimize(small_mbb, 0.3, cfg, init, _abandon_above=(0.0,))
+        assert res.iterations == 3 and not res.converged
+        assert len(res.history) == 3
         assert abs(res.densities.volume_fraction - 0.3) <= 1e-4
         assert np.isfinite([res.compliance_p, res.compliance_p1]).all()
+
+    def test_no_check_at_iterations_one_and_two(self, small_mbb):
+        cfg = OptimizerConfig(max_iters=40)
+        init = initial_design("vstripes2", 0.3, small_mbb.grid)
+        plain = optimize(small_mbb, 0.3, cfg, init)
+        # entries for iterations 1 and 2 that every compliance exceeds
+        bound = (0.0, 0.0) + (np.inf,) * 38
+        assert self._same(optimize(small_mbb, 0.3, cfg, init,
+                                   _abandon_above=bound), plain)
+        res = optimize(small_mbb, 0.3, cfg, init,
+                       _abandon_above=(0.0, 0.0, 0.0) + (np.inf,) * 37)
+        assert res.iterations == 3
+
+    def test_short_bound_holds_its_last_entry(self, small_mbb):
+        cfg = OptimizerConfig(max_iters=40)
+        init = initial_design("vstripes2", 0.3, small_mbb.grid)
+        res = optimize(small_mbb, 0.3, cfg, init,
+                       _abandon_above=(np.inf,) * 4 + (0.0,))
+        assert res.iterations == 5 and not res.converged
+        # the run's own first six compliances: from iteration 7 on it is
+        # checked against the sixth, and stops at the first one above it
+        plain = optimize(small_mbb, 0.3, cfg, init)
+        stop = next(it for it, c in enumerate(plain.history, start=1)
+                    if it > 6 and c > plain.history[5])
+        assert stop < cfg.max_iters
+        res = optimize(small_mbb, 0.3, cfg, init,
+                       _abandon_above=plain.history[:6])
+        assert res.iterations == stop
+        assert res.history == plain.history[:stop]
+        probe = self.Probe(5)
+        optimize(small_mbb, 0.3, OptimizerConfig(max_iters=12), init,
+                 _abandon_above=probe)
+        assert probe.seen == [2, 3, 4, 4, 4, 4, 4, 4, 4]
 
     def test_abandoned_run_reuses_its_last_solve(self, small_mbb, monkeypatch):
         solves = []
@@ -240,35 +303,26 @@ class TestRaceBound:
         monkeypatch.setattr(GridKernel, "solve", counting)
         init = initial_design("vstripes2", 0.3, small_mbb.grid)
         res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=40), init,
-                       _abandon_above=0.0)
+                       _abandon_above=(0.0,))
         # one solve per iteration, none for the final field, one at p = 1
         assert len(solves) == res.iterations + 1
         u = kernel_solve(small_mbb, res.densities.values, 3.0)
         assert res.compliance_p == float(small_mbb.load_vector() @ u)
 
-    def test_rungs_double_and_stay_below_max_iters(self, small_mbb):
-        class Probe:
-            """A bound that records each check (``c > probe`` falls back to
-            ``probe < c``) and trips at the given check."""
-
-            def __init__(self, trip_at=None):
-                self.checks = 0
-                self.trip_at = trip_at
-
-            def __lt__(self, c):
-                self.checks += 1
-                return self.checks == self.trip_at
-
+    def test_checks_every_iteration_below_max_iters(self, small_mbb):
         # vstripes2 at vf 0.3 is still moving after 41 iterations
         init = initial_design("vstripes2", 0.3, small_mbb.grid)
-        for max_iters, rungs in ((41, 4), (40, 3), (5, 0), (6, 1)):
-            probe = Probe()
+        for max_iters in (41, 40, 4, 3, 1):
+            probe = self.Probe(100)
             res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=max_iters),
                            init, _abandon_above=probe)
-            assert (probe.checks, res.iterations) == (rungs, max_iters)
-        for trip_at, stop in ((1, 5), (2, 10), (3, 20), (4, 40)):
+            # one check per iteration from 3 to max_iters - 1, each against
+            # the entry of its own iteration
+            assert probe.seen == list(range(2, max_iters - 1))
+            assert res.iterations == max_iters
+        for trip_at, stop in ((1, 3), (2, 4), (38, 40)):
             res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=41), init,
-                           _abandon_above=Probe(trip_at))
+                           _abandon_above=self.Probe(100, trip_at))
             assert res.iterations == stop and not res.converged
 
 
