@@ -56,21 +56,21 @@ class RunCache:
         data_path = self.root / f"{key}.npy"
         if not (meta_path.exists() and data_path.exists()):
             return None
+        # an entry that cannot be read back whole is a miss
         try:
             meta = json.loads(meta_path.read_text())
-            values = np.load(data_path)
-        except (OSError, ValueError, json.JSONDecodeError):
+            return DesignResult(
+                densities=DensityField(np.load(data_path)),
+                compliance_p=meta["compliance_p"],
+                compliance_p1=meta["compliance_p1"],
+                vf=meta["vf"],
+                iterations=meta["iterations"],
+                converged=meta["converged"],
+                descent_violations=meta["descent_violations"],
+                history=tuple(meta["history"]),
+            )
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        return DesignResult(
-            densities=DensityField(values),
-            compliance_p=meta["compliance_p"],
-            compliance_p1=meta["compliance_p1"],
-            vf=meta["vf"],
-            iterations=meta["iterations"],
-            converged=meta["converged"],
-            descent_violations=meta.get("descent_violations", 0),
-            history=tuple(meta["history"]),
-        )
 
     def put(self, key: str, result: DesignResult) -> None:
         if self.root is None:

@@ -72,7 +72,7 @@ def _load_config(args) -> RunConfig:
         size = getattr(args, name, None)
         if size is None:
             size = doc.get(name)
-        sizes.append(None if size is None else _grid_size(size, name))
+        sizes.append(None if size is None else _integer(size, name, 1))
     if getattr(args, "preset", None):
         prob_spec = args.preset
     if isinstance(prob_spec, str):
@@ -110,7 +110,7 @@ def _load_config(args) -> RunConfig:
         vf_grid = [_finite(v, "sweep.points") for v in sweep["points"]]
     else:
         vf_grid = pareto_mod.default_vf_grid(
-            int(_finite(sweep.get("count", 50), "sweep.count")),
+            _integer(sweep.get("count", 50), "sweep.count", 1),
             _finite(sweep.get("lo", 0.02), "sweep.lo"),
             _finite(sweep.get("hi", 1.0), "sweep.hi"))
 
@@ -123,9 +123,8 @@ def _load_config(args) -> RunConfig:
     if workers < 1:
         raise ParseError(f"workers must be at least 1, got {workers}")
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
-               for name in ("rounds", "min_threshold", "drop_threshold",
-                            "sigma", "anchor_vf", "tie_tol")}
-    numbers["rounds"] = int(numbers["rounds"])
+               for name in ("min_threshold", "drop_threshold", "sigma",
+                            "anchor_vf", "tie_tol")}
     return RunConfig(
         problem=problem,
         optimizer=optimizer,
@@ -133,6 +132,7 @@ def _load_config(args) -> RunConfig:
         out_dir=out_dir,
         cache_dir=Path(cache_dir) if cache_dir else None,
         workers=workers,
+        rounds=_integer(doc.get("rounds", RunConfig.rounds), "rounds", 0),
         **numbers,
     )
 
@@ -145,10 +145,14 @@ def _section(doc: dict, name: str) -> dict:
     return section
 
 
-def _grid_size(value, name: str) -> int:
-    """A grid size from a flag or the config: an integer of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ParseError(f"{name} must be an integer of at least 1, got {value!r}")
+def _integer(value, name: str, minimum: int) -> int:
+    """A count from a flag or the config: an integer of at least ``minimum``;
+    a value that is not a finite number fails as in :func:`_finite`."""
+    if not isinstance(value, int):
+        _finite(value, name)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParseError(f"{name} must be an integer of at least {minimum}, "
+                         f"got {value!r}")
     return value
 
 
@@ -289,7 +293,10 @@ def cmd_select(args) -> int:
     out = cfg.out_dir
     model_path = out / "metamodel.json"
     if model_path.exists():
-        model = mm_mod.MetaModel.from_json(model_path.read_text())
+        try:
+            model = mm_mod.MetaModel.from_json(model_path.read_text())
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
+            raise ParseError(f"cannot read meta-model {model_path}: {exc}") from exc
     else:
         model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,
                                    cfg.cache(), cfg.workers)

@@ -50,10 +50,10 @@ class ErSeries:
     def values(self) -> np.ndarray:
         return np.array([n for _, n in self.points])
 
-    def bounds_violations(self, lo: float = ER_LOWER_BOUND,
-                          hi: float = ER_UPPER_BOUND) -> list[int]:
+    def bounds_violations(self) -> list[int]:
         """Indices where the ratio leaves the theoretical band (with slack)."""
-        return [i for i, (_, n) in enumerate(self.points) if n < lo or n > hi]
+        return [i for i, (_, n) in enumerate(self.points)
+                if n < ER_LOWER_BOUND or n > ER_UPPER_BOUND]
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -34,7 +34,7 @@ import scipy.sparse
 from .errors import InvalidArgumentError, SolverError
 
 RESID_TOL = 1e-8
-E_MIN_DEFAULT = 1e-9
+E_MIN = 1e-9  # modulus of a void element, relative to the solid
 NU = 0.3  # Poisson ratio of the solid phase
 
 
@@ -210,13 +210,11 @@ def element_stiffness(nu: float) -> np.ndarray:
     return (ka + nu * kb) / (24.0 * (1.0 - nu * nu))
 
 
-def simp_modulus(values: np.ndarray, penal: float, e_min: float = E_MIN_DEFAULT) -> np.ndarray:
-    """Per-element modulus ``e_min + rho^p * (1 - e_min)`` (modified SIMP)."""
+def simp_modulus(values: np.ndarray, penal: float) -> np.ndarray:
+    """Per-element modulus ``E_MIN + rho^p * (1 - E_MIN)`` (modified SIMP)."""
     if penal < 1:
         raise InvalidArgumentError("penal must be >= 1")
-    if not 0 < e_min < 1:
-        raise InvalidArgumentError("e_min must lie in (0, 1)")
-    return e_min + np.asarray(values, dtype=float) ** penal * (1.0 - e_min)
+    return E_MIN + np.asarray(values, dtype=float) ** penal * (1.0 - E_MIN)
 
 
 class GridKernel:

@@ -104,7 +104,10 @@ class SelectionReport:
 
 def load_materials(path) -> list[Material]:
     """Read a material CSV with header ``name,E_GPa,rho_kgm3`` (SI on load)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read materials file {path}: {exc}") from exc
     if not text.strip():
         return []
     rows = list(csv.reader(io.StringIO(text)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cache import RunCache
 from .errors import (FitFailureError, FitInfeasibleError,
-                     InfeasibleStiffnessError, InvalidArgumentError)
+                     InfeasibleStiffnessError, InvalidArgumentError, ParseError)
 from .fem2d import ProblemSpec, kernel_for, simp_modulus
 from .pareto import multistart_states
 from .simp import OptimizerConfig
@@ -35,8 +35,8 @@ class MetaModel:
     problem_name: str = ""
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise InvalidArgumentError("model constants must be positive")
+        if not (0 < self.a < np.inf and 0 < self.b < np.inf):
+            raise InvalidArgumentError("model constants must be positive and finite")
         fp = tuple((float(x), float(c)) for x, c in self.fit_points)
         object.__setattr__(self, "fit_points", fp)
 
@@ -49,10 +49,15 @@ class MetaModel:
 
     @staticmethod
     def from_json(text: str) -> "MetaModel":
-        doc = json.loads(text)
-        return MetaModel(float(doc["a"]), float(doc["b"]),
-                         tuple(tuple(p) for p in doc["fit_points"]),
-                         str(doc.get("problem_name", "")))
+        try:
+            doc = json.loads(text)
+            return MetaModel(float(doc["a"]), float(doc["b"]),
+                             tuple(tuple(p) for p in doc["fit_points"]),
+                             str(doc.get("problem_name", "")))
+        except KeyError as exc:
+            raise ParseError(f"meta-model is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad meta-model: {exc}") from exc
 
 
 def eval_front(m: MetaModel, x: float) -> float:
@@ -148,14 +153,12 @@ def inverse(m: MetaModel, c_req: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def full_density_compliance(problem: ProblemSpec,
-                            cfg: OptimizerConfig | None = None) -> float:
+def full_density_compliance(problem: ProblemSpec) -> float:
     """Normalized compliance of the all-ones design (one plain solve)."""
-    cfg = cfg or OptimizerConfig()
     norm = problem.with_unit_load()
     kern = kernel_for(norm)
     f = norm.load_vector()
-    emod = simp_modulus(np.ones(norm.grid.nel), 1.0, cfg.e_min)
+    emod = simp_modulus(np.ones(norm.grid.nel), 1.0)
     u = kern.solve(emod, f)
     return float(f @ u)
 
@@ -171,8 +174,10 @@ def fit_problem(problem: ProblemSpec, cfg: OptimizerConfig | None = None,
     kept; the second point is the direct full-density solve. ``report``
     receives the anchor batch's census line.
     """
+    if not 0 < anchor_vf < 1:
+        raise InvalidArgumentError("anchor volume fraction must lie in (0, 1)")
     cfg = cfg or OptimizerConfig()
-    c_full = full_density_compliance(problem, cfg)
+    c_full = full_density_compliance(problem)
     front, _ = multistart_states(problem, [anchor_vf], cfg, cache, workers,
                                  report)
     c1 = front.points[0].c

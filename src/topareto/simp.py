@@ -2,8 +2,9 @@
 
 Optimality-criteria update with move limits and a bisected volume
 multiplier, cone density/sensitivity filtering, and a penalization-1
-re-evaluation of the final design. The update scheme and defaults follow
-the classic 88-line layout: move limit 0.2, damping 0.5, penalization 3.
+re-evaluation of the final design. The update follows the 88-line code
+(Andreassen et al. 2011): its move limit 0.2, damping 0.5 and change
+tolerance 0.01 are the constants ``MOVE_LIMIT``, ``ETA`` and ``CHANGE_TOL``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidArgumentError, SolverError
-from .fem2d import (E_MIN_DEFAULT, DensityField, Grid, ProblemSpec, kernel_for,
-                    simp_modulus)
+from .fem2d import E_MIN, DensityField, Grid, ProblemSpec, kernel_for, simp_modulus
 
 INITIAL_DESIGN_KINDS = (
     "uniform",
@@ -42,6 +42,12 @@ _NOISE_SEED = 130904
 # eventual winner sits up to 108x above the uniform start on the desk sweep
 # (60x20 half-MBB, 50 vfs); from iteration 3 on, 1.77x at most
 FIRST_CHECK = 3
+# the OC update of the 88-line code: largest density change per update, the
+# damping exponent on the optimality ratio, and the largest density change
+# below which a run has converged
+MOVE_LIMIT = 0.2
+ETA = 0.5
+CHANGE_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -57,20 +63,12 @@ class OptimizerConfig:
     rmin: float | None = None
     filter_kind: str = "density"
     max_iters: int = 300
-    move_limit: float = 0.2
-    change_tol: float = 0.01
-    eta: float = 0.5
-    e_min: float = E_MIN_DEFAULT
 
     def __post_init__(self):
         if self.penal < 1:
             raise InvalidArgumentError("penal must be >= 1")
         if self.rmin is not None and self.rmin < 1:
             raise InvalidArgumentError("rmin must be >= 1")
-        if not 0 < self.move_limit <= 1:
-            raise InvalidArgumentError("move_limit must lie in (0, 1]")
-        if not 0 < self.eta <= 1:
-            raise InvalidArgumentError("eta must lie in (0, 1]")
         if self.filter_kind not in ("density", "sensitivity"):
             raise InvalidArgumentError(f"unknown filter kind {self.filter_kind!r}")
         if self.max_iters < 1:
@@ -192,8 +190,7 @@ def _base_pattern(kind: str, grid: Grid) -> np.ndarray:
 
 
 def rescale_to_volume(base: np.ndarray, target_vf: float,
-                      weights: np.ndarray | None = None,
-                      tol: float = 1e-7) -> np.ndarray:
+                      weights: np.ndarray | None = None) -> np.ndarray:
     """Shift-and-clamp ``base`` so its mean density hits ``target_vf``.
 
     The shift is bisected on [-1, 1]. With ``weights`` the mean is the dot
@@ -204,7 +201,7 @@ def rescale_to_volume(base: np.ndarray, target_vf: float,
         mid = 0.5 * (lo + hi)
         out = np.clip(base + mid, 0.0, 1.0)
         m = _mean(out, weights)
-        if abs(m - target_vf) <= tol:
+        if abs(m - target_vf) <= 1e-7:
             return out
         if m < target_vf:
             lo = mid
@@ -285,7 +282,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     n_bound = len(_abandon_above)
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        emod = simp_modulus(x_phys, cfg.penal, cfg.e_min)
+        emod = simp_modulus(x_phys, cfg.penal)
         try:
             u = kern.solve(emod, f)
         except SolverError as exc:
@@ -300,13 +297,12 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
                 and c > _abandon_above[min(it, n_bound) - 1]):
             break
 
-        dc = -cfg.penal * (1.0 - cfg.e_min) * x_phys ** (cfg.penal - 1.0) * ce
-        x_new, lm = _oc_update(x, filter_dc(x, dc), dv_t, target_vf, cfg,
-                               weights, lm)
+        dc = -cfg.penal * (1.0 - E_MIN) * x_phys ** (cfg.penal - 1.0) * ce
+        x_new, lm = _oc_update(x, filter_dc(x, dc), dv_t, target_vf, weights, lm)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         x_phys = phys(x)
-        if change < cfg.change_tol:
+        if change < CHANGE_TOL:
             converged = True
             break
 
@@ -329,29 +325,29 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
             f"volume constraint missed: got {achieved:.6f}, want {target_vf:.6f}")
 
     emod_last = emod
-    emod = simp_modulus(x_phys, cfg.penal, cfg.e_min)
+    emod = simp_modulus(x_phys, cfg.penal)
     # an abandoned run stopped before the OC update: its last solve was of
     # these very moduli
     if not np.array_equal(emod, emod_last):
         u = kern.solve(emod, f)
     compliance_p = float(f @ u)
     densities = DensityField(x_phys)
-    compliance_p1 = evaluate_p1(problem, densities, cfg)
+    compliance_p1 = evaluate_p1(problem, densities)
     return DesignResult(densities, compliance_p, compliance_p1, achieved,
                         iterations, converged, violations, tuple(history))
 
 
-def _oc_update(x, dc, dv, target_vf, cfg, weights, lm_hint=None):
+def _oc_update(x, dc, dv, target_vf, weights, lm_hint=None):
     """Optimality-criteria step; returns the new design and its multiplier.
 
     The volume multiplier is bisected as in the 88-line code (see
     :class:`_MultiplierSearch`), after probes started from ``lm_hint``, the
     previous update's multiplier, when there is one.
     """
-    lower = np.maximum(0.0, x - cfg.move_limit)
-    upper = np.minimum(1.0, x + cfg.move_limit)
+    lower = np.maximum(0.0, x - MOVE_LIMIT)
+    upper = np.minimum(1.0, x + MOVE_LIMIT)
     search = _MultiplierSearch(x, np.maximum(0.0, -dc / dv), lower, upper,
-                               target_vf, cfg.eta, weights)
+                               target_vf, weights)
     search.probe(lm_hint)
     return search.bisect()
 
@@ -387,9 +383,9 @@ class _MultiplierSearch:
     PROBE_AIM = 2e-6
     PROBE_CAP = 4e-6
 
-    def __init__(self, x, ratio, lower, upper, target, eta, weights):
+    def __init__(self, x, ratio, lower, upper, target, weights):
         self.x, self.ratio, self.lower, self.upper = x, ratio, lower, upper
-        self.target, self.eta, self.weights = target, eta, weights
+        self.target, self.weights = target, weights
         # a mean above ``hi`` (below ``lo``) decides its side; the largest
         # multiplier seen above the band and the smallest seen below it,
         # with their means
@@ -402,7 +398,7 @@ class _MultiplierSearch:
         self.lm_safe = float(ratio.max()) * 1e-300
 
     def step(self, lm):
-        x_new = np.minimum(np.maximum(self.x * (self.ratio / lm) ** self.eta,
+        x_new = np.minimum(np.maximum(self.x * (self.ratio / lm) ** ETA,
                                       self.lower), self.upper)
         return x_new, _mean(x_new, self.weights)
 
@@ -427,18 +423,18 @@ class _MultiplierSearch:
         """Secant steps in ``ln lm`` toward the mean ``target +- PROBE_AIM``.
 
         Starts from ``lm_hint`` or, without one, from the closed-form
-        estimate ``(mean(x * ratio**eta) / target)**(1/eta)`` of Ferrari &
+        estimate ``(mean(x * ratio**ETA) / target)**(1/ETA)`` of Ferrari &
         Sigmund 2020, which ignores the move limits. Aims above the band
         until a point within ``PROBE_CAP`` of it is known there, then below;
         stops once both sides have one, after ``PROBES`` steps, or when the
         mean stops falling.
         """
-        target, eta = self.target, self.eta
+        target = self.target
         if lm_hint is None:
-            m0 = _mean(self.x * self.ratio ** eta, self.weights)
+            m0 = _mean(self.x * self.ratio ** ETA, self.weights)
             if not 0 < m0 < np.inf:
                 return
-            s = (math.log(m0) - math.log(target)) / eta
+            s = (math.log(m0) - math.log(target)) / ETA
         else:
             s = math.log(lm_hint)
         s_min = math.log(max(self.lm_safe, 1e-300))
@@ -452,8 +448,8 @@ class _MultiplierSearch:
             near_above = self.above[1] - target <= self.PROBE_CAP
             if near_above and target - self.below[1] <= self.PROBE_CAP:
                 return
-            # unclamped, the mean scales as lm**-eta
-            slope = -eta * (g + target) if s_prev is None else (g - g_prev) / (s - s_prev)
+            # unclamped, the mean scales as lm**-ETA
+            slope = -ETA * (g + target) if s_prev is None else (g - g_prev) / (s - s_prev)
             if not slope < 0:
                 return
             aim = -self.PROBE_AIM if near_above else self.PROBE_AIM
@@ -496,12 +492,10 @@ class _MultiplierSearch:
                 return (self.step(lmid)[0] if x_new is None else x_new), lmid
 
 
-def evaluate_p1(problem: ProblemSpec, densities: DensityField,
-                cfg: OptimizerConfig | None = None) -> float:
+def evaluate_p1(problem: ProblemSpec, densities: DensityField) -> float:
     """Compliance of a field with linear (penalization 1) moduli."""
-    cfg = cfg or OptimizerConfig()
     kern = kernel_for(problem)
     f = problem.load_vector()
-    emod = simp_modulus(densities.values, 1.0, cfg.e_min)
+    emod = simp_modulus(densities.values, 1.0)
     u = kern.solve(emod, f)
     return float(f @ u)

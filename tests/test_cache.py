@@ -1,5 +1,6 @@
 """On-disk result cache and SVG emission utilities."""
 
+import json
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -75,13 +76,26 @@ class TestRunCache:
         # every optimizer field enters the key, and the dict form sent to
         # pool workers rebuilds an equal config
         changed = {"penal": 2.0, "rmin": 2.0, "filter_kind": "sensitivity",
-                   "max_iters": 100, "move_limit": 0.1, "change_tol": 0.001,
-                   "eta": 0.3, "e_min": 1e-6}
+                   "max_iters": 100}
         assert set(changed) == {f.name for f in fields(OptimizerConfig)}
         for name, value in changed.items():
             other = replace(cfg, **{name: value})
             assert result_key(p, 0.5, "kind:uniform", other) != k1, name
             assert OptimizerConfig(**asdict(other)) == other
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("history"),
+        lambda meta: meta.pop("descent_violations"),
+        lambda meta: meta.update(history=5),
+    ], ids=["no history", "no descent_violations", "history not a list"])
+    def test_malformed_entry_is_a_miss(self, tmp_path, edit):
+        cache = RunCache(tmp_path)
+        cache.put("k", make_result())
+        meta_path = tmp_path / "k.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        assert cache.get("k") is None
 
     def test_field_descriptor_stable(self):
         v = np.linspace(0, 1, 20)

@@ -12,6 +12,10 @@ from topareto.metamodel import MetaModel, eval_front
 from topareto.pareto import FrontPoint, ParetoFront
 
 
+SELECT_LOAD = ["--force", "20e3", "--delta-max", "5e-3", "--thickness", "5e-3",
+               "--length", "2.0", "--height", "0.5"]
+
+
 def run(args):
     return cli.main(args)
 
@@ -190,6 +194,41 @@ class TestSelectCmd:
                     "--delta-max", "5e-3", "--thickness", "5e-3",
                     "--length", "2.0", "--height", "0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00bad"])
+    def test_unreadable_materials_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "mats.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code = run(["select", *tiny("--out", str(tmp_path / "o")),
+                    "--materials", str(path), *SELECT_LOAD])
+        assert code == 2
+        assert f"cannot read materials file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": 1.0', "bad meta-model: Expecting"),
+        ('{"a": 1.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+         "meta-model is missing key 'b'"),
+        ('{"a": NaN, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+         "model constants must be positive and finite"),
+        ('{"a": 3.28, "b": Infinity, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+         "model constants must be positive and finite"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": 7}', "bad meta-model"),
+        ("[1, 2]", "bad meta-model"),
+        (b"\xff\xfe\x00", "can't decode"),
+    ])
+    def test_bad_metamodel_exit_2(self, tmp_path, table1_csv, capsys, text,
+                                  message):
+        out = tmp_path / "o"
+        out.mkdir(parents=True)
+        model_path = out / "metamodel.json"
+        model_path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code = run(["select", *tiny("--out", str(out)),
+                    "--materials", str(table1_csv), *SELECT_LOAD])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err and message in err
+        assert not (out / "selection.json").exists()
 
     def test_select_with_prefit_model(self, tmp_path, table1_csv, capsys):
         # model close to the worked example pinned in place of a fresh fit
@@ -403,10 +442,30 @@ class TestConfigPrecedence:
             assert (len(dens[0].split(",")), len(dens)) == (6, 3)
 
     def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
+        # fields of older configs: the OC constants are no longer settings
+        for key, value in (("solve_method", "dense"), ("move_limit", 0.2),
+                           ("eta", 0.5), ("change_tol", 0.01), ("e_min", 1e-9)):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"optimizer": {key: value}}))
+            code = run(["--config", str(cfgfile), "optimize",
+                        *tiny("--out", str(tmp_path / "o")), "--vf", "0.5"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "bad optimizer config" in err and key in err
+
+    @pytest.mark.parametrize("name, value, minimum", [
+        ("rounds", "2.7", 0), ("rounds", "-1", 0),
+        ("sweep.count", "3.9", 1), ("sweep.count", "0", 1),
+    ])
+    def test_bad_integer_exit_2(self, tmp_path, capsys, name, value, minimum):
+        assert self._er_with_config(tmp_path, name, value) == 2
+        assert (f"{name} must be an integer of at least {minimum}, got {value}"
+                in capsys.readouterr().err)
+
+    def test_integer_minimums_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"optimizer": {"solve_method": "dense"}}))
-        code = run(["--config", str(cfgfile), "optimize",
-                    *tiny("--out", str(tmp_path / "o")), "--vf", "0.5"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "bad optimizer config" in err and "solve_method" in err
+        cfgfile.write_text(json.dumps({"rounds": 0, "sweep": {"count": 1}}))
+        args = cli.build_parser().parse_args(
+            ["--config", str(cfgfile), "pareto", *tiny()])
+        cfg = cli._load_config(args)
+        assert cfg.rounds == 0 and cfg.vf_grid == [0.02]

@@ -149,3 +149,18 @@ class TestFullDensityCompliance:
     def test_repeatable(self, tiny_mbb):
         assert full_density_compliance(tiny_mbb) == \
             full_density_compliance(tiny_mbb)
+
+
+class TestFitProblem:
+    @pytest.mark.parametrize("anchor_vf", [1.0, 0.0, 1.5])
+    def test_anchor_vf_checked_before_any_solve(self, tiny_mbb, monkeypatch,
+                                                 anchor_vf):
+        from topareto import metamodel
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no solve or optimization may run")
+
+        monkeypatch.setattr(metamodel, "kernel_for", forbidden)
+        monkeypatch.setattr(metamodel, "multistart_states", forbidden)
+        with pytest.raises(InvalidArgumentError, match=r"\(0, 1\)"):
+            metamodel.fit_problem(tiny_mbb, anchor_vf=anchor_vf)

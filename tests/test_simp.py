@@ -6,19 +6,19 @@ import pytest
 import reference_impls as ref
 from conftest import kernel_solve
 from topareto.errors import InvalidArgumentError
-from topareto.fem2d import DensityField, Grid, GridKernel
-from topareto.simp import (INITIAL_DESIGN_KINDS, OptimizerConfig, _oc_update,
-                           evaluate_p1, filter_build, initial_design, optimize,
-                           rescale_to_volume)
+from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel
+from topareto.simp import (CHANGE_TOL, ETA, INITIAL_DESIGN_KINDS, MOVE_LIMIT,
+                           OptimizerConfig, _oc_update, evaluate_p1, filter_build,
+                           initial_design, optimize, rescale_to_volume)
 
 
 class TestOptimizerConfig:
     def test_defaults_valid(self):
         cfg = OptimizerConfig()
         assert cfg.penal == 3.0
-        assert cfg.move_limit == 0.2
-        assert cfg.eta == 0.5
         assert cfg.max_iters == 300
+        # the constants of the 88-line code
+        assert (MOVE_LIMIT, ETA, CHANGE_TOL, E_MIN) == (0.2, 0.5, 0.01, 1e-9)
 
     def test_rmin_scaling_rule(self):
         cfg = OptimizerConfig()
@@ -27,8 +27,8 @@ class TestOptimizerConfig:
         assert cfg.resolve_rmin(Grid(400, 100)) == pytest.approx(6.0)
 
     @pytest.mark.parametrize("bad", [
-        dict(penal=0.5), dict(rmin=0.8), dict(move_limit=0.0),
-        dict(move_limit=1.5), dict(eta=0.0), dict(filter_kind="median"),
+        dict(penal=0.5), dict(rmin=0.8), dict(filter_kind="median"),
+        dict(max_iters=0),
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(InvalidArgumentError):
@@ -187,7 +187,7 @@ class TestOptimize:
         assert seen
         for x_old, x_new in seen:
             assert np.all(x_new >= -1e-12) and np.all(x_new <= 1 + 1e-12)
-            assert np.max(np.abs(x_new - x_old)) <= cfg.move_limit + 1e-12
+            assert np.max(np.abs(x_new - x_old)) <= MOVE_LIMIT + 1e-12
 
     def test_descent_violations_rare(self, small_mbb, cfg):
         for vf in (0.3, 0.5):
@@ -330,9 +330,9 @@ class TestOCUpdate:
     """``_oc_update`` against the plain bisection it replays."""
 
     @staticmethod
-    def _inputs(seed, n=300, scale=1.0, weighted=True):
+    def _inputs(seed, n=300, scale=1.0, weighted=True, x_mean=0.5):
         rng = np.random.default_rng(seed)
-        x = rng.random(n)
+        x = 2.0 * x_mean * rng.random(n)
         x[:10], x[10:20] = 0.0, 1.0
         dc = -scale * rng.lognormal(0.0, 2.0, n)
         dv = rng.uniform(0.5, 1.5, n) / n
@@ -343,44 +343,45 @@ class TestOCUpdate:
         return x, dc, dv, weights
 
     @staticmethod
-    def _check(x, dc, dv, target, cfg, weights, hints=(None, 1e-3, 1.0, 1e3)):
-        want_x, want_lm = ref.oc_bisection(x, dc, dv, target, cfg.move_limit,
-                                           cfg.eta, weights)
+    def _check(x, dc, dv, target, weights, hints=(None, 1e-3, 1.0, 1e3)):
+        want_x, want_lm = ref.oc_bisection(x, dc, dv, target, MOVE_LIMIT, ETA,
+                                           weights)
         for hint in hints:
-            got_x, got_lm = _oc_update(x, dc, dv, target, cfg, weights, hint)
+            got_x, got_lm = _oc_update(x, dc, dv, target, weights, hint)
             assert np.array_equal(got_x, want_x, equal_nan=True)
             assert got_lm == want_lm
 
     @pytest.mark.parametrize("weighted", [True, False])
-    @pytest.mark.parametrize("eta", [0.5, 0.3])
+    @pytest.mark.parametrize("x_mean", [0.5, 0.3])
     @pytest.mark.parametrize("scale", [1.0, 1e12, 1e-12])
     @pytest.mark.parametrize("seed", range(3))
-    def test_equals_plain_bisection(self, seed, scale, eta, weighted):
-        # scales 1e+-12 put the root outside [1e-9, 1e9]: the bracket grows
-        x, dc, dv, weights = self._inputs(seed, scale=scale, weighted=weighted)
-        cfg = OptimizerConfig(eta=eta)
+    def test_equals_plain_bisection(self, seed, scale, x_mean, weighted):
+        # scales 1e+-12 put the root outside [1e-9, 1e9]: the bracket grows;
+        # a design of mean 0.3 has about a third of its lower move limits at
+        # 0, and only its ten solid elements reach an upper limit of 1
+        x, dc, dv, weights = self._inputs(seed, scale=scale, weighted=weighted,
+                                          x_mean=x_mean)
         lo, hi = (np.average(np.clip(x + d, 0.0, 1.0), weights=weights)
-                  for d in (-0.2, 0.2))
+                  for d in (-MOVE_LIMIT, MOVE_LIMIT))
         # targets the move limits let the update reach
         for frac in (0.1, 0.5, 0.9):
-            self._check(x, dc, dv, lo + frac * (hi - lo), cfg, weights)
+            self._check(x, dc, dv, lo + frac * (hi - lo), weights)
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_edge_cases_equal_plain_bisection(self, weighted):
         x, dc, dv, weights = self._inputs(7, weighted=weighted)
-        cfg = OptimizerConfig()
         # every element at its upper, then its lower move limit, and a target
         # that only all elements at their upper limits reach
         at_upper = np.average(np.minimum(1.0, x + 0.2), weights=weights)
         for target in (0.99, 0.01, at_upper):
-            self._check(x, dc, dv, target, cfg, weights)
+            self._check(x, dc, dv, target, weights)
         # zero sensitivities: the update is the lower limit at any multiplier
-        self._check(x, np.zeros_like(dc), dv, 0.3, cfg, weights)
-        self._check(x, np.zeros_like(dc), dv, 0.0001, cfg, weights)
+        self._check(x, np.zeros_like(dc), dv, 0.3, weights)
+        self._check(x, np.zeros_like(dc), dv, 0.0001, weights)
         # a NaN sensitivity makes every mean NaN: nothing is decided
         nan_dc = dc.copy()
         nan_dc[5] = np.nan
-        self._check(x, nan_dc, dv, 0.3, cfg, weights)
+        self._check(x, nan_dc, dv, 0.3, weights)
 
     def test_overflowing_update_equals_plain_bisection(self):
         # below lm ~ 1e-8, ratio / lm overflows on the void elements and
@@ -393,7 +394,7 @@ class TestOCUpdate:
         dv = np.full(300, 1.0 / 300)
         with np.errstate(over="ignore", invalid="ignore"):
             for target in (0.4, 0.5):
-                self._check(x, -ratio * dv, dv, target, OptimizerConfig(), None)
+                self._check(x, -ratio * dv, dv, target, None)
 
     def test_few_step_evaluations_on_an_optimization(self, small_mbb, monkeypatch):
         class Counting:
@@ -411,11 +412,11 @@ class TestOCUpdate:
         orig = simp_mod._oc_update
         calls = []
 
-        def spy(x, dc, dv, target, cfg_, weights, lm_hint):
+        def spy(x, dc, dv, target, weights, lm_hint):
             counting = Counting(weights)
-            out = orig(x, dc, dv, target, cfg_, counting, lm_hint)
-            want, _ = ref.oc_bisection(x, dc, dv, target, cfg_.move_limit,
-                                       cfg_.eta, weights)
+            out = orig(x, dc, dv, target, counting, lm_hint)
+            want, _ = ref.oc_bisection(x, dc, dv, target, MOVE_LIMIT, ETA,
+                                       weights)
             assert np.array_equal(out[0], want)
             calls.append(counting.calls)
             return out
