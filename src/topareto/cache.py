@@ -59,16 +59,17 @@ class RunCache:
         # an entry that cannot be read back whole is a miss
         try:
             meta = json.loads(meta_path.read_text())
-            return DesignResult(
+            result = DesignResult(
                 densities=DensityField(np.load(data_path)),
                 compliance_p=meta["compliance_p"],
                 compliance_p1=meta["compliance_p1"],
                 vf=meta["vf"],
                 iterations=meta["iterations"],
                 converged=meta["converged"],
-                descent_violations=meta["descent_violations"],
                 history=tuple(meta["history"]),
             )
+            # the stored count must be there, and agree with the history
+            return result if meta["descent_violations"] == result.descent_violations else None
         except (OSError, ValueError, KeyError, TypeError):
             return None
 

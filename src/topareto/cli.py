@@ -59,9 +59,10 @@ class RunConfig:
 def _load_config(args) -> RunConfig:
     doc = {}
     if args.config:
+        text = _read_text(args.config, "config")
         try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
 
     if not isinstance(doc, dict):
@@ -118,10 +119,8 @@ def _load_config(args) -> RunConfig:
     cache_dir = getattr(args, "cache", None) or os.environ.get(CACHE_ENV) \
         or doc.get("cache_dir")
     workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = int(_finite(doc.get("workers", 1), "workers"))
-    if workers < 1:
-        raise ParseError(f"workers must be at least 1, got {workers}")
+    workers = _integer(doc.get("workers", 1) if workers is None else workers,
+                       "workers", 1)
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
                for name in ("min_threshold", "drop_threshold", "sigma",
                             "anchor_vf", "tie_tol")}
@@ -165,6 +164,14 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(value):
         raise ParseError(f"{name} must be finite, got {value}")
     return value
+
+
+def _read_text(path, what: str) -> str:
+    """A user file's text; one unreadable or not UTF-8 is a ParseError naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write(path: Path, text: str) -> None:
@@ -230,11 +237,7 @@ def cmd_pareto(args) -> int:
 
 def cmd_er(args) -> int:
     cfg = _load_config(args)
-    try:
-        text = Path(args.front).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read front file {args.front}: {exc}") from exc
-    front = pareto_mod.ParetoFront.from_csv(text)
+    front = pareto_mod.ParetoFront.from_csv(_read_text(args.front, "front file"))
     raw = er_mod.compute_er(front)
     filt = er_mod.filter_er(front, cfg.sigma)
     out = cfg.out_dir
@@ -255,18 +258,20 @@ def cmd_er(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
+    out = cfg.out_dir
+    # the refined front is read before the anchor runs, so a bad one fails fast
+    refined_path = out / "front_refine.csv"
+    front = (pareto_mod.ParetoFront.from_csv(_read_text(refined_path, "refined front"))
+             if refined_path.exists() else None)
     model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,
                                cfg.cache(), cfg.workers, _census("fit anchor"))
-    out = cfg.out_dir
     _write(out / "metamodel.json", model.to_json() + "\n")
 
-    refined_path = out / "front_refine.csv"
     series = [("model", np.linspace(0.02, 1.0, 200),
                [mm_mod.eval_front(model, float(x)) for x in np.linspace(0.02, 1.0, 200)]),
               ("anchors", [p[0] for p in model.fit_points],
                [p[1] for p in model.fit_points])]
-    if refined_path.exists():
-        front = pareto_mod.ParetoFront.from_csv(refined_path.read_text())
+    if front is not None:
         series.insert(0, ("refined front", front.vfs(), front.cs()))
         rows = ["vf,front,model,rel_error"]
         for p in front.points:
@@ -293,9 +298,10 @@ def cmd_select(args) -> int:
     out = cfg.out_dir
     model_path = out / "metamodel.json"
     if model_path.exists():
+        text = _read_text(model_path, "meta-model")
         try:
-            model = mm_mod.MetaModel.from_json(model_path.read_text())
-        except (OSError, UnicodeDecodeError, ParseError) as exc:
+            model = mm_mod.MetaModel.from_json(text)
+        except ParseError as exc:
             raise ParseError(f"cannot read meta-model {model_path}: {exc}") from exc
     else:
         model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,

@@ -12,9 +12,8 @@ class InvalidArgumentError(ToparetoError, ValueError):
 class SolverError(ToparetoError):
     """Linear solve failed to converge or the system is singular."""
 
-    def __init__(self, message, iterations=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.iterations = iterations
         self.residual = residual
 
 

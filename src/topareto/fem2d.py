@@ -24,6 +24,7 @@ Conventions (fixed, used everywhere):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -233,10 +234,8 @@ class GridKernel:
         ndof = grid.ndof
         self.ndof = ndof
 
-        edof = np.empty((grid.nel, 8), dtype=np.int64)
-        for el in range(grid.nel):
-            edof[el] = grid.element_dofs(el)
-        self.edof = edof
+        self.edof = edof = np.array([grid.element_dofs(el) for el in range(grid.nel)])
+        self._edof_t = np.ascontiguousarray(edof.T)
 
         self.fixed = np.zeros(ndof, dtype=bool)
         self.fixed[list(fixed_dofs)] = True
@@ -290,12 +289,15 @@ class GridKernel:
     def element_energies(self, u: np.ndarray) -> np.ndarray:
         """Per-element ``u_e^T KE u_e`` at unit modulus.
 
-        Clamped at zero: the form is positive semi-definite, but float
-        cancellation at extreme displacement scales (disconnected regions)
-        can leave noise of either sign.
+        ``ut[j]``, gathered through the transposed DOF table, holds local DOF
+        ``j`` of every element, so ``"ji,jk,ki->i"`` adds the terms of
+        ``"ij,jk,ik->i"`` on ``u[edof]`` in the same j-major order, to the
+        same bits, along rows of ``nel`` entries instead of 8. Clamped at
+        zero: the form is positive semi-definite, but float cancellation at
+        extreme displacement scales (disconnected regions) can leave noise.
         """
-        ue = u[self.edof]
-        return np.maximum(np.einsum("ij,jk,ik->i", ue, self.ke, ue), 0.0)
+        ut = u[self._edof_t]
+        return np.maximum(np.einsum("ji,jk,ki->i", ut, self.ke, ut), 0.0)
 
     def constrained_rhs(self, f: np.ndarray) -> np.ndarray:
         out = f.copy()
@@ -326,7 +328,7 @@ class GridKernel:
         not positive definite or the final residual exceeds the limit.
         """
         fc = self.constrained_rhs(f)
-        fnorm = float(np.linalg.norm(fc))
+        fnorm = math.sqrt(fc @ fc)
         if fnorm == 0.0:
             return np.zeros(self.ndof)
         solve_rhs = self.factorize(emod)
@@ -334,7 +336,7 @@ class GridKernel:
         for step in range(5):
             r = fc - self.apply_constrained(emod, u)
             r[self.fixed] = 0.0
-            resid = float(np.linalg.norm(r))
+            resid = math.sqrt(r @ r)
             if resid <= RESID_TOL * fnorm or step == 4:
                 break
             u = u + solve_rhs(r)
@@ -350,17 +352,13 @@ class GridKernel:
 
     def _resid_limit(self, emod, u, fnorm):
         """Acceptance threshold: 1e-8 relative to F, widened to the normwise
-        backward-error scale when the solution dwarfs the load (extreme
-        stiffness contrast), where a smaller residual is not representable."""
-        dmax = float(np.max(self.stiffness_diagonal(emod)))
-        return 10 * RESID_TOL * max(fnorm, 1e-7 * dmax * float(np.linalg.norm(u)))
-
-    def stiffness_diagonal(self, emod: np.ndarray) -> np.ndarray:
-        diag = np.bincount(self.edof.ravel(),
-                           weights=(emod[:, None] * np.diag(self.ke)[None, :]).ravel(),
-                           minlength=self.ndof)
+        backward-error scale (largest stiffness diagonal entry times the
+        solution norm) when the solution dwarfs the load (extreme stiffness
+        contrast), where a smaller residual is not representable."""
+        diag = np.bincount(self.edof.ravel(), minlength=self.ndof,
+                           weights=(emod[:, None] * np.diag(self.ke)[None, :]).ravel())
         diag[self.fixed] = 1.0
-        return diag
+        return 10 * RESID_TOL * max(fnorm, 1e-7 * float(np.max(diag)) * math.sqrt(u @ u))
 
 
 @lru_cache(maxsize=32)

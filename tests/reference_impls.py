@@ -149,6 +149,24 @@ def oc_bisection(x, dc, dv, target, move, eta, weights=None):
     return x_new, lmid
 
 
+def rescale_by_clip(base, target, weights=None):
+    """Shift-and-clamp bisection on [-1, 1] written with ``np.clip`` and
+    ``np.mean``: returns the first clamped field whose mean (``weights @ v``
+    with weights) is within 1e-7 of ``target``, or None after 80 steps."""
+    lo, hi = -1.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        out = np.clip(base + mid, 0.0, 1.0)
+        m = float(weights @ out) if weights is not None else float(np.mean(out))
+        if abs(m - target) <= 1e-7:
+            return out
+        if m < target:
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
 def simp_reference(nelx, nely, volfrac, penal, rmin, loads, fixed_dofs,
                    filter_kind="density", max_iters=300, move=0.2,
                    change_tol=0.01, nu=0.3, e_min=1e-9):

@@ -15,8 +15,9 @@ from topareto.errors import InvalidArgumentError
 
 def make_result(n=12):
     rng = np.random.default_rng(1)
+    # one compliance increase in the history: descent_violations is 1
     return DesignResult(DensityField(rng.random(n)), 12.5, 11.25, 0.5,
-                        42, True, 1)
+                        42, True, (13.0, 12.0, 12.5))
 
 
 class TestRunCache:

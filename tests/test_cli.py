@@ -16,6 +16,10 @@ SELECT_LOAD = ["--force", "20e3", "--delta-max", "5e-3", "--thickness", "5e-3",
                "--length", "2.0", "--height", "0.5"]
 
 
+# a UTF-16 byte-order mark: not UTF-8
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
 def run(args):
     return cli.main(args)
 
@@ -146,6 +150,14 @@ class TestErCmd:
         assert "(line 3)" in capsys.readouterr().err
         assert not (out / "er_raw.csv").exists()
 
+    def test_non_utf8_front_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "front.csv"
+        path.write_bytes(NOT_UTF8)
+        out = tmp_path / "o"
+        assert run(["er", *tiny("--out", str(out)), "--front", str(path)]) == 2
+        assert f"cannot read front file {path}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_front_exit_2(self, tmp_path):
         path = tmp_path / "front.csv"
         path.write_text("")
@@ -183,6 +195,22 @@ class TestFitCmd:
         errs = [abs(float(r.split(",")[3])) for r in rows]
         assert max(errs) <= 1e-6
         assert (out / "fit_overlay.svg").exists()
+
+
+    def test_non_utf8_refined_front_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the front is read before any anchor optimization runs
+        out = tmp_path / "o"
+        out.mkdir()
+        path = out / "front_refine.csv"
+        path.write_bytes(NOT_UTF8)
+        import topareto.cli as cli_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("anchors ran before the front was read")
+        monkeypatch.setattr(cli_mod.mm_mod, "fit_problem", no_fit)
+        assert run(["fit", *tiny("--out", str(out))]) == 2
+        assert f"cannot read refined front {path}" in capsys.readouterr().err
+        assert not (out / "metamodel.json").exists()
 
 
 class TestSelectCmd:
@@ -280,7 +308,7 @@ class TestWarningsAndFailures:
         from topareto.errors import SolverError
 
         def boom(problem, vf, cfg, init=None):
-            raise SolverError("synthetic failure", iterations=3, residual=1.0)
+            raise SolverError("synthetic failure", residual=1.0)
 
         monkeypatch.setattr(par_mod, "optimize", boom)
         cfgfile = tmp_path / "cfg.json"
@@ -372,7 +400,8 @@ class TestConfigPrecedence:
         value = "1" if flags else "-3"
         assert self._er_with_config(tmp_path, "workers", value, *flags) == 2
         got = flags[1] if flags else "-3"
-        assert f"workers must be at least 1, got {got}" in capsys.readouterr().err
+        assert (f"workers must be an integer of at least 1, got {got}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags, doc", [
         (("--nelx", "0", "--nely", "4"), {}),
@@ -441,6 +470,15 @@ class TestConfigPrecedence:
             dens = (out / "densities.csv").read_text().strip().splitlines()
             assert (len(dens[0].split(",")), len(dens)) == (6, 3)
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_bytes(NOT_UTF8)
+        out = tmp_path / "o"
+        code = run(["--config", str(cfgfile), "optimize", *tiny("--out", str(out)),
+                    "--vf", "0.5"])
+        assert code == 2 and not out.exists()
+        assert f"cannot read config {cfgfile}" in capsys.readouterr().err
+
     def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
         # fields of older configs: the OC constants are no longer settings
         for key, value in (("solve_method", "dense"), ("move_limit", 0.2),
@@ -456,6 +494,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("name, value, minimum", [
         ("rounds", "2.7", 0), ("rounds", "-1", 0),
         ("sweep.count", "3.9", 1), ("sweep.count", "0", 1),
+        ("workers", "1.9", 1),
     ])
     def test_bad_integer_exit_2(self, tmp_path, capsys, name, value, minimum):
         assert self._er_with_config(tmp_path, name, value) == 2

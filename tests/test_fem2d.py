@@ -194,6 +194,22 @@ class TestBitIdentity:
         assert np.array_equal(kern.solve(emod, f), u)
 
 
+    @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
+    def test_element_energies_equal_element_major_einsum(self, name, shape):
+        kern = kernel_for(preset(name, *shape))
+        rng = np.random.default_rng(14)
+        fields = [np.zeros(kern.ndof)]
+        for scale in 10.0 ** np.arange(-12, 15, 2):
+            u = rng.standard_normal(kern.ndof) * scale
+            u[rng.random(kern.ndof) < 0.25] = 0.0  # exact zeros
+            fields.append(u)
+        for u in fields:
+            ue = u[kern.edof]
+            want = np.maximum(np.einsum("ij,jk,ik->i", ue, kern.ke, ue), 0.0)
+            assert np.array_equal(kern.element_energies(u), want)
+
+
 class TestSolve:
     def test_single_element_dense_oracle(self):
         problem = preset("mbb", 1, 1)

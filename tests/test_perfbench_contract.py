@@ -31,6 +31,25 @@ def test_every_traced_lookup_site_resolves():
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
 
 
+def test_optimize_calls_traced_kernel_methods_once_per_iteration(tiny_mbb,
+                                                                 monkeypatch):
+    # the tracer counts calls through the GridKernel class attributes: one
+    # solve and one energy evaluation per iteration, then the final solve
+    # of the moved design and its penalization-1 solve
+    from topareto import fem2d, simp
+    calls = {"solve": 0, "element_energies": 0}
+    for name in calls:
+        def counted(*args, _orig=vars(fem2d.GridKernel)[name], _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(fem2d.GridKernel, name, counted)
+    res = simp.optimize(tiny_mbb.with_unit_load(), 0.4,
+                        OptimizerConfig(max_iters=6))
+    assert res.iterations == 6 and not res.converged
+    assert calls == {"solve": res.iterations + 2,
+                     "element_energies": res.iterations}
+
+
 def test_sweeps_called_by_name_exist():
     assert callable(pareto.baseline_states)
     assert callable(pareto.multistart_states)

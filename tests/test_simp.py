@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
+import topareto.simp as simp_mod
 from conftest import kernel_solve
 from topareto.errors import InvalidArgumentError
 from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel
@@ -76,6 +77,27 @@ class TestFilterBuild:
         assert np.allclose(mine, theirs, rtol=1e-12)
 
 
+class TestFilterInvariants:
+    """The per-(grid, rmin) arrays every ``optimize`` run shares."""
+
+    def test_cached_equal_fresh_and_read_only(self):
+        grid = Grid(12, 6)
+        got = simp_mod._filter_invariants(grid, 2.5)
+        assert simp_mod._filter_invariants(grid, 2.5) is got
+        w_t, weights, dv, dv_t = got
+        w = filter_build(grid, 2.5)
+        fresh = w.T.tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(w_t, name), getattr(fresh, name)), name
+        assert np.array_equal(weights, np.asarray(w.sum(axis=0)).ravel() / grid.nel)
+        assert np.array_equal(dv, np.full(grid.nel, 1.0 / grid.nel))
+        assert np.array_equal(dv_t, fresh.dot(np.full(grid.nel, 1.0 / grid.nel)))
+        for arr in (w_t.data, w_t.indices, w_t.indptr, weights, dv, dv_t):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestInitialDesign:
     def test_uniform_is_constant(self):
         d = initial_design("uniform", 0.3, Grid(10, 5))
@@ -121,6 +143,27 @@ class TestInitialDesign:
         assert abs(col_mean @ out - 0.45) <= 1e-7
         assert abs(np.asarray(w @ out).mean() - 0.45) <= 1e-7 + 1e-12
         assert abs(out.mean() - 0.45) > 1e-6  # the weights matter here
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rescale_equals_clip_mean_bisection(self, weighted):
+        grid = Grid(12, 6)
+        w = filter_build(grid, 2.5)
+        weights = np.asarray(w.sum(axis=0)).ravel() / grid.nel if weighted else None
+        rng = np.random.default_rng(5)
+        bases = [simp_mod._base_pattern(kind, grid) for kind in INITIAL_DESIGN_KINDS]
+        bases += [rng.random(grid.nel) ** 3, 3.0 * rng.random(grid.nel) - 1.0]
+        unreached = 0
+        for base in bases:
+            for target in (0.02, 0.3, 0.5, 0.9):
+                want = ref.rescale_by_clip(base, target, weights)
+                if want is None:
+                    with pytest.raises(InvalidArgumentError):
+                        rescale_to_volume(base, target, weights)
+                    unreached += 1
+                else:
+                    assert np.array_equal(rescale_to_volume(base, target, weights),
+                                          want)
+        assert unreached < len(bases)
 
     def test_rescale_unreachable_target_raises(self):
         with pytest.raises(InvalidArgumentError, match="did not converge"):
