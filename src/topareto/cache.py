@@ -9,9 +9,11 @@ several workers is safe: last writer wins with identical content.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +23,20 @@ from .simp import DesignResult, OptimizerConfig
 
 # enters every result key: bump it whenever a change to the optimizer can
 # change a stored result, so that caches written before are never served
-CACHE_VERSION = 2
+CACHE_VERSION = 3
+# a sweep's tasks share the problem and the config: serialize them once
+_key_parts = lru_cache(maxsize=64)(lambda problem, cfg: (problem.to_json(), cfg.digest()))
 
 
 def result_key(problem: ProblemSpec, vf: float, init_desc: str,
                cfg: OptimizerConfig) -> str:
+    problem_json, cfg_digest = _key_parts(problem, cfg)
     doc = {
         "version": CACHE_VERSION,
-        "problem": problem.to_json(),
+        "problem": problem_json,
         "vf": repr(float(vf)),
         "init": init_desc,
-        "cfg": cfg.digest(),
+        "cfg": cfg_digest,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:32]
 
@@ -59,6 +64,11 @@ class RunCache:
         # an entry that cannot be read back whole is a miss
         try:
             meta = json.loads(meta_path.read_text())
+            numbers = (meta["compliance_p"], meta["compliance_p1"], meta["vf"], *meta["history"])
+            # finite numbers (a bool is not one), an int count and a bool flag
+            if not (all(type(v) in (int, float) and abs(v) < np.inf for v in numbers)
+                    and type(meta["iterations"]) is int and type(meta["converged"]) is bool):
+                return None
             result = DesignResult(
                 densities=DensityField(np.load(data_path)),
                 compliance_p=meta["compliance_p"],
@@ -78,8 +88,9 @@ class RunCache:
             return
         self._atomic_write(self.root / f"{key}.json",
                            json.dumps(result.summary(), sort_keys=True).encode())
-        buf = _npy_bytes(result.densities.values)
-        self._atomic_write(self.root / f"{key}.npy", buf)
+        buf = io.BytesIO()
+        np.save(buf, result.densities.values)
+        self._atomic_write(self.root / f"{key}.npy", buf.getvalue())
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
@@ -91,11 +102,3 @@ class RunCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-
-def _npy_bytes(values: np.ndarray) -> bytes:
-    import io
-
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(values))
-    return buf.getvalue()

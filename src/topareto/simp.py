@@ -14,13 +14,13 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse
 
 from .errors import InvalidArgumentError, SolverError
-from .fem2d import E_MIN, DensityField, Grid, ProblemSpec, kernel_for, simp_modulus
+from .fem2d import E_MIN, DensityField, Grid, ProblemSpec, csr_dot, kernel_for, simp_modulus
 
 INITIAL_DESIGN_KINDS = (
     "uniform",
@@ -176,7 +176,9 @@ def initial_design(kind: str, target_vf: float, grid: Grid) -> DensityField:
     return DensityField(rescale_to_volume(base, target_vf))
 
 
+@lru_cache(maxsize=128)
 def _base_pattern(kind: str, grid: Grid) -> np.ndarray:
+    """The read-only start pattern of a valid ``kind`` on ``grid``, in [0,1]."""
     nelx, nely = grid.nelx, grid.nely
     ex, ey = np.meshgrid(np.arange(nelx), np.arange(nely), indexing="ij")
     x = (ex.ravel() + 0.5) / nelx
@@ -186,20 +188,21 @@ def _base_pattern(kind: str, grid: Grid) -> np.ndarray:
     waves = {"vstripes2": (2, x), "vstripes4": (4, x), "hstripes2": (2, y),
              "hstripes4": (4, y), "diag_sum": (1.5, x + y), "diag_diff": (1.5, x - y)}
     if kind in ("uniform", "previous"):
-        return np.full(grid.nel, 0.5)
-    if kind in waves:
+        base = np.full(grid.nel, 0.5)
+    elif kind in waves:
         k, t = waves[kind]
-        return 0.5 * (1 + np.cos(2 * np.pi * k * t))
-    if kind == "disc":
-        return np.clip(2.5 * (0.45 - d), 0.0, 1.0)
-    if kind == "ring":
-        return np.exp(-((d - 0.33) / 0.12) ** 2)
-    if kind == "noise":
+        base = 0.5 * (1 + np.cos(2 * np.pi * k * t))
+    elif kind == "disc":
+        base = np.clip(2.5 * (0.45 - d), 0.0, 1.0)
+    elif kind == "ring":
+        base = np.exp(-((d - 0.33) / 0.12) ** 2)
+    else:  # noise
         rng = np.random.default_rng(_NOISE_SEED)
         raw = rng.random(grid.nel)
         w = filter_build(grid, 1.0 + min(nelx, nely) / 8.0)
-        return np.asarray(w @ (w @ raw))
-    raise InvalidArgumentError(f"unknown initial design kind {kind!r}")
+        base = np.asarray(w @ (w @ raw))
+    base.flags.writeable = False
+    return base
 
 
 def rescale_to_volume(base: np.ndarray, target_vf: float,
@@ -269,7 +272,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     # design itself under the sensitivity filter), the filtered sensitivity,
     # the volume weights and the volume sensitivity
     density = cfg.filter_kind == "density"
-    phys = w.dot if density else np.asarray
+    phys = partial(csr_dot, w) if density else np.asarray
     if not density:
         weights, dv_t = None, dv
 
@@ -295,7 +298,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
             break
 
         dc = -cfg.penal * (1.0 - E_MIN) * x_phys ** (cfg.penal - 1.0) * ce
-        dc = w_t.dot(dc) if density else w.dot(x * dc) / np.maximum(1e-3, x)
+        dc = csr_dot(w_t, dc) if density else csr_dot(w, x * dc) / np.maximum(1e-3, x)
         x_new, lm = _oc_update(x, dc, dv_t, target_vf, weights, lm)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new

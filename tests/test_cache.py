@@ -85,16 +85,30 @@ class TestRunCache:
             assert OptimizerConfig(**asdict(other)) == other
 
     @pytest.mark.parametrize("edit", [
-        lambda meta: meta.pop("history"),
-        lambda meta: meta.pop("descent_violations"),
-        lambda meta: meta.update(history=5),
-    ], ids=["no history", "no descent_violations", "history not a list"])
+        lambda meta, root: meta.pop("history"),
+        lambda meta, root: meta.pop("descent_violations"),
+        lambda meta, root: meta.update(history=5),
+        lambda meta, root: meta.update(compliance_p1="abc"),
+        lambda meta, root: meta.update(compliance_p1=float("nan")),
+        lambda meta, root: meta.update(compliance_p=float("inf")),
+        lambda meta, root: meta.update(vf=None),
+        lambda meta, root: meta.update(history=[13.0, float("nan"), 12.5]),
+        lambda meta, root: meta.update(history=[13.0, "12.0", 12.5]),
+        lambda meta, root: meta.update(iterations=42.0),
+        lambda meta, root: meta.update(iterations=True),
+        lambda meta, root: meta.update(converged=1),
+        lambda meta, root: np.save(root / "k.npy", np.full(12, np.nan)),
+    ], ids=["no history", "no descent_violations", "history not a list",
+            "compliance_p1 a string", "compliance_p1 NaN", "compliance_p inf",
+            "vf null", "history NaN", "history string", "iterations float",
+            "iterations bool", "converged int", "densities NaN"])
     def test_malformed_entry_is_a_miss(self, tmp_path, edit):
         cache = RunCache(tmp_path)
         cache.put("k", make_result())
+        assert cache.get("k") is not None
         meta_path = tmp_path / "k.json"
         meta = json.loads(meta_path.read_text())
-        edit(meta)
+        edit(meta, tmp_path)
         meta_path.write_text(json.dumps(meta))
         assert cache.get("k") is None
 

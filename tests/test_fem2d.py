@@ -183,16 +183,37 @@ class TestBitIdentity:
         f = problem.load_vector()
         cb = scipy.linalg.cholesky_banded(_bincount_band(kern, emod), lower=True)
         fc = kern.constrained_rhs(f)
+        fnorm = np.linalg.norm(fc)
         u = scipy.linalg.cho_solve_banded((cb, True), fc)
+        prev = np.inf
         for _ in range(4):
             r = fc - kern.apply_constrained(emod, u)
             r[kern.fixed] = 0.0
-            if np.linalg.norm(r) <= fem2d.RESID_TOL * np.linalg.norm(fc):
+            resid = np.linalg.norm(r)
+            if resid <= fem2d.RESID_TOL * fnorm:
                 break
+            # a step that did not halve the residual ends an accepted solve
+            if resid > 0.5 * prev and resid <= kern._resid_limit(emod, u, fnorm):
+                break
+            prev = resid
             u = u + scipy.linalg.cho_solve_banded((cb, True), r)
         u[kern.fixed] = 0.0
         assert np.array_equal(kern.solve(emod, f), u)
 
+    @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
+    def test_csr_dot_equals_matmul_on_band_operator(self, name, shape):
+        op = kernel_for(preset(name, *shape))._band_op
+        rng = np.random.default_rng(15)
+        for scale in (1e-9, 1.0, 1e9):
+            x = rng.random(op.shape[1]) * scale
+            x[rng.random(x.size) < 0.25] = 0.0  # exact zeros
+            got = fem2d.csr_dot(op, x)
+            assert got.shape == (op.shape[0],)
+            assert np.array_equal(got, op @ x)
+        # the kernel would read past a short vector
+        with pytest.raises(ValueError, match="shape"):
+            fem2d.csr_dot(op, np.ones(op.shape[1] - 1))
 
     @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
@@ -270,6 +291,46 @@ class TestSolve:
         limit = 10 * fem2d.RESID_TOL * fnorm
         assert str(info.value) == (f"linear solve residual {fnorm:.3e} "
                                    f"exceeds limit {limit:.3e}")
+
+
+def _counting_back_solves(problem):
+    """A fresh kernel whose back-solves append to the returned list."""
+    kern = fem2d.GridKernel(problem.grid, problem.fixed_dofs)
+    calls, factorize = [], kern.factorize
+
+    def counted_factorize(emod):
+        solve_rhs = factorize(emod)
+
+        def counted(rhs):
+            calls.append(1)
+            return solve_rhs(rhs)
+        return counted
+    kern.factorize = counted_factorize
+    return kern, calls
+
+
+class TestRefinementStop:
+    """Refinement ends when a step stops halving an acceptable residual."""
+
+    def test_stalled_solve_stops_early_and_is_accepted(self):
+        problem = preset("mbb", 60, 20)
+        kern, calls = _counting_back_solves(problem)
+        # void-solid at 1e-9 contrast: the residual stalls near 1e-5 relative
+        emod = _random_emod(problem, 12, void_solid=True)
+        f = problem.load_vector()
+        u = kern.solve(emod, f)
+        assert 1 < len(calls) <= 3
+        fc = kern.constrained_rhs(f)
+        r = fc - kern.apply_constrained(emod, u)
+        r[kern.fixed] = 0.0
+        fnorm = np.linalg.norm(fc)
+        assert fem2d.RESID_TOL * fnorm < np.linalg.norm(r) <= kern._resid_limit(emod, u, fnorm)
+
+    def test_well_conditioned_solve_back_solves_once(self):
+        problem = preset("mbb", 60, 20)
+        kern, calls = _counting_back_solves(problem)
+        kern.solve(_random_emod(problem, 12), problem.load_vector())
+        assert len(calls) == 1
 
 
 class TestCompliance:
@@ -380,3 +441,9 @@ class TestProblemSpec:
             DensityField(np.array([0.2, 1.4]))
         with pytest.raises(InvalidArgumentError):
             DensityField(np.array([-0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_field_rejects_non_finite(self, bad):
+        # NaN compares False both ways, so a bounds test alone lets it in
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            DensityField(np.array([bad, 0.5]))

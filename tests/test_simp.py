@@ -7,7 +7,7 @@ import reference_impls as ref
 import topareto.simp as simp_mod
 from conftest import kernel_solve
 from topareto.errors import InvalidArgumentError
-from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel
+from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel, csr_dot
 from topareto.simp import (CHANGE_TOL, ETA, INITIAL_DESIGN_KINDS, MOVE_LIMIT,
                            OptimizerConfig, _oc_update, evaluate_p1, filter_build,
                            initial_design, optimize, rescale_to_volume)
@@ -97,8 +97,31 @@ class TestFilterInvariants:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("rmin", [1.2, 2.5])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
+    def test_csr_dot_equals_matmul_on_filter(self, shape, rmin):
+        grid = Grid(*shape)
+        w = filter_build(grid, rmin)
+        w_t = simp_mod._filter_invariants(grid, rmin)[0]
+        rng = np.random.default_rng(16)
+        for scale in (1e-9, 1.0, 1e9):
+            x = rng.random(grid.nel) * scale
+            x[rng.random(grid.nel) < 0.25] = 0.0  # exact zeros
+            for a in (w, w_t):
+                assert np.array_equal(csr_dot(a, x), a @ x)
+
 
 class TestInitialDesign:
+    def test_cached_base_patterns_equal_fresh_and_read_only(self):
+        grid = Grid(12, 6)
+        for kind in INITIAL_DESIGN_KINDS:
+            got = simp_mod._base_pattern(kind, grid)
+            assert simp_mod._base_pattern(kind, grid) is got
+            assert np.array_equal(got, simp_mod._base_pattern.__wrapped__(kind, grid))
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
     def test_uniform_is_constant(self):
         d = initial_design("uniform", 0.3, Grid(10, 5))
         assert np.allclose(d.values, 0.3, atol=1e-6)
