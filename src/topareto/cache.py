@@ -64,22 +64,17 @@ class RunCache:
         # an entry that cannot be read back whole is a miss
         try:
             meta = json.loads(meta_path.read_text())
-            numbers = (meta["compliance_p"], meta["compliance_p1"], meta["vf"], *meta["history"])
-            # finite numbers (a bool is not one), an int count and a bool flag
+            numbers = (meta["compliance_p"], meta["compliance_p1"], *meta["history"])
+            # finite numbers (a bool is not one) and a bool flag
             if not (all(type(v) in (int, float) and abs(v) < np.inf for v in numbers)
-                    and type(meta["iterations"]) is int and type(meta["converged"]) is bool):
+                    and type(meta["converged"]) is bool):
                 return None
-            result = DesignResult(
-                densities=DensityField(np.load(data_path)),
-                compliance_p=meta["compliance_p"],
-                compliance_p1=meta["compliance_p1"],
-                vf=meta["vf"],
-                iterations=meta["iterations"],
-                converged=meta["converged"],
-                history=tuple(meta["history"]),
-            )
-            # the stored count must be there, and agree with the history
-            return result if meta["descent_violations"] == result.descent_violations else None
+            result = DesignResult(DensityField(np.load(data_path)), meta["compliance_p"],
+                                  meta["compliance_p1"], meta["converged"],
+                                  tuple(meta["history"]))
+            # the derived values must be stored, and agree in type and value
+            pairs = [(meta[name], getattr(result, name)) for name in DesignResult.DERIVED]
+            return result if all(type(a) is type(b) and a == b for a, b in pairs) else None
         except (OSError, ValueError, KeyError, TypeError):
             return None
 

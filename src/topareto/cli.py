@@ -35,6 +35,8 @@ from .fem2d import ProblemSpec, preset
 from .simp import OptimizerConfig
 
 CACHE_ENV = "TOPARETO_CACHE"
+# the thresholds and tolerances a config may set at its top level
+NUMBER_KEYS = ("min_threshold", "drop_threshold", "sigma", "anchor_vf", "tie_tol")
 
 
 @dataclass
@@ -67,6 +69,8 @@ def _load_config(args) -> RunConfig:
 
     if not isinstance(doc, dict):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
+    _known_keys(doc, ("problem", "nelx", "nely", "optimizer", "sweep", "out_dir",
+                      "cache_dir", "workers", "rounds", *NUMBER_KEYS), "config")
     prob_spec = doc.get("problem", "mbb")
     sizes = []
     for name in ("nelx", "nely"):
@@ -104,6 +108,7 @@ def _load_config(args) -> RunConfig:
         raise ParseError(f"bad optimizer config: {exc}") from exc
 
     sweep = _section(doc, "sweep")
+    _known_keys(sweep, ("points", "count", "lo", "hi"), "sweep")
     if "points" in sweep:
         if not isinstance(sweep["points"], list):
             raise ParseError("sweep.points must be a JSON array, "
@@ -115,21 +120,21 @@ def _load_config(args) -> RunConfig:
             _finite(sweep.get("lo", 0.02), "sweep.lo"),
             _finite(sweep.get("hi", 1.0), "sweep.hi"))
 
-    out_dir = Path(getattr(args, "out", None) or doc.get("out_dir", "out"))
+    out_dir = _directory(getattr(args, "out", None) or doc.get("out_dir", "out"), "output")
     cache_dir = getattr(args, "cache", None) or os.environ.get(CACHE_ENV) \
         or doc.get("cache_dir")
+    cache_dir = _directory(cache_dir, "cache") if cache_dir else None
     workers = getattr(args, "workers", None)
     workers = _integer(doc.get("workers", 1) if workers is None else workers,
                        "workers", 1)
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
-               for name in ("min_threshold", "drop_threshold", "sigma",
-                            "anchor_vf", "tie_tol")}
+               for name in NUMBER_KEYS}
     return RunConfig(
         problem=problem,
         optimizer=optimizer,
         vf_grid=vf_grid,
         out_dir=out_dir,
-        cache_dir=Path(cache_dir) if cache_dir else None,
+        cache_dir=cache_dir,
         workers=workers,
         rounds=_integer(doc.get("rounds", RunConfig.rounds), "rounds", 0),
         **numbers,
@@ -142,6 +147,26 @@ def _section(doc: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ParseError(f"{name} must be a JSON object, got {type(section).__name__}")
     return section
+
+
+def _known_keys(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ParseError(f"unknown {where} key(s) {unknown}")
+
+
+def _directory(path, what: str) -> Path:
+    """A directory to write under: one that exists, or can be made because
+    its nearest existing ancestor is a directory. Creates nothing."""
+    if not isinstance(path, str):  # a flag or variable is; a JSON value may not be
+        raise ParseError(f"{what} directory must be a string, got {path!r}")
+    path = Path(path)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ParseError(f"{what} directory {path}: {p} is not a directory")
+            break
+    return path
 
 
 def _integer(value, name: str, minimum: int) -> int:

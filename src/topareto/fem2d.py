@@ -68,29 +68,11 @@ class Grid:
             raise InvalidArgumentError(f"node ({ix},{iy}) outside grid")
         return ix * (self.nely + 1) + iy
 
-    def element_coords(self, el: int) -> tuple[int, int]:
-        return divmod(el, self.nely)
-
-    def element_dofs(self, el: int) -> np.ndarray:
-        """Eight global DOF indices of one element, local corner order."""
-        ex, ey = self.element_coords(el)
-        n_bl = ex * (self.nely + 1) + ey + 1
-        n_br = (ex + 1) * (self.nely + 1) + ey + 1
-        n_tr = n_br - 1
-        n_tl = n_bl - 1
-        out = np.empty(8, dtype=np.int64)
-        for k, n in enumerate((n_bl, n_br, n_tr, n_tl)):
-            out[2 * k] = 2 * n
-            out[2 * k + 1] = 2 * n + 1
-        return out
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A discretized design domain with loads, supports and physical size.
+    """A discretized design domain with loads and supports.
 
-    ``length``/``height``/``thickness`` describe the physical part the
-    modeled domain stands for; they do not enter the dimensionless FEM.
     ``symmetry_factor`` is the volume multiplier mapping the modeled domain
     to the physical part (2 for a half-symmetric model).
     """
@@ -99,9 +81,6 @@ class ProblemSpec:
     loads: tuple[tuple[int, float], ...]
     fixed_dofs: frozenset[int]
     name: str = "problem"
-    length: float = 1.0
-    height: float = 1.0
-    thickness: float = 1.0
     symmetry_factor: float = 1.0
 
     def __post_init__(self):
@@ -118,9 +97,6 @@ class ProblemSpec:
                 raise InvalidArgumentError(f"fixed DOF {dof} out of range (ndof={ndof})")
         if self.symmetry_factor <= 0:
             raise InvalidArgumentError("symmetry_factor must be positive")
-        for nm, v in (("length", self.length), ("height", self.height), ("thickness", self.thickness)):
-            if v <= 0:
-                raise InvalidArgumentError(f"{nm} must be positive")
 
     def load_vector(self) -> np.ndarray:
         f = np.zeros(self.grid.ndof)
@@ -137,7 +113,7 @@ class ProblemSpec:
             return self
         loads = tuple((d, m / norm) for d, m in self.loads)
         return ProblemSpec(self.grid, loads, self.fixed_dofs, self.name,
-                           self.length, self.height, self.thickness, self.symmetry_factor)
+                           self.symmetry_factor)
 
     def to_json(self) -> str:
         doc = {
@@ -146,9 +122,6 @@ class ProblemSpec:
             "nely": self.grid.nely,
             "loads": [[d, m] for d, m in self.loads],
             "fixed_dofs": sorted(self.fixed_dofs),
-            "L": self.length,
-            "h": self.height,
-            "t": self.thickness,
             "symmetry_factor": self.symmetry_factor,
         }
         return json.dumps(doc, sort_keys=True)
@@ -156,14 +129,14 @@ class ProblemSpec:
     @staticmethod
     def from_json(text: str) -> "ProblemSpec":
         doc = json.loads(text)
+        unknown = set(doc) - {"name", "nelx", "nely", "loads", "fixed_dofs", "symmetry_factor"}
+        if unknown:
+            raise InvalidArgumentError(f"unknown problem key(s) {sorted(unknown)}")
         return ProblemSpec(
             grid=Grid(int(doc["nelx"]), int(doc["nely"])),
             loads=tuple((int(d), float(m)) for d, m in doc["loads"]),
             fixed_dofs=frozenset(int(d) for d in doc["fixed_dofs"]),
             name=str(doc.get("name", "problem")),
-            length=float(doc.get("L", 1.0)),
-            height=float(doc.get("h", 1.0)),
-            thickness=float(doc.get("t", 1.0)),
             symmetry_factor=float(doc.get("symmetry_factor", 1.0)),
         )
 
@@ -209,7 +182,7 @@ def element_stiffness(nu: float) -> np.ndarray:
     """8x8 stiffness of a unit bilinear square, unit modulus and thickness.
 
     Closed-form integration of the plane-stress bilinear quad; local corner
-    order matches :meth:`Grid.element_dofs`.
+    order matches :attr:`GridKernel.edof`.
     """
     if not -1.0 < nu < 0.5:
         raise InvalidArgumentError(f"Poisson ratio {nu} outside (-1, 0.5)")
@@ -232,10 +205,9 @@ def simp_modulus(values: np.ndarray, penal: float) -> np.ndarray:
 class GridKernel:
     """Precomputed index machinery for one (grid, fixed_dofs) pair.
 
-    Carries the element DOF table, the global (row, column) of every
-    element-matrix entry, the banded assembly operator (a CSR matrix from
-    element moduli to the Fortran-ordered constrained lower band), the
-    LAPACK ``pbtrf``/``pbtrs`` routines, and the fixed-DOF mask. Its
+    Carries the element DOF table, the banded assembly operator (a CSR
+    matrix from element moduli to the Fortran-ordered constrained lower
+    band), the LAPACK ``pbtrf``/``pbtrs`` routines, and the fixed DOFs. Its
     :meth:`solve`, a banded Cholesky factorization with iterative
     refinement, is the one linear solver of the package.
     """
@@ -245,16 +217,21 @@ class GridKernel:
         ndof = grid.ndof
         self.ndof = ndof
 
-        self.edof = edof = np.array([grid.element_dofs(el) for el in range(grid.nel)])
+        # the eight DOFs of each element in local corner order, the 88-line
+        # code's ``edofMat``: offsets from the x DOF of its bottom-left node
+        ny = grid.nely
+        bottom_left = np.arange(grid.nelx)[:, None] * (ny + 1) + np.arange(1, ny + 1)
+        self.edof = edof = 2 * bottom_left.reshape(-1, 1) + np.array(
+            [0, 1, 2 * ny + 2, 2 * ny + 3, 2 * ny, 2 * ny + 1, -2, -1])
         self._edof_t = np.ascontiguousarray(edof.T)
 
-        self.fixed = np.zeros(ndof, dtype=bool)
-        self.fixed[list(fixed_dofs)] = True
-        self._fixed_at = np.flatnonzero(self.fixed)  # indexes faster than the mask
+        fixed = np.zeros(ndof, dtype=bool)
+        fixed[list(fixed_dofs)] = True
+        self._fixed_at = np.flatnonzero(fixed)  # indexes faster than a mask
 
         # global (row, column) of each element-matrix entry, element-major
-        self.i_idx = np.repeat(edof, 8, axis=1).ravel()
-        self.j_idx = np.tile(edof, (1, 8)).ravel()
+        i_idx = np.repeat(edof, 8, axis=1).ravel()
+        j_idx = np.tile(edof, (1, 8)).ravel()
 
         # banded assembly operator: the constrained lower band, stored
         # Fortran-order as LAPACK reads it (entry (i, j) of the matrix at
@@ -266,9 +243,9 @@ class GridKernel:
         # product is scattered into a zeroed band.
         bw = int(np.max(edof.max(axis=1) - edof.min(axis=1)))
         self.bandwidth = bw
-        keep = (self.i_idx >= self.j_idx) & ~self.fixed[self.i_idx] & ~self.fixed[self.j_idx]
+        keep = (i_idx >= j_idx) & ~fixed[i_idx] & ~fixed[j_idx]
         self._band_rows, rows = np.unique(
-            (self.j_idx * (bw + 1) + self.i_idx - self.j_idx)[keep], return_inverse=True)
+            (j_idx * (bw + 1) + i_idx - j_idx)[keep], return_inverse=True)
         cols = np.repeat(np.arange(grid.nel), 64)[keep]
         data = np.tile(self.ke.ravel(), grid.nel)[keep]
         self._band_op = scipy.sparse.csr_matrix(
@@ -350,19 +327,24 @@ class GridKernel:
         solve_rhs = self.factorize(emod)
         u = solve_rhs(fc)
         prev = math.inf
+        limit = None  # the acceptance limit at the current ``u``, once computed
         for step in range(5):
             r = fc - self.apply_constrained(emod, u)
             r[self._fixed_at] = 0.0
             resid = math.sqrt(r @ r)
-            if resid <= RESID_TOL * fnorm or step == 4 or (
-                    resid > 0.5 * prev and resid <= self._resid_limit(emod, u, fnorm)):
+            if resid <= RESID_TOL * fnorm or step == 4:
                 break
-            prev = resid
+            if resid > 0.5 * prev:
+                limit = self._resid_limit(emod, u, fnorm)
+                if resid <= limit:
+                    break
+            prev, limit = resid, None
             u = u + solve_rhs(r)
 
         # the limit is never below 10*RESID_TOL*fnorm: skip it when inside
         if not resid <= 10 * RESID_TOL * fnorm:
-            limit = self._resid_limit(emod, u, fnorm)
+            if limit is None:
+                limit = self._resid_limit(emod, u, fnorm)
             if not np.isfinite(resid) or resid > limit:
                 raise SolverError(f"linear solve residual {resid:.3e} exceeds "
                                   f"limit {limit:.3e}", residual=resid)
@@ -421,17 +403,13 @@ def preset(name: str, nelx: int | None = None, nely: int | None = None) -> Probl
         fixed = {2 * g.node_id(0, iy) for iy in range(ny + 1)}
         fixed.add(2 * g.node_id(nx, ny) + 1)
         loads = ((2 * g.node_id(0, 0) + 1, -1.0),)
-        return ProblemSpec(g, loads, frozenset(fixed), name="mbb",
-                           length=nx / ny, height=1.0, thickness=1.0,
-                           symmetry_factor=2.0)
+        return ProblemSpec(g, loads, frozenset(fixed), name="mbb", symmetry_factor=2.0)
     if key == "bridge":
         fixed = {2 * g.node_id(0, ny), 2 * g.node_id(0, ny) + 1,
                  2 * g.node_id(nx, ny) + 1}
         mag = -1.0 / np.sqrt(nx + 1.0)
         loads = tuple((2 * g.node_id(ix, ny) + 1, mag) for ix in range(nx + 1))
-        return ProblemSpec(g, loads, frozenset(fixed), name="bridge",
-                           length=nx / ny, height=1.0, thickness=1.0,
-                           symmetry_factor=1.0)
+        return ProblemSpec(g, loads, frozenset(fixed), name="bridge")
     # complex
     fixed = set()
     for iy in range(ny + 1):
@@ -439,6 +417,4 @@ def preset(name: str, nelx: int | None = None, nely: int | None = None) -> Probl
         fixed.add(2 * g.node_id(0, iy) + 1)
     loads = ((2 * g.node_id(nx, ny) + 1, -0.8),
              (2 * g.node_id(nx // 2, 0) + 1, -0.6))
-    return ProblemSpec(g, loads, frozenset(fixed), name="complex",
-                       length=nx / ny, height=1.0, thickness=1.0,
-                       symmetry_factor=1.0)
+    return ProblemSpec(g, loads, frozenset(fixed), name="complex")

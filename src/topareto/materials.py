@@ -219,15 +219,16 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
     a problem is supplied, the tied candidates are re-scored by
     :func:`refine_vf` and the lower final mass wins. With a problem, the
     trail warns when the load case's aspect ``L/h`` differs by more than
-    ``ASPECT_TOL`` from the physical part the problem models (its
-    ``length/height``, times ``symmetry_factor`` for a model mirrored
-    along its length, as the half-MBB is); the ranking does not change.
+    ``ASPECT_TOL`` from the physical part the problem models (its grid's
+    ``nelx/nely``, as the elements are unit squares, times
+    ``symmetry_factor`` for a model mirrored along its length, as the
+    half-MBB is); the ranking does not change.
     """
     if not mats:
         raise InvalidArgumentError("material list must be nonempty")
     trail = [f"candidates: {', '.join(mt.name for mt in mats)}"]
     if problem is not None:
-        aspect = problem.symmetry_factor * problem.length / problem.height
+        aspect = problem.symmetry_factor * (problem.grid.nelx / problem.grid.nely)
         lc_aspect = lc.length / lc.height
         if abs(lc_aspect / aspect - 1.0) > ASPECT_TOL:
             trail.append(f"warning: load case aspect L/h = {lc_aspect:.4g} "

@@ -88,14 +88,23 @@ class OptimizerConfig:
 class DesignResult:
     """Outcome of one optimization run."""
 
+    # the summary values that follow from the fields
+    DERIVED = ("vf", "iterations", "descent_violations")
+
     densities: DensityField
     compliance_p: float
     compliance_p1: float
-    vf: float
-    iterations: int
     converged: bool
     # penalized compliance of every iteration, in order
-    history: tuple[float, ...] = ()
+    history: tuple[float, ...]
+
+    @property
+    def vf(self) -> float:
+        return self.densities.volume_fraction
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
     @property
     def descent_violations(self) -> int:
@@ -104,21 +113,24 @@ class DesignResult:
                    for prev, c in zip(self.history, self.history[1:]))
 
     def summary(self) -> dict:
-        """Every field but the densities, and ``descent_violations``."""
-        return {"descent_violations": self.descent_violations,
-                **{f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name != "densities"}}
+        """Every field but the densities, and the ``DERIVED`` values."""
+        names = [f.name for f in fields(self) if f.name != "densities"]
+        return {name: getattr(self, name) for name in (*names, *self.DERIVED)}
 
 
 def filter_build(grid: Grid, rmin: float) -> scipy.sparse.csr_matrix:
     """Row-normalized cone filter: w_ij = max(0, rmin - dist(i, j))."""
     if rmin < 1:
         raise InvalidArgumentError("rmin must be >= 1")
-    return _filter_cached(grid, float(rmin))
+    return _filter_cached(grid, float(rmin))[0]
 
 
 @lru_cache(maxsize=64)
-def _filter_cached(grid: Grid, rmin: float) -> scipy.sparse.csr_matrix:
+def _filter_cached(grid: Grid, rmin: float):
+    """The filter ``w`` of :func:`filter_build`, and the read-only arrays
+    every ``optimize`` run on ``(grid, rmin)`` shares: ``w.T`` as CSR, the
+    volume weights (``weights @ x`` is the mean of ``w @ x``), the volume
+    sensitivity ``dv`` and ``w.T @ dv``."""
     nelx, nely, nel = grid.nelx, grid.nely, grid.nel
     reach = int(np.ceil(rmin)) - 1
     ex = np.arange(nelx)
@@ -141,20 +153,11 @@ def _filter_cached(grid: Grid, rmin: float) -> scipy.sparse.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nel, nel)).tocsr()
     rowsum = np.asarray(h.sum(axis=1)).ravel()
-    inv = scipy.sparse.diags(1.0 / rowsum)
-    return (inv @ h).tocsr()
-
-
-@lru_cache(maxsize=64)
-def _filter_invariants(grid: Grid, rmin: float):
-    """Read-only arrays every ``optimize`` run on ``(grid, rmin)`` shares:
-    ``w.T`` as CSR, the volume weights (``weights @ x`` is the mean of
-    ``w @ x``), the volume sensitivity ``dv`` and ``w.T @ dv``."""
-    w = _filter_cached(grid, rmin)
+    w = (scipy.sparse.diags(1.0 / rowsum) @ h).tocsr()
     w_t = w.T.tocsr()
-    dv = np.full(grid.nel, 1.0 / grid.nel)
-    out = (w_t, np.asarray(w.sum(axis=0)).ravel() / grid.nel, dv, w_t.dot(dv))
-    for a in (w_t.data, w_t.indices, w_t.indptr, *out[1:]):
+    dv = np.full(nel, 1.0 / nel)
+    out = (w, w_t, np.asarray(w.sum(axis=0)).ravel() / nel, dv, w_t.dot(dv))
+    for a in (w_t.data, w_t.indices, w_t.indptr, *out[2:]):
         a.flags.writeable = False
     return out
 
@@ -267,7 +270,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     f = problem.load_vector()
     rmin = cfg.resolve_rmin(grid)
     w = filter_build(grid, rmin)
-    w_t, weights, dv, dv_t = _filter_invariants(grid, float(rmin))
+    _, w_t, weights, dv, dv_t = _filter_cached(grid, float(rmin))
     # the filter kind fixes the physical field of the design variables (the
     # design itself under the sensitivity filter), the filtered sensitivity,
     # the volume weights and the volume sensitivity
@@ -333,8 +336,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     compliance_p = float(f @ u)
     densities = DensityField(x_phys)
     compliance_p1 = evaluate_p1(problem, densities)
-    return DesignResult(densities, compliance_p, compliance_p1, achieved,
-                        len(history), converged, tuple(history))
+    return DesignResult(densities, compliance_p, compliance_p1, converged, tuple(history))
 
 
 def _oc_update(x, dc, dv, target_vf, weights, lm_hint=None):

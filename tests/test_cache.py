@@ -16,8 +16,8 @@ from topareto.errors import InvalidArgumentError
 def make_result(n=12):
     rng = np.random.default_rng(1)
     # one compliance increase in the history: descent_violations is 1
-    return DesignResult(DensityField(rng.random(n)), 12.5, 11.25, 0.5,
-                        42, True, (13.0, 12.0, 12.5))
+    return DesignResult(DensityField(rng.random(n)), 12.5, 11.25, True,
+                        (13.0, 12.0, 12.5))
 
 
 class TestRunCache:
@@ -98,10 +98,16 @@ class TestRunCache:
         lambda meta, root: meta.update(iterations=True),
         lambda meta, root: meta.update(converged=1),
         lambda meta, root: np.save(root / "k.npy", np.full(12, np.nan)),
+        lambda meta, root: meta.update(iterations=meta["iterations"] + 1),
+        lambda meta, root: meta.update(vf=meta["vf"] + 1e-9),
+        lambda meta, root: meta.pop("vf"),
+        lambda meta, root: np.save(root / "k.npy", np.full(12, 0.5)),
     ], ids=["no history", "no descent_violations", "history not a list",
             "compliance_p1 a string", "compliance_p1 NaN", "compliance_p inf",
             "vf null", "history NaN", "history string", "iterations float",
-            "iterations bool", "converged int", "densities NaN"])
+            "iterations bool", "converged int", "densities NaN",
+            "iterations not the history length", "vf not the density mean",
+            "no vf", "densities not of the stored vf"])
     def test_malformed_entry_is_a_miss(self, tmp_path, edit):
         cache = RunCache(tmp_path)
         cache.put("k", make_result())

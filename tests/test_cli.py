@@ -16,6 +16,10 @@ SELECT_LOAD = ["--force", "20e3", "--delta-max", "5e-3", "--thickness", "5e-3",
                "--length", "2.0", "--height", "0.5"]
 
 
+# a custom problem document: a 4x2 cantilever
+SMALL_PROBLEM = {"nelx": 4, "nely": 2, "loads": [[29, -1.0]],
+                 "fixed_dofs": [0, 1, 2, 3, 4, 5]}
+
 # a UTF-16 byte-order mark: not UTF-8
 NOT_UTF8 = b"\xff\xfe\x00bad"
 
@@ -432,6 +436,15 @@ class TestConfigPrecedence:
         ({"sweep": {"points": 0.5}}, "sweep.points must be a JSON array"),
         ({"optimizer": [1, 2]}, "optimizer must be a JSON object"),
         ([1, 2], "config must be a JSON object"),
+        # keys the program does not read
+        ({"sweep": {"point": [0.3]}}, "unknown sweep key(s) ['point']"),
+        ({"anchor_vff": 0.3}, "unknown config key(s) ['anchor_vff']"),
+        ({"sweep": {"points": [0.3]}, "out": "x", "sigmas": 1},
+         "unknown config key(s) ['out', 'sigmas']"),
+        ({"problem": {**SMALL_PROBLEM, "L": 2.0}}, "unknown problem key(s) ['L']"),
+        ({"problem": {**SMALL_PROBLEM, "h": 1.0, "t": 1.0}},
+         "unknown problem key(s) ['h', 't']"),
+        ({"cache_dir": 5}, "cache directory must be a string, got 5"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -490,6 +503,46 @@ class TestConfigPrecedence:
             assert code == 2
             err = capsys.readouterr().err
             assert "bad optimizer config" in err and key in err
+
+    def test_every_config_key_accepted(self, tmp_path):
+        # the keys of the benchmark pipeline's config, and all the others
+        doc = {"problem": "mbb", "nelx": 12, "nely": 6,
+               "optimizer": {"max_iters": 5}, "sweep": {"points": [0.3]},
+               "out_dir": str(tmp_path / "o"), "cache_dir": str(tmp_path / "c"),
+               "workers": 1, "rounds": 1, "min_threshold": 0.01,
+               "drop_threshold": 0.01, "sigma": 0.05, "anchor_vf": 0.3,
+               "tie_tol": 0.02}
+        for sweep in ({"points": [0.3]}, {"count": 3, "lo": 0.1, "hi": 0.9}):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({**doc, "sweep": sweep}))
+            cfg = cli._load_config(cli.build_parser().parse_args(
+                ["--config", str(cfgfile), "pareto"]))
+            assert (cfg.anchor_vf, cfg.optimizer.max_iters) == (0.3, 5)
+            assert len(cfg.vf_grid) == len(sweep.get("points", [0] * 3))
+
+    @pytest.mark.parametrize("command, flag", [
+        (["pareto", "--strategy", "baseline"], "--out"),
+        (["optimize", "--vf", "0.5"], "--out"),
+        (["optimize", "--vf", "0.5"], "--cache"),
+        (["pareto", "--strategy", "baseline"], "--cache"),
+    ])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_file_as_directory_exit_2(self, tmp_path, capsys, monkeypatch,
+                                      command, flag, under_file):
+        # checked before any optimization runs, and nothing is created
+        from topareto import pareto
+        monkeypatch.setattr(pareto, "run_optimizations",
+                            lambda *a, **k: pytest.fail("optimization ran"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "sub" if under_file else blocker
+        other = "--cache" if flag == "--out" else "--out"
+        code = run([command[0], *tiny(flag, str(path), other, str(tmp_path / "x")),
+                    *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"directory {path}: {blocker} is not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     @pytest.mark.parametrize("name, value, minimum", [
         ("rounds", "2.7", 0), ("rounds", "-1", 0),

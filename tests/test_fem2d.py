@@ -24,19 +24,23 @@ class TestGrid:
         for ix in range(6):
             for iy in range(4):
                 assert g.node_id(ix, iy) == ref.node_id(ix, iy, 3)
-        # elements in the reference table's order
+        # elements in the reference table's order: element ``el`` has the
+        # bottom-left node of column ``ex``, row ``ey + 1``
         pairs = [(ex, ey) for ex in range(5) for ey in range(3)]
-        assert [g.element_coords(el) for el in range(g.nel)] == pairs
+        edof = fem2d.GridKernel(g, frozenset()).edof
+        assert [edof[el, 0] // 2 for el in range(g.nel)] == \
+            [g.node_id(ex, ey + 1) for ex, ey in pairs]
 
     def test_bad_grid(self):
         with pytest.raises(InvalidArgumentError):
             Grid(0, 3)
 
     def test_element_dofs_match_reference_convention(self):
-        g = Grid(4, 3)
-        table = ref.element_dof_table(4, 3)
-        for el in range(g.nel):
-            assert np.array_equal(g.element_dofs(el), table[el])
+        # the rows of the kernel's DOF table, one per element
+        for shape in ((1, 1), (4, 3), (7, 1), (1, 5), (30, 10)):
+            edof = fem2d.GridKernel(Grid(*shape), frozenset()).edof
+            assert edof.dtype == np.int64
+            assert np.array_equal(edof, ref.element_dof_table(*shape)), shape
 
 
 class TestElementStiffness:
@@ -142,13 +146,16 @@ def _bincount_band(kern, emod):
     """Lower band of the constrained stiffness by a scatter-add over the
     element matrices in element order (the assembly before the CSR
     operator), C-ordered."""
-    i, j = kern.i_idx, kern.j_idx
-    keep = (i >= j) & ~kern.fixed[i] & ~kern.fixed[j]
+    i = np.repeat(kern.edof, 8, axis=1).ravel()
+    j = np.tile(kern.edof, (1, 8)).ravel()
+    fixed = np.zeros(kern.ndof, dtype=bool)
+    fixed[kern._fixed_at] = True
+    keep = (i >= j) & ~fixed[i] & ~fixed[j]
     vals = (emod[:, None] * kern.ke.ravel()[None, :])[keep.reshape(-1, 64)]
     shape = (kern.bandwidth + 1, kern.ndof)
     ab = np.bincount(((i - j) * kern.ndof + j)[keep], weights=vals,
                      minlength=shape[0] * shape[1]).reshape(shape)
-    ab[0, kern.fixed] = 1.0
+    ab[0, fixed] = 1.0
     return ab
 
 
@@ -188,7 +195,7 @@ class TestBitIdentity:
         prev = np.inf
         for _ in range(4):
             r = fc - kern.apply_constrained(emod, u)
-            r[kern.fixed] = 0.0
+            r[kern._fixed_at] = 0.0
             resid = np.linalg.norm(r)
             if resid <= fem2d.RESID_TOL * fnorm:
                 break
@@ -197,7 +204,7 @@ class TestBitIdentity:
                 break
             prev = resid
             u = u + scipy.linalg.cho_solve_banded((cb, True), r)
-        u[kern.fixed] = 0.0
+        u[kern._fixed_at] = 0.0
         assert np.array_equal(kern.solve(emod, f), u)
 
     @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
@@ -315,14 +322,18 @@ class TestRefinementStop:
     def test_stalled_solve_stops_early_and_is_accepted(self):
         problem = preset("mbb", 60, 20)
         kern, calls = _counting_back_solves(problem)
+        limits, resid_limit = [], kern._resid_limit
+        kern._resid_limit = lambda *args: limits.append(1) or resid_limit(*args)
         # void-solid at 1e-9 contrast: the residual stalls near 1e-5 relative
         emod = _random_emod(problem, 12, void_solid=True)
         f = problem.load_vector()
         u = kern.solve(emod, f)
         assert 1 < len(calls) <= 3
+        # the limit that ended the loop also accepts the solve
+        assert len(limits) == 1
         fc = kern.constrained_rhs(f)
         r = fc - kern.apply_constrained(emod, u)
-        r[kern.fixed] = 0.0
+        r[kern._fixed_at] = 0.0
         fnorm = np.linalg.norm(fc)
         assert fem2d.RESID_TOL * fnorm < np.linalg.norm(r) <= kern._resid_limit(emod, u, fnorm)
 

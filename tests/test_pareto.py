@@ -287,7 +287,7 @@ class TestRace:
                     task["init_kind"], 5.0)
                 iters = 5 if task["init_kind"] == "vstripes2" else cfg_.max_iters
                 out.append(DesignResult(DensityField(np.full(32, 0.5)), c, c,
-                                        0.5, iters, False))
+                                        False, (c,) * iters))
             return out
 
         monkeypatch.setattr(par, "run_optimizations", fake)
@@ -441,7 +441,7 @@ class TestRefine:
 def _fake_result(problem, vf, c):
     from topareto.simp import DesignResult
     values = np.full(problem.grid.nel, vf)
-    return DesignResult(DensityField(values), c, c, vf, 1, True)
+    return DesignResult(DensityField(values), c, c, True, (c,))
 
 
 class TestTheoryBounds:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from topareto import materials, pareto
+from topareto.cache import RunCache
 from topareto.metamodel import MetaModel, eval_front
 from topareto.simp import OptimizerConfig
 
@@ -48,6 +49,28 @@ def test_optimize_calls_traced_kernel_methods_once_per_iteration(tiny_mbb,
     assert res.iterations == 6 and not res.converged
     assert calls == {"solve": res.iterations + 2,
                      "element_energies": res.iterations}
+
+
+def test_result_attributes_the_benchmark_reads(tiny_mbb, tmp_path):
+    # the result checks and the tracer's tags read these, on fresh results
+    # and on cache hits alike
+    cache = RunCache(tmp_path)
+    tasks = [{"vf": 0.4, "init_kind": "uniform"}]
+    cfg = OptimizerConfig(max_iters=5)
+    fresh = pareto.run_optimizations(tiny_mbb, tasks, cfg, cache)[0]
+    hit = pareto.run_optimizations(tiny_mbb, tasks, cfg, cache)[0]
+    assert hit is not fresh
+    types = {"vf": float, "iterations": int, "converged": bool,
+             "descent_violations": int, "compliance_p": float,
+             "compliance_p1": float}
+    for res in (fresh, hit):
+        for name, kind in types.items():
+            assert type(getattr(res, name)) is kind, name
+        assert type(res.densities.volume_fraction) is float
+        assert res.densities.values.dtype == float
+        assert res.vf == res.densities.volume_fraction
+        assert res.iterations == len(res.history) == 5
+    assert fresh.summary() == hit.summary()
 
 
 def test_sweeps_called_by_name_exist():

@@ -51,7 +51,7 @@ class TestFilterBuild:
         # diagonal neighbors 1.5-sqrt(2); everything further is outside
         grid = Grid(5, 5)
         w = filter_build(grid, 1.5)
-        eid = {grid.element_coords(el): el for el in range(grid.nel)}
+        eid = {divmod(el, grid.nely): el for el in range(grid.nel)}
         center = eid[2, 2]
         impulse = np.zeros(25)
         impulse[center] = 1.0
@@ -82,10 +82,10 @@ class TestFilterInvariants:
 
     def test_cached_equal_fresh_and_read_only(self):
         grid = Grid(12, 6)
-        got = simp_mod._filter_invariants(grid, 2.5)
-        assert simp_mod._filter_invariants(grid, 2.5) is got
-        w_t, weights, dv, dv_t = got
-        w = filter_build(grid, 2.5)
+        got = simp_mod._filter_cached(grid, 2.5)
+        assert simp_mod._filter_cached(grid, 2.5) is got
+        w, w_t, weights, dv, dv_t = got
+        assert filter_build(grid, 2.5) is w
         fresh = w.T.tocsr()
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(w_t, name), getattr(fresh, name)), name
@@ -102,7 +102,7 @@ class TestFilterInvariants:
     def test_csr_dot_equals_matmul_on_filter(self, shape, rmin):
         grid = Grid(*shape)
         w = filter_build(grid, rmin)
-        w_t = simp_mod._filter_invariants(grid, rmin)[0]
+        w_t = simp_mod._filter_cached(grid, rmin)[1]
         rng = np.random.default_rng(16)
         for scale in (1e-9, 1.0, 1e9):
             x = rng.random(grid.nel) * scale
