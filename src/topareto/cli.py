@@ -30,7 +30,7 @@ from . import svgplot
 from .cache import RunCache
 from .errors import (InfeasibleProblemError, InfeasibleStiffnessError,
                      InvalidArgumentError, ParseError, SolverError,
-                     SweepFailureError, ToparetoError, ValidationError)
+                     SweepFailureError, ToparetoError)
 from .fem2d import ProblemSpec, preset
 from .simp import OptimizerConfig
 
@@ -102,6 +102,11 @@ def _load_config(args) -> RunConfig:
     for name in ("penal", "rmin", "filter_kind"):
         if getattr(args, name, None) is not None:
             opt_doc[name] = getattr(args, name)
+    for name in ("penal", "rmin"):
+        if opt_doc.get(name) is not None:
+            opt_doc[name] = _finite(opt_doc[name], f"optimizer.{name}")
+    if "max_iters" in opt_doc:
+        opt_doc["max_iters"] = _integer(opt_doc["max_iters"], "optimizer.max_iters", 1)
     try:
         optimizer = OptimizerConfig(**opt_doc)
     except TypeError as exc:
@@ -316,7 +321,7 @@ def cmd_select(args) -> int:
     cfg = _load_config(args)
     mats = mat_mod.load_materials(args.materials)
     if not mats:
-        raise ValidationError(f"no materials in {args.materials}")
+        raise InvalidArgumentError(f"no materials in {args.materials}")
     lc = mat_mod.LoadCase(force=args.force, delta_max=args.delta_max,
                           thickness=args.thickness, length=args.length,
                           height=args.height)
@@ -400,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, ParseError, ValidationError) as exc:
+    except (InvalidArgumentError, ParseError) as exc:
         line = f" (line {exc.line})" if isinstance(exc, ParseError) and exc.line else ""
         print(f"error: invalid input{line}: {exc}", file=sys.stderr)
         return 2

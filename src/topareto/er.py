@@ -3,8 +3,9 @@
 The efficiency ratio of a front C(v) is ``-v * C'(v) / C(v)``: the marginal
 stiffening efficiency of added material relative to the mean efficiency of
 the material already placed. It equals the negated log-log slope of the
-front, so it is computed here with central differences in log-log space,
-where power-law fronts ``C = A v^-n`` are differentiated exactly.
+front, so it is ``np.gradient`` of ln C over ln v (nonuniform 3-point
+differences, one-sided at the ends), exact for power-law fronts
+``C = A v^-n``.
 
 Closed-form constant-ratio components (tension rod, square-section
 cantilever beam, bending plate) are provided for validation: their fronts
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
-from .pareto import DEFAULT_SIGMA, FrontPoint, ParetoFront, envelope, smooth
+from .pareto import DEFAULT_SIGMA, FrontPoint, ParetoFront, check_vfs, envelope, smooth
 
 ER_LOWER_BOUND = -0.02
 ER_UPPER_BOUND = 1.02
@@ -36,11 +37,7 @@ class ErSeries:
     def __post_init__(self):
         pts = tuple((float(v), float(n)) for v, n in self.points)
         object.__setattr__(self, "points", pts)
-        if not pts:
-            raise InvalidArgumentError("series must be nonempty")
-        vfs = [v for v, _ in pts]
-        if any(b <= a for a, b in zip(vfs, vfs[1:])):
-            raise InvalidArgumentError("vf must be strictly increasing")
+        check_vfs([v for v, _ in pts])
         if self.source not in ("raw", "filtered"):
             raise InvalidArgumentError(f"unknown source {self.source!r}")
 
@@ -79,33 +76,12 @@ class ErSeries:
         return ErSeries(tuple(pts), source)
 
 
-def _loglog_slope(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """d(ln c)/d(ln v) with 3-point nonuniform central differences.
-
-    One-sided two-point differences at the ends. Exact for power laws on
-    any grid since ln c is then linear in ln v.
-    """
-    t = np.log(v)
-    z = np.log(c)
-    n = len(t)
-    out = np.empty(n)
-    out[0] = (z[1] - z[0]) / (t[1] - t[0])
-    out[-1] = (z[-1] - z[-2]) / (t[-1] - t[-2])
-    if n > 2:
-        h1 = t[1:-1] - t[:-2]
-        h2 = t[2:] - t[1:-1]
-        out[1:-1] = (-h2 / (h1 * (h1 + h2)) * z[:-2]
-                     + (h2 - h1) / (h1 * h2) * z[1:-1]
-                     + h1 / (h2 * (h1 + h2)) * z[2:])
-    return out
-
-
 def compute_er(front: ParetoFront) -> ErSeries:
     """Raw efficiency ratio ``-v C'/C`` of a front."""
     if len(front) < 3:
         raise InvalidArgumentError("need at least 3 front points")
     v = front.vfs()
-    n = -_loglog_slope(v, front.cs())
+    n = -np.gradient(np.log(front.cs()), np.log(v))
     return ErSeries(tuple(zip(v, n)), source="raw")
 
 

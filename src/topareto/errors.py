@@ -48,7 +48,3 @@ class ParseError(ToparetoError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-
-
-class ValidationError(ToparetoError):
-    """Well-formed input with invalid content."""

@@ -89,14 +89,16 @@ class ProblemSpec:
         if not self.loads:
             raise InvalidArgumentError("loads must be nonempty")
         ndof = self.grid.ndof
-        for dof, _ in self.loads:
+        for dof, mag in self.loads:
             if not 0 <= dof < ndof:
                 raise InvalidArgumentError(f"load DOF {dof} out of range (ndof={ndof})")
+            if not math.isfinite(mag):
+                raise InvalidArgumentError(f"loads magnitude {mag} at DOF {dof} is not finite")
         for dof in self.fixed_dofs:
             if not 0 <= dof < ndof:
                 raise InvalidArgumentError(f"fixed DOF {dof} out of range (ndof={ndof})")
-        if self.symmetry_factor <= 0:
-            raise InvalidArgumentError("symmetry_factor must be positive")
+        if not 0 < self.symmetry_factor < math.inf:
+            raise InvalidArgumentError("symmetry_factor must be positive and finite")
 
     def load_vector(self) -> np.ndarray:
         f = np.zeros(self.grid.ndof)
@@ -133,12 +135,19 @@ class ProblemSpec:
         if unknown:
             raise InvalidArgumentError(f"unknown problem key(s) {sorted(unknown)}")
         return ProblemSpec(
-            grid=Grid(int(doc["nelx"]), int(doc["nely"])),
-            loads=tuple((int(d), float(m)) for d, m in doc["loads"]),
-            fixed_dofs=frozenset(int(d) for d in doc["fixed_dofs"]),
+            grid=Grid(_json_int(doc["nelx"], "nelx"), _json_int(doc["nely"], "nely")),
+            loads=tuple((_json_int(d, "loads DOF"), float(m)) for d, m in doc["loads"]),
+            fixed_dofs=frozenset(_json_int(d, "fixed_dofs entry") for d in doc["fixed_dofs"]),
             name=str(doc.get("name", "problem")),
             symmetry_factor=float(doc.get("symmetry_factor", 1.0)),
         )
+
+
+def _json_int(value, name: str) -> int:
+    """An integer of a problem document; a bool or a float is invalid."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

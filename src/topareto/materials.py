@@ -21,8 +21,7 @@ from pathlib import Path
 
 from .cache import RunCache
 from .errors import (FitInfeasibleError, InfeasibleProblemError,
-                     InfeasibleStiffnessError, InvalidArgumentError,
-                     ParseError, ValidationError)
+                     InfeasibleStiffnessError, InvalidArgumentError, ParseError)
 from .fem2d import ProblemSpec
 from .metamodel import MetaModel, fit, inverse
 from .pareto import run_optimizations
@@ -45,7 +44,7 @@ class Material:
         if not self.name:
             raise InvalidArgumentError("material needs a name")
         if not (0 < self.e < math.inf and 0 < self.rho < math.inf):
-            raise ValidationError(
+            raise InvalidArgumentError(
                 f"{self.name}: modulus and density must be positive and finite")
 
 
@@ -67,6 +66,10 @@ class LoadCase:
     def required_compliance(self, mat: Material) -> float:
         """Dimensionless front value the material must reach: t E delta / F."""
         return self.thickness * mat.e * self.delta_max / self.force
+
+    def mass(self, mat: Material, vf: float) -> float:
+        """Mass in kg of the part in ``mat`` at volume fraction ``vf``."""
+        return self.length * self.height * self.thickness * vf * mat.rho
 
 
 @dataclass
@@ -130,10 +133,10 @@ def load_materials(path) -> list[Material]:
         except ValueError as exc:
             raise ParseError(f"bad number in row for {name!r}: {exc}", line=ln) from exc
         if not (0 < e_gpa < math.inf and 0 < rho < math.inf):
-            raise ValidationError(
+            raise InvalidArgumentError(
                 f"line {ln}: {name!r} needs positive finite modulus and density")
         if name in seen:
-            raise ValidationError(f"line {ln}: duplicate material {name!r}")
+            raise InvalidArgumentError(f"line {ln}: duplicate material {name!r}")
         seen.add(name)
         mats.append(Material(name, e_gpa * 1e9, rho))
     return mats
@@ -166,8 +169,12 @@ def screen_density(mats: list[Material]) -> list[Material]:
     """
     if not mats:
         raise InvalidArgumentError("material list must be nonempty")
-    ref = min(mats, key=lambda m: (m.rho / m.e, m.rho))
+    ref = _density_reference(mats)
     return [m for m in mats if m.rho >= ref.rho]
+
+
+def _density_reference(mats: list[Material]) -> Material:
+    return min(mats, key=lambda m: (m.rho / m.e, m.rho))
 
 
 def ashby_index(mat: Material, m: MetaModel, lc: LoadCase) -> tuple[float, float]:
@@ -205,8 +212,7 @@ def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
         except FitInfeasibleError:
             m1 = m0
     vf1 = inverse(m1, x_req)
-    mass = lc.length * lc.height * lc.thickness * vf1 * mat.rho
-    return vf1, mass, m1
+    return vf1, lc.mass(mat, vf1), m1
 
 
 def select(mats: list[Material], m: MetaModel, lc: LoadCase,
@@ -224,8 +230,6 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
     ``symmetry_factor`` for a model mirrored along its length, as the
     half-MBB is); the ranking does not change.
     """
-    if not mats:
-        raise InvalidArgumentError("material list must be nonempty")
     trail = [f"candidates: {', '.join(mt.name for mt in mats)}"]
     if problem is not None:
         aspect = problem.symmetry_factor * (problem.grid.nelx / problem.grid.nely)
@@ -241,7 +245,7 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
             trail.append(f"pareto screen removed {mt.name} (stiffer and lighter "
                          f"alternative exists)")
     kept2 = screen_density(kept1)
-    ref = min(kept1, key=lambda x: (x.rho / x.e, x.rho))
+    ref = _density_reference(kept1)
     for mt in kept1:
         if mt not in kept2:
             trail.append(f"density screen removed {mt.name} "
@@ -249,7 +253,6 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
     trail.append(f"density screen reference: {ref.name} "
                  f"(lowest rho/E = {ref.rho / ref.e:.4g})")
 
-    indices: list[tuple[str, float, float]] = []
     scored: list[tuple[Material, float, float]] = []
     for mt in kept2:
         try:
@@ -257,18 +260,17 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
         except InfeasibleStiffnessError:
             trail.append(f"{mt.name}: infeasible (full design too compliant)")
             continue
-        indices.append((mt.name, f4, vf))
         scored.append((mt, f4, vf))
         trail.append(f"{mt.name}: index {f4:.6g} kg/m^3 at vf {vf:.6g}")
     if not scored:
         raise InfeasibleProblemError(
             "no screened material can satisfy the stiffness constraint")
 
-    scored.sort(key=lambda t: (t[1], t[0].name))
-    best, best_f4, best_vf = scored[0]
-    near = [mt for mt, f4, _ in scored[1:] if f4 <= best_f4 * (1.0 + tie_tol)]
+    ranked = sorted(scored, key=lambda t: (t[1], t[0].name))
+    best, best_f4, best_vf = ranked[0]
+    near = [mt for mt, f4, _ in ranked[1:] if f4 <= best_f4 * (1.0 + tie_tol)]
     winner, winner_vf = best, best_vf
-    winner_mass = lc.length * lc.height * lc.thickness * winner_vf * winner.rho
+    winner_mass = lc.mass(winner, winner_vf)
 
     if near:
         trail.append(f"near-tie within {tie_tol:.0%}: "
@@ -293,7 +295,7 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
     return SelectionReport(
         kept_after_pareto=[mt.name for mt in kept1],
         kept_after_density=[mt.name for mt in kept2],
-        indices=indices,
+        indices=[(mt.name, f4, vf) for mt, f4, vf in scored],
         winner=winner,
         winner_vf=winner_vf,
         winner_mass=winner_mass,

@@ -39,6 +39,9 @@ class MetaModel:
             raise InvalidArgumentError("model constants must be positive and finite")
         fp = tuple((float(x), float(c)) for x, c in self.fit_points)
         object.__setattr__(self, "fit_points", fp)
+        if len(fp) != 2 or not all(0 < x <= 1 and 0 < c < np.inf for x, c in fp):
+            raise InvalidArgumentError("fit_points must be two (vf, c) pairs with vf "
+                                       f"in (0, 1] and c positive and finite, got {fp}")
 
     def to_json(self) -> str:
         return json.dumps({

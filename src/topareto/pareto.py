@@ -76,13 +76,7 @@ class ParetoFront:
         pts = tuple(FrontPoint(float(p.vf), float(p.c), str(p.provenance))
                     for p in self.points)
         object.__setattr__(self, "points", pts)
-        if not pts:
-            raise InvalidArgumentError("front must have at least one point")
-        vfs = [p.vf for p in pts]
-        if any(b <= a for a, b in zip(vfs, vfs[1:])):
-            raise InvalidArgumentError("volume fractions must be strictly increasing")
-        if not all(0 < v <= 1 for v in vfs):
-            raise InvalidArgumentError("volume fractions must lie in (0, 1]")
+        check_vfs([p.vf for p in pts])
         if not all(0 < p.c < np.inf for p in pts):
             raise InvalidArgumentError("compliances must be positive and finite")
 
@@ -332,14 +326,15 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     return [found[key] for key in keys]  # type: ignore[index]
 
 
-def _validate_grid_arg(vf_grid) -> list[float]:
-    vfs = [float(v) for v in vf_grid]
+def check_vfs(vfs) -> list[float]:
+    """Volume fractions as floats: one or more, strictly increasing, in (0, 1]."""
+    vfs = [float(v) for v in vfs]
     if not vfs:
-        raise InvalidArgumentError("vf grid must be nonempty")
+        raise InvalidArgumentError("need at least one volume fraction")
     if any(b <= a for a, b in zip(vfs, vfs[1:])):
-        raise InvalidArgumentError("vf grid must be sorted strictly increasing")
-    if vfs[0] <= 0 or vfs[-1] > 1:
-        raise InvalidArgumentError("vf grid must lie in (0, 1]")
+        raise InvalidArgumentError("volume fractions must be strictly increasing")
+    if not all(0 < v <= 1 for v in vfs):
+        raise InvalidArgumentError("volume fractions must lie in (0, 1]")
     return vfs
 
 
@@ -347,16 +342,42 @@ def default_vf_grid(count: int = 50, lo: float = 0.02, hi: float = 1.0) -> list[
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
+def start_tasks(vfs, kinds) -> list[dict]:
+    """A task per volume fraction and start kind, in that order. A kind
+    outside ``UNBOUNDED_KINDS`` races against its vf's first task."""
+    tasks = []
+    for vf in vfs:
+        ref = len(tasks)
+        for kind in kinds:
+            task = {"vf": vf, "init_kind": kind}
+            if kind not in UNBOUNDED_KINDS:
+                task["bound_by"] = ref
+            tasks.append(task)
+    return tasks
+
+
+def _sweep(problem: ProblemSpec, vf_grid, kinds, cfg: OptimizerConfig, cache, workers,
+           report) -> tuple[ParetoFront, list[DesignResult]]:
+    """At every vf, the first of ``kinds`` with the lowest penalization-1
+    compliance among the starts that finished; uniform always finishes."""
+    vfs = check_vfs(vf_grid)
+    results = run_optimizations(problem, start_tasks(vfs, kinds), cfg, cache,
+                                workers, report)
+    pts, winners = [], []
+    for i, vf in enumerate(vfs):
+        block = results[i * len(kinds):(i + 1) * len(kinds)]
+        finished = [j for j, res in enumerate(block) if not abandoned(res, cfg)]
+        best = min(finished, key=lambda j: block[j].compliance_p1)
+        pts.append(FrontPoint(vf, block[best].compliance_p1, kinds[best]))
+        winners.append(block[best])
+    return ParetoFront(tuple(pts)), winners
+
+
 def baseline_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
                     cache: RunCache | None = None, workers: int = 1,
                     report=None) -> tuple[ParetoFront, list[DesignResult]]:
     """One optimization per volume fraction from the uniform start."""
-    vfs = _validate_grid_arg(vf_grid)
-    tasks = [{"vf": vf, "init_kind": "uniform"} for vf in vfs]
-    results = run_optimizations(problem, tasks, cfg, cache, workers, report)
-    pts = tuple(FrontPoint(vf, res.compliance_p1, "uniform")
-                for vf, res in zip(vfs, results))
-    return ParetoFront(pts), results
+    return _sweep(problem, vf_grid, ("uniform",), cfg, cache, workers, report)
 
 
 def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
@@ -368,30 +389,9 @@ def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
     (``bound_by``, see :func:`run_optimizations`): a start whose penalized
     compliance at some iteration from the third on exceeds
     ``ABANDON_FACTOR`` times the uniform start's at the same iteration is
-    abandoned. The winner is the first start in
-    ``INITIAL_DESIGN_KINDS`` order with the lowest penalization-1
-    compliance among the finished ones; uniform always finishes.
+    abandoned.
     """
-    vfs = _validate_grid_arg(vf_grid)
-    kinds = INITIAL_DESIGN_KINDS
-    tasks = []
-    for vf in vfs:
-        ref = len(tasks)
-        for kind in kinds:
-            task = {"vf": vf, "init_kind": kind}
-            if kind not in UNBOUNDED_KINDS:
-                task["bound_by"] = ref
-            tasks.append(task)
-    results = run_optimizations(problem, tasks, cfg, cache, workers, report)
-    pts = []
-    winners = []
-    for i, vf in enumerate(vfs):
-        block = results[i * len(kinds):(i + 1) * len(kinds)]
-        finished = [j for j, res in enumerate(block) if not abandoned(res, cfg)]
-        best = min(finished, key=lambda j: block[j].compliance_p1)
-        pts.append(FrontPoint(vf, block[best].compliance_p1, kinds[best]))
-        winners.append(block[best])
-    return ParetoFront(tuple(pts)), winners
+    return _sweep(problem, vf_grid, INITIAL_DESIGN_KINDS, cfg, cache, workers, report)
 
 
 def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int,

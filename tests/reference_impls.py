@@ -240,3 +240,19 @@ def mbb_layout(nelx, nely):
     fixed.add(2 * node_id(nelx, nely, nely) + 1)
     loads = [(2 * node_id(0, 0, nely) + 1, -1.0)]
     return loads, fixed
+
+
+def loglog_slope(v, c):
+    """d(ln c)/d(ln v) with 3-point nonuniform central differences, and
+    one-sided two-point differences at the ends."""
+    t = np.log(v)
+    z = np.log(c)
+    out = np.empty(len(t))
+    out[0] = (z[1] - z[0]) / (t[1] - t[0])
+    out[-1] = (z[-1] - z[-2]) / (t[-1] - t[-2])
+    h1 = t[1:-1] - t[:-2]
+    h2 = t[2:] - t[1:-1]
+    out[1:-1] = (-h2 / (h1 * (h1 + h2)) * z[:-2]
+                 + (h2 - h1) / (h1 * h2) * z[1:-1]
+                 + h1 / (h2 * (h1 + h2)) * z[2:])
+    return out

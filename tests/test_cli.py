@@ -248,6 +248,18 @@ class TestSelectCmd:
         ('{"a": 3.28, "b": 2.0, "fit_points": 7}', "bad meta-model"),
         ("[1, 2]", "bad meta-model"),
         (b"\xff\xfe\x00", "can't decode"),
+        # fit points: exactly two finite pairs, vf in (0, 1], c > 0
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[1.0, 9.84]]}', "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84], [0.5, 20.0]]}',
+         "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[NaN, 36.0], [1.0, 9.84]]}',
+         "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, Infinity]]}',
+         "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 0.0]]}',
+         "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.5, 9.84]]}',
+         "fit_points must be two"),
     ])
     def test_bad_metamodel_exit_2(self, tmp_path, table1_csv, capsys, text,
                                   message):
@@ -385,10 +397,19 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("name", ["rounds", "min_threshold", "drop_threshold",
                                       "sigma", "anchor_vf", "tie_tol", "workers",
                                       "sweep.count", "sweep.lo", "sweep.hi",
-                                      "sweep.points"])
+                                      "sweep.points", "optimizer.penal",
+                                      "optimizer.rmin", "optimizer.max_iters"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_2(self, tmp_path, capsys, name, value):
         assert self._er_with_config(tmp_path, name, value) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--penal", "nan"), ("--penal", "inf"),
+                                       ("--rmin", "inf"), ("--rmin", "nan")])
+    def test_non_finite_optimizer_flag_exit_2(self, tmp_path, capsys, flags):
+        # the flag wins over the config's valid value
+        name = "optimizer." + flags[0][2:]
+        assert self._er_with_config(tmp_path, name, "3", *flags) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [("workers", '"two"'),
@@ -445,6 +466,24 @@ class TestConfigPrecedence:
         ({"problem": {**SMALL_PROBLEM, "h": 1.0, "t": 1.0}},
          "unknown problem key(s) ['h', 't']"),
         ({"cache_dir": 5}, "cache directory must be a string, got 5"),
+        # numbers of a custom problem: integral grid sizes and DOFs, finite
+        # magnitudes and symmetry factor
+        ({"problem": {**SMALL_PROBLEM, "nelx": 12.7}},
+         "bad problem config: nelx must be an integer, got 12.7"),
+        ({"problem": {**SMALL_PROBLEM, "nely": True}},
+         "bad problem config: nely must be an integer, got True"),
+        ({"problem": {**SMALL_PROBLEM, "loads": [[9.9, -1.0]]}},
+         "bad problem config: loads DOF must be an integer, got 9.9"),
+        ({"problem": {**SMALL_PROBLEM, "fixed_dofs": [0, 1, 2.5]}},
+         "bad problem config: fixed_dofs entry must be an integer, got 2.5"),
+        ({"problem": {**SMALL_PROBLEM, "loads": [[29, float("nan")]]}},
+         "bad problem config: loads magnitude nan at DOF 29 is not finite"),
+        ({"problem": {**SMALL_PROBLEM, "loads": [[29, float("-inf")]]}},
+         "bad problem config: loads magnitude -inf at DOF 29 is not finite"),
+        ({"problem": {**SMALL_PROBLEM, "symmetry_factor": float("nan")}},
+         "bad problem config: symmetry_factor must be positive and finite"),
+        ({"problem": {**SMALL_PROBLEM, "symmetry_factor": float("inf")}},
+         "bad problem config: symmetry_factor must be positive and finite"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -548,10 +587,13 @@ class TestConfigPrecedence:
         ("rounds", "2.7", 0), ("rounds", "-1", 0),
         ("sweep.count", "3.9", 1), ("sweep.count", "0", 1),
         ("workers", "1.9", 1),
+        ("optimizer.max_iters", "2.5", 1), ("optimizer.max_iters", "0", 1),
+        ("optimizer.max_iters", "true", 1),
     ])
     def test_bad_integer_exit_2(self, tmp_path, capsys, name, value, minimum):
         assert self._er_with_config(tmp_path, name, value) == 2
-        assert (f"{name} must be an integer of at least {minimum}, got {value}"
+        got = json.loads(value)  # shown as Python shows it: true is True
+        assert (f"{name} must be an integer of at least {minimum}, got {got!r}"
                 in capsys.readouterr().err)
 
     def test_integer_minimums_accepted(self, tmp_path):

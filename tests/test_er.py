@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from topareto.er import (AnalyticComponent, ErSeries, analytic_er,
                          analytic_front, analytic_stiffness, compute_er,
                          filter_er)
@@ -32,6 +33,21 @@ class TestComputeEr:
         vfs = np.linspace(0.1, 1.0, 12)
         series = compute_er(power_law_front(1.0, vfs))
         assert series.values() == pytest.approx(np.ones(12), abs=1e-9)
+
+    def test_bit_equal_to_hand_differences(self):
+        # np.gradient on a nonuniform grid is the same 3-point formula in the
+        # same operation order: every value equals the hand-written one
+        rng = np.random.default_rng(14)
+        fronts = [(np.linspace(0.02, 1.0, 50), None)]
+        for _ in range(200):
+            n = int(rng.integers(3, 60))
+            vfs = np.sort(rng.choice(np.arange(1, 1001), n, replace=False)) / 1000
+            fronts.append((vfs, rng.uniform(0.5, 2.0, n)))
+        for vfs, noise in fronts:
+            cs = 4.0 / vfs ** 1.3 * (1.0 if noise is None else noise)
+            series = compute_er(ParetoFront(tuple(
+                FrontPoint(float(v), float(c)) for v, c in zip(vfs, cs))))
+            assert np.array_equal(series.values(), -ref.loglog_slope(vfs, cs))
 
     def test_needs_three_points(self):
         front = ParetoFront((FrontPoint(0.2, 5.0), FrontPoint(0.9, 1.0)))
@@ -119,3 +135,11 @@ class TestErSeries:
     def test_ordering_enforced(self):
         with pytest.raises(InvalidArgumentError):
             ErSeries(((0.5, 1.0), (0.5, 0.9)))
+
+    @pytest.mark.parametrize("points", [
+        (), ((0.0, 1.0), (0.5, 0.9)), ((0.5, 1.0), (1.5, 0.9)),
+        ((float("nan"), 1.0),)])
+    def test_vfs_checked(self, points):
+        # nonempty and in (0, 1], as for fronts and sweep grids
+        with pytest.raises(InvalidArgumentError):
+            ErSeries(points)

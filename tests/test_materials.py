@@ -7,7 +7,7 @@ import pytest
 
 from topareto import materials
 from topareto.errors import (InfeasibleProblemError, InfeasibleStiffnessError,
-                             InvalidArgumentError, ParseError, ValidationError)
+                             InvalidArgumentError, ParseError)
 from topareto.materials import (LoadCase, Material, ashby_index,
                                 load_materials, refine_vf, screen_density,
                                 screen_pareto, select)
@@ -74,20 +74,20 @@ class TestLoadMaterials:
     def test_zero_modulus_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\nfoo,0,1000\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgumentError):
             load_materials(path)
 
     @pytest.mark.parametrize("row", ["foo,inf,1000", "foo,10,nan", "foo,-inf,1"])
     def test_non_finite_rejected_with_line(self, tmp_path, row):
         path = tmp_path / "m.csv"
         path.write_text(f"name,E_GPa,rho_kgm3\nok,10,100\n{row}\n")
-        with pytest.raises(ValidationError, match="line 3"):
+        with pytest.raises(InvalidArgumentError, match="line 3"):
             load_materials(path)
 
     def test_non_finite_material_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgumentError):
             Material("foo", float("nan"), 1000.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgumentError):
             Material("foo", 1e9, float("inf"))
 
     def test_malformed_row_carries_line(self, tmp_path):
@@ -100,7 +100,7 @@ class TestLoadMaterials:
     def test_duplicate_names_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\nfoo,10,100\nfoo,20,200\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgumentError):
             load_materials(path)
 
     def test_wrong_header(self, tmp_path):

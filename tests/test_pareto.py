@@ -192,13 +192,14 @@ class TestSweeps:
             assert (res.compliance_p, res.compliance_p1, res.iterations) == \
                 (direct.compliance_p, direct.compliance_p1, direct.iterations)
 
-    def test_invalid_grid_rejected(self, tiny_mbb, cfg):
-        with pytest.raises(InvalidArgumentError):
-            baseline_states(tiny_mbb, [0.5, 0.4], cfg)
-        with pytest.raises(InvalidArgumentError):
-            baseline_states(tiny_mbb, [], cfg)
-        with pytest.raises(InvalidArgumentError):
-            baseline_states(tiny_mbb, [0.5, 1.2], cfg)
+    def test_invalid_grid_rejected(self, tiny_mbb, cfg, monkeypatch):
+        # before anything runs; a NaN inside the grid fails too
+        monkeypatch.setattr(par, "run_optimizations",
+                            lambda *a, **k: pytest.fail("optimization ran"))
+        for grid in ([0.5, 0.4], [], [0.5, 1.2], [0.1, float("nan"), 0.5]):
+            for sweep in (baseline_states, par.multistart_states):
+                with pytest.raises(InvalidArgumentError):
+                    sweep(tiny_mbb, grid, cfg)
 
     def test_cache_reuse_between_sweeps(self, tiny_mbb, cfg, tmp_path):
         cache = RunCache(tmp_path)

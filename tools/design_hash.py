@@ -43,21 +43,12 @@ SHORT = OptimizerConfig(max_iters=40)
 
 
 def baseline_tasks(vfs):
-    return [{"vf": vf, "init_kind": "uniform"} for vf in vfs]
+    return pareto.start_tasks(vfs, ("uniform",))
 
 
 def multistart_tasks(vfs):
-    """The tasks of ``pareto.multistart_states``: every kind, raced against
-    the uniform start at its vf."""
-    tasks = []
-    for vf in vfs:
-        ref = len(tasks)
-        for kind in INITIAL_DESIGN_KINDS:
-            task = {"vf": vf, "init_kind": kind}
-            if kind not in pareto.UNBOUNDED_KINDS:
-                task["bound_by"] = ref
-            tasks.append(task)
-    return tasks
+    """The tasks of ``pareto.multistart_states``."""
+    return pareto.start_tasks(vfs, INITIAL_DESIGN_KINDS)
 
 
 def groups():
