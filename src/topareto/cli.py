@@ -59,14 +59,7 @@ class RunConfig:
 
 
 def _load_config(args) -> RunConfig:
-    doc = {}
-    if args.config:
-        text = _read_text(args.config, "config")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"cannot read config {args.config}: {exc}") from exc
-
+    doc = _read(args.config, "config", json.loads) if args.config else {}
     if not isinstance(doc, dict):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
     _known_keys(doc, ("problem", "nelx", "nely", "optimizer", "sweep", "out_dir",
@@ -186,7 +179,10 @@ def _integer(value, name: str, minimum: int) -> int:
 
 
 def _finite(value, name: str) -> float:
-    """A config number; JSON's ``NaN`` and ``Infinity`` are invalid input."""
+    """A config number; JSON's ``NaN``, ``Infinity``, ``true`` and ``false``
+    are invalid input."""
+    if isinstance(value, bool):
+        raise ParseError(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError) as exc:
@@ -196,12 +192,14 @@ def _finite(value, name: str) -> float:
     return value
 
 
-def _read_text(path, what: str) -> str:
-    """A user file's text; one unreadable or not UTF-8 is a ParseError naming it."""
+def _read(path, what: str, parse):
+    """``parse`` of a user file's text. A file that cannot be read, is not
+    UTF-8 or fails to parse is a ParseError naming it, and any line."""
     try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, ParseError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}",
+                         line=getattr(exc, "line", None)) from exc
 
 
 def _write(path: Path, text: str) -> None:
@@ -227,9 +225,8 @@ def cmd_optimize(args) -> int:
         cfg.optimizer, cfg.cache(), cfg.workers)[0]
     out = cfg.out_dir
     grid = cfg.problem.grid
-    img = res.densities.as_grid(grid)
-    csv_text = "\n".join(",".join(repr(v) for v in row) for row in img) + "\n"
-    _write(out / "densities.csv", csv_text)
+    rows = res.densities.as_grid(grid).tolist()
+    _write(out / "densities.csv", "".join(",".join(map(repr, row)) + "\n" for row in rows))
     _write(out / "design.svg", svgplot.density_raster(res.densities.values, grid))
     _write(out / "summary.json", json.dumps(
         {"problem": cfg.problem.name, "vf": args.vf, **res.summary()},
@@ -267,7 +264,7 @@ def cmd_pareto(args) -> int:
 
 def cmd_er(args) -> int:
     cfg = _load_config(args)
-    front = pareto_mod.ParetoFront.from_csv(_read_text(args.front, "front file"))
+    front = _read(args.front, "front file", pareto_mod.ParetoFront.from_csv)
     raw = er_mod.compute_er(front)
     filt = er_mod.filter_er(front, cfg.sigma)
     out = cfg.out_dir
@@ -291,7 +288,7 @@ def cmd_fit(args) -> int:
     out = cfg.out_dir
     # the refined front is read before the anchor runs, so a bad one fails fast
     refined_path = out / "front_refine.csv"
-    front = (pareto_mod.ParetoFront.from_csv(_read_text(refined_path, "refined front"))
+    front = (_read(refined_path, "refined front", pareto_mod.ParetoFront.from_csv)
              if refined_path.exists() else None)
     model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,
                                cfg.cache(), cfg.workers, _census("fit anchor"))
@@ -303,11 +300,10 @@ def cmd_fit(args) -> int:
                [p[1] for p in model.fit_points])]
     if front is not None:
         series.insert(0, ("refined front", front.vfs(), front.cs()))
-        rows = ["vf,front,model,rel_error"]
-        for p in front.points:
-            mv = mm_mod.eval_front(model, p.vf)
-            rows.append(f"{p.vf!r},{p.c!r},{mv!r},{(mv - p.c) / p.c!r}")
-        _write(out / "fit_error.csv", "\n".join(rows) + "\n")
+        model_cs = [mm_mod.eval_front(model, p.vf) for p in front.points]
+        _write(out / "fit_error.csv", pareto_mod.write_table(
+            ("vf", "front", "model", "rel_error"),
+            ((p.vf, p.c, mv, (mv - p.c) / p.c) for p, mv in zip(front.points, model_cs))))
     else:
         print(f"notice: no refined front at {refined_path}, error profile skipped")
     _write(out / "fit_overlay.svg", svgplot.chart(
@@ -319,7 +315,7 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _load_config(args)
-    mats = mat_mod.load_materials(args.materials)
+    mats = _read(args.materials, "materials file", mat_mod.load_materials)
     if not mats:
         raise InvalidArgumentError(f"no materials in {args.materials}")
     lc = mat_mod.LoadCase(force=args.force, delta_max=args.delta_max,
@@ -328,11 +324,10 @@ def cmd_select(args) -> int:
     out = cfg.out_dir
     model_path = out / "metamodel.json"
     if model_path.exists():
-        text = _read_text(model_path, "meta-model")
-        try:
-            model = mm_mod.MetaModel.from_json(text)
-        except ParseError as exc:
-            raise ParseError(f"cannot read meta-model {model_path}: {exc}") from exc
+        model = _read(model_path, "meta-model", mm_mod.MetaModel.from_json)
+        if model.problem_name != cfg.problem.name:
+            raise InvalidArgumentError(f"meta-model {model_path} was fitted to problem "
+                                       f"{model.problem_name!r}, not {cfg.problem.name!r}")
     else:
         model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,
                                    cfg.cache(), cfg.workers)

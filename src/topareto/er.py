@@ -14,32 +14,29 @@ are exact power laws with exponents 1, 2 and 3.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError
-from .pareto import DEFAULT_SIGMA, FrontPoint, ParetoFront, check_vfs, envelope, smooth
+from .errors import InvalidArgumentError
+from .pareto import (DEFAULT_SIGMA, FrontPoint, ParetoFront, check_vfs, envelope,
+                     finite_cell, read_table, smooth, write_table)
 
 ER_LOWER_BOUND = -0.02
 ER_UPPER_BOUND = 1.02
+ER_HEADER = ("vf", "n")
 
 
 @dataclass(frozen=True)
 class ErSeries:
-    """Sampled efficiency ratio; ``source`` is ``raw`` or ``filtered``."""
+    """Sampled efficiency ratio: ``(vf, n)`` points."""
 
     points: tuple[tuple[float, float], ...]
-    source: str = "raw"
 
     def __post_init__(self):
         pts = tuple((float(v), float(n)) for v, n in self.points)
         object.__setattr__(self, "points", pts)
         check_vfs([v for v, _ in pts])
-        if self.source not in ("raw", "filtered"):
-            raise InvalidArgumentError(f"unknown source {self.source!r}")
 
     def vfs(self) -> np.ndarray:
         return np.array([v for v, _ in self.points])
@@ -53,27 +50,12 @@ class ErSeries:
                 if n < ER_LOWER_BOUND or n > ER_UPPER_BOUND]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["vf", "n"])
-        for v, n in self.points:
-            w.writerow([repr(v), repr(n)])
-        return out.getvalue()
+        return write_table(ER_HEADER, self.points)
 
     @staticmethod
-    def from_csv(text: str, source: str = "raw") -> "ErSeries":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["vf", "n"]:
-            raise ParseError("expected header vf,n", line=1)
-        pts = []
-        for ln, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            try:
-                pts.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad row: {exc}", line=ln) from exc
-        return ErSeries(tuple(pts), source)
+    def from_csv(text: str) -> "ErSeries":
+        return ErSeries(tuple((finite_cell(v, line), finite_cell(n, line))
+                              for line, (v, n) in read_table(text, ER_HEADER)))
 
 
 def compute_er(front: ParetoFront) -> ErSeries:
@@ -82,7 +64,7 @@ def compute_er(front: ParetoFront) -> ErSeries:
         raise InvalidArgumentError("need at least 3 front points")
     v = front.vfs()
     n = -np.gradient(np.log(front.cs()), np.log(v))
-    return ErSeries(tuple(zip(v, n)), source="raw")
+    return ErSeries(tuple(zip(v, n)))
 
 
 def filter_er(front: ParetoFront, sigma: float = DEFAULT_SIGMA) -> ErSeries:
@@ -94,7 +76,7 @@ def filter_er(front: ParetoFront, sigma: float = DEFAULT_SIGMA) -> ErSeries:
     """
     raw = compute_er(envelope(front))
     ns = smooth(raw.vfs(), raw.values(), sigma)
-    return ErSeries(tuple(zip(raw.vfs(), ns)), source="filtered")
+    return ErSeries(tuple(zip(raw.vfs(), ns)))
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,11 @@ class ProblemSpec:
             raise InvalidArgumentError(f"unknown problem key(s) {sorted(unknown)}")
         return ProblemSpec(
             grid=Grid(_json_int(doc["nelx"], "nelx"), _json_int(doc["nely"], "nely")),
-            loads=tuple((_json_int(d, "loads DOF"), float(m)) for d, m in doc["loads"]),
+            loads=tuple((_json_int(d, "loads DOF"), _json_number(m, "loads magnitude"))
+                        for d, m in doc["loads"]),
             fixed_dofs=frozenset(_json_int(d, "fixed_dofs entry") for d in doc["fixed_dofs"]),
             name=str(doc.get("name", "problem")),
-            symmetry_factor=float(doc.get("symmetry_factor", 1.0)),
+            symmetry_factor=_json_number(doc.get("symmetry_factor", 1.0), "symmetry_factor"),
         )
 
 
@@ -148,6 +149,13 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, name: str) -> float:
+    """A number of a problem document; a bool or a string is invalid."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

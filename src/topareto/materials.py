@@ -12,19 +12,16 @@ operating volume fraction.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .cache import RunCache
 from .errors import (FitInfeasibleError, InfeasibleProblemError,
                      InfeasibleStiffnessError, InvalidArgumentError, ParseError)
 from .fem2d import ProblemSpec
 from .metamodel import MetaModel, fit, inverse
-from .pareto import run_optimizations
+from .pareto import read_table, run_optimizations
 from .simp import OptimizerConfig
 
 DEFAULT_TIE_TOL = 0.02
@@ -105,40 +102,21 @@ class SelectionReport:
         return "\n".join(lines) + "\n"
 
 
-def load_materials(path) -> list[Material]:
-    """Read a material CSV with header ``name,E_GPa,rho_kgm3`` (SI on load)."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read materials file {path}: {exc}") from exc
-    if not text.strip():
-        return []
-    rows = list(csv.reader(io.StringIO(text)))
-    header = [h.strip() for h in rows[0]]
-    if header != ["name", "E_GPa", "rho_kgm3"]:
-        raise ParseError(f"expected header name,E_GPa,rho_kgm3, got {rows[0]}", line=1)
+def load_materials(text: str) -> list[Material]:
+    """Materials of a CSV table with header ``name,E_GPa,rho_kgm3`` (SI on load).
+    A cell that is no number, a value :class:`Material` rejects and a repeated
+    name are errors naming the line."""
     mats: list[Material] = []
-    seen = set()
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line=ln)
-        name = row[0].strip()
-        if not name:
-            raise ParseError("empty material name", line=ln)
+    for line, (name, e_gpa, rho) in read_table(text, ("name", "E_GPa", "rho_kgm3")):
         try:
-            e_gpa = float(row[1])
-            rho = float(row[2])
+            mat = Material(name.strip(), float(e_gpa) * 1e9, float(rho))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"line {line}: {exc}") from exc
         except ValueError as exc:
-            raise ParseError(f"bad number in row for {name!r}: {exc}", line=ln) from exc
-        if not (0 < e_gpa < math.inf and 0 < rho < math.inf):
-            raise InvalidArgumentError(
-                f"line {ln}: {name!r} needs positive finite modulus and density")
-        if name in seen:
-            raise InvalidArgumentError(f"line {ln}: duplicate material {name!r}")
-        seen.add(name)
-        mats.append(Material(name, e_gpa * 1e9, rho))
+            raise ParseError(f"bad number in row for {name!r}: {exc}", line=line) from exc
+        if any(m.name == mat.name for m in mats):
+            raise InvalidArgumentError(f"line {line}: duplicate material {mat.name!r}")
+        mats.append(mat)
     return mats
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ DEFAULT_SIGMA = 0.04
 ABANDON_FACTOR = 10.0
 # starts that run the uniform start's optimization, which sets the bound
 UNBOUNDED_KINDS = ("uniform", "previous")
+FRONT_HEADER = ("vf", "c", "provenance")
 
 
 @dataclass(frozen=True)
@@ -90,34 +92,53 @@ class ParetoFront:
         return np.array([p.c for p in self.points])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["vf", "c", "provenance"])
-        for p in self.points:
-            w.writerow([repr(p.vf), repr(p.c), p.provenance])
-        return out.getvalue()
+        return write_table(FRONT_HEADER, ((p.vf, p.c, p.provenance) for p in self.points))
 
     @staticmethod
     def from_csv(text: str) -> "ParetoFront":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["vf", "c", "provenance"]:
-            raise ParseError("expected header vf,c,provenance", line=1)
-        pts = []
-        for ln, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 columns, got {len(row)}", line=ln)
-            try:
-                vf, c = float(row[0]), float(row[1])
-                if not np.isfinite([vf, c]).all():
-                    raise ValueError(f"non-finite value in {row[:2]}")
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", line=ln) from exc
-            pts.append(FrontPoint(vf, c, row[2]))
+        pts = tuple(FrontPoint(finite_cell(vf, line), finite_cell(c, line), provenance)
+                    for line, (vf, c, provenance) in read_table(text, FRONT_HEADER))
         if not pts:
             raise ParseError("front file has no data rows", line=1)
-        return ParetoFront(tuple(pts))
+        return ParetoFront(pts)
+
+
+def read_table(text: str, header) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` of each data row of CSV ``text``: after a first row of
+    ``header`` (stripped), each row not all blank has one cell per column. A
+    blank text has no rows; a failure is a ParseError naming the line."""
+    if not text.strip():
+        return
+    rows = csv.reader(io.StringIO(text))
+    if [h.strip() for h in next(rows)] != list(header):
+        raise ParseError(f"expected header {','.join(header)}", line=1)
+    for line, cells in enumerate(rows, start=2):
+        if not any(c.strip() for c in cells):
+            continue
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(cells)}", line=line)
+        yield line, cells
+
+
+def finite_cell(cell: str, line: int) -> float:
+    """A table cell as a finite float; anything else is a ParseError naming the line."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ParseError(f"expected a finite number, got {cell!r}", line=line)
+    return value
+
+
+def write_table(header, rows) -> str:
+    """CSV text of ``header`` and ``rows``, each float written as its ``repr``."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([repr(float(c)) if isinstance(c, float) else c for c in row]
+                for row in rows)
+    return out.getvalue()
 
 
 @dataclass(frozen=True)

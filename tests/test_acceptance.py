@@ -78,8 +78,7 @@ def desk_pipeline(tmp_path_factory):
             (out / "front_multistart.csv").read_text()),
         "refined": pareto.ParetoFront.from_csv(
             (out / "front_refine.csv").read_text()),
-        "er_filtered": er.ErSeries.from_csv(
-            (out / "er_filtered.csv").read_text(), "filtered"),
+        "er_filtered": er.ErSeries.from_csv((out / "er_filtered.csv").read_text()),
         "model": MetaModel.from_json((out / "metamodel.json").read_text()),
     }
 

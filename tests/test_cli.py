@@ -64,6 +64,20 @@ class TestOptimizeCmd:
         for name in ("densities.csv", "design.svg", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_densities_csv_is_numeric(self, tmp_path):
+        from topareto import pareto
+        from topareto.fem2d import preset
+        from topareto.simp import OptimizerConfig
+        out = tmp_path / "o"
+        assert run(["optimize", "--preset", "mbb", "--nelx", "8", "--nely", "4",
+                    "--out", str(out), "--vf", "0.5"]) == 0
+        rows = (out / "densities.csv").read_text().splitlines()
+        got = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        problem = preset("mbb", 8, 4)
+        res = pareto.run_optimizations(problem, [{"vf": 0.5, "init_kind": "uniform"}],
+                                       OptimizerConfig())[0]
+        assert np.array_equal(got, res.densities.as_grid(problem.grid))
+
 
 class TestParetoCmd:
     def test_strategies_and_dominance(self, tmp_path):
@@ -137,8 +151,7 @@ class TestErCmd:
         code = run(["er", *tiny("--out", str(out)), "--front", str(path)])
         assert code == 0
         from topareto.er import ErSeries
-        filt = ErSeries.from_csv((out / "er_filtered.csv").read_text(),
-                                 "filtered")
+        filt = ErSeries.from_csv((out / "er_filtered.csv").read_text())
         assert np.max(np.abs(filt.values() - 1.0)) <= 0.03
 
     def test_missing_front_exit_2(self, tmp_path):
@@ -153,6 +166,15 @@ class TestErCmd:
         assert run(["er", *tiny("--out", str(out)), "--front", str(path)]) == 2
         assert "(line 3)" in capsys.readouterr().err
         assert not (out / "er_raw.csv").exists()
+
+    @pytest.mark.parametrize("row", ["0.5,2.0,x,y", "0.5,two,x", "0.5"])
+    def test_bad_front_row_names_file(self, tmp_path, capsys, row):
+        path = tmp_path / "front.csv"
+        path.write_text(f"vf,c,provenance\n0.2,5.0,x\n{row}\n1.0,1.0,x\n")
+        assert run(["er", *tiny("--out", str(tmp_path / "o")),
+                    "--front", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "(line 3)" in err and f"cannot read front file {path}" in err
 
     def test_non_utf8_front_exit_2(self, tmp_path, capsys):
         path = tmp_path / "front.csv"
@@ -216,6 +238,21 @@ class TestFitCmd:
         assert f"cannot read refined front {path}" in capsys.readouterr().err
         assert not (out / "metamodel.json").exists()
 
+    def test_bad_refined_front_row_names_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        out.mkdir()
+        path = out / "front_refine.csv"
+        path.write_text("vf,c,provenance\n0.2,5.0,x\n0.5,nan,x\n1.0,1.0,x\n")
+        import topareto.cli as cli_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("anchors ran before the front was read")
+        monkeypatch.setattr(cli_mod.mm_mod, "fit_problem", no_fit)
+        assert run(["fit", *tiny("--out", str(out))]) == 2
+        err = capsys.readouterr().err
+        assert "(line 3)" in err and f"cannot read refined front {path}" in err
+        assert not (out / "metamodel.json").exists()
+
 
 class TestSelectCmd:
     def test_empty_materials_exit_2(self, tmp_path):
@@ -236,6 +273,35 @@ class TestSelectCmd:
                     "--materials", str(path), *SELECT_LOAD])
         assert code == 2
         assert f"cannot read materials file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, line", [("bad,ten,100", "(line 3)"),
+                                           ("bad,10,100,1", "(line 3)"),
+                                           ("bad,0,100", "line 3: bad:"),
+                                           ("Inconel 713,10,100", "line 3: duplicate")])
+    def test_bad_materials_row_names_file(self, tmp_path, capsys, row, line):
+        path = tmp_path / "mats.csv"
+        path.write_text(f"name,E_GPa,rho_kgm3\nInconel 713,205,7900\n{row}\n")
+        out = tmp_path / "o"
+        code = run(["select", *tiny("--out", str(out)),
+                    "--materials", str(path), *SELECT_LOAD])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert line in err and f"cannot read materials file {path}" in err
+        assert not out.exists()
+
+    def test_model_of_another_problem_exit_2(self, tmp_path, table1_csv, capsys):
+        # a meta-model fitted to the bridge, read by a run on the mbb preset
+        out = tmp_path / "o"
+        out.mkdir(parents=True)
+        model_path = out / "metamodel.json"
+        model_path.write_text(
+            MetaModel(3.28, 2.0, ((0.1, 36.0), (1.0, 9.84)), "bridge").to_json())
+        code = run(["select", *tiny("--out", str(out)),
+                    "--materials", str(table1_csv), *SELECT_LOAD])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err and "'bridge'" in err and "'mbb'" in err
+        assert not (out / "selection.json").exists()
 
     @pytest.mark.parametrize("text, message", [
         ('{"a": 1.0', "bad meta-model: Expecting"),
@@ -399,10 +465,14 @@ class TestConfigPrecedence:
                                       "sweep.count", "sweep.lo", "sweep.hi",
                                       "sweep.points", "optimizer.penal",
                                       "optimizer.rmin", "optimizer.max_iters"])
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "false"])
     def test_non_finite_number_exit_2(self, tmp_path, capsys, name, value):
         assert self._er_with_config(tmp_path, name, value) == 2
-        assert f"{name} must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if value in ("true", "false"):  # a JSON bool is not a number
+            assert f"{name} must be" in err and f"got {value.title()}" in err
+        else:
+            assert f"{name} must be finite" in err
 
     @pytest.mark.parametrize("flags", [("--penal", "nan"), ("--penal", "inf"),
                                        ("--rmin", "inf"), ("--rmin", "nan")])
@@ -484,6 +554,13 @@ class TestConfigPrecedence:
          "bad problem config: symmetry_factor must be positive and finite"),
         ({"problem": {**SMALL_PROBLEM, "symmetry_factor": float("inf")}},
          "bad problem config: symmetry_factor must be positive and finite"),
+        # a JSON bool or string is not a number
+        ({"problem": {**SMALL_PROBLEM, "loads": [[29, True]]}},
+         "bad problem config: loads magnitude must be a number, got True"),
+        ({"problem": {**SMALL_PROBLEM, "symmetry_factor": False}},
+         "bad problem config: symmetry_factor must be a number, got False"),
+        ({"problem": {**SMALL_PROBLEM, "loads": [[29, "-1"]]}},
+         "bad problem config: loads magnitude must be a number, got '-1'"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"

@@ -54,10 +54,6 @@ class TestComputeEr:
         with pytest.raises(InvalidArgumentError):
             compute_er(front)
 
-    def test_source_raw(self):
-        vfs = np.linspace(0.1, 1.0, 5)
-        assert compute_er(power_law_front(1, vfs)).source == "raw"
-
 
 class TestFilterEr:
     def test_meta_model_front_matches_closed_form(self):
@@ -79,10 +75,9 @@ class TestFilterEr:
         from topareto.pareto import smooth
         direct = smooth(raw.vfs(), raw.values(), 0.04)
         assert filt.values() == pytest.approx(direct, abs=1e-12)
-        assert filt.source == "filtered"
 
     def test_bounds_violations_index(self):
-        s = ErSeries(((0.1, 0.5), (0.2, 1.5), (0.3, -0.5)), "filtered")
+        s = ErSeries(((0.1, 0.5), (0.2, 1.5), (0.3, -0.5)))
         assert s.bounds_violations() == [1, 2]
 
 
@@ -124,13 +119,21 @@ class TestAnalytic:
 
 class TestErSeries:
     def test_csv_round_trip(self):
-        s = ErSeries(((0.1, 0.9), (0.5, 0.4), (1.0, 0.02)), "filtered")
-        back = ErSeries.from_csv(s.to_csv(), "filtered")
+        s = ErSeries(((0.1, 0.9), (0.5, 0.4), (1.0, 0.02)))
+        back = ErSeries.from_csv(s.to_csv())
         assert back == s
 
     def test_csv_errors(self):
         with pytest.raises(ParseError):
             ErSeries.from_csv("wrong,header\n")
+
+    @pytest.mark.parametrize("row", ["0.5,0.4,x", "0.5,nan", "0.5,inf", "nan,0.4",
+                                     "0.5,-inf"])
+    def test_csv_bad_row_names_line(self, row):
+        # one column too many, or a ratio or vf that is not a finite number
+        with pytest.raises(ParseError) as exc:
+            ErSeries.from_csv(f"vf,n\n0.1,0.9\n{row}\n1.0,0.02\n")
+        assert exc.value.line == 3
 
     def test_ordering_enforced(self):
         with pytest.raises(InvalidArgumentError):

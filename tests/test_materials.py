@@ -55,7 +55,7 @@ def worked_example_model():
 
 class TestLoadMaterials:
     def test_reference_table(self, table1_csv):
-        mats = load_materials(table1_csv)
+        mats = load_materials(table1_csv.read_text())
         assert len(mats) == 4
         ti = next(m for m in mats if "Ti-6Al-4V" in m.name)
         assert ti.e == pytest.approx(116e9)
@@ -64,25 +64,25 @@ class TestLoadMaterials:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert load_materials(path) == []
+        assert load_materials(path.read_text()) == []
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\n")
-        assert load_materials(path) == []
+        assert load_materials(path.read_text()) == []
 
     def test_zero_modulus_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\nfoo,0,1000\n")
         with pytest.raises(InvalidArgumentError):
-            load_materials(path)
+            load_materials(path.read_text())
 
     @pytest.mark.parametrize("row", ["foo,inf,1000", "foo,10,nan", "foo,-inf,1"])
     def test_non_finite_rejected_with_line(self, tmp_path, row):
         path = tmp_path / "m.csv"
         path.write_text(f"name,E_GPa,rho_kgm3\nok,10,100\n{row}\n")
         with pytest.raises(InvalidArgumentError, match="line 3"):
-            load_materials(path)
+            load_materials(path.read_text())
 
     def test_non_finite_material_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -94,20 +94,20 @@ class TestLoadMaterials:
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\nok,10,100\nbad,ten,100\n")
         with pytest.raises(ParseError) as exc:
-            load_materials(path)
+            load_materials(path.read_text())
         assert exc.value.line == 3
 
     def test_duplicate_names_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\nfoo,10,100\nfoo,20,200\n")
         with pytest.raises(InvalidArgumentError):
-            load_materials(path)
+            load_materials(path.read_text())
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("material,E,rho\nfoo,10,100\n")
         with pytest.raises(ParseError):
-            load_materials(path)
+            load_materials(path.read_text())
 
 
 class TestScreenPareto:

@@ -41,6 +41,21 @@ class TestParetoFront:
         back = ParetoFront.from_csv(front.to_csv())
         assert back == front
 
+    def test_read_table_rows_and_lines(self):
+        text = "vf, c ,provenance\n0.1,2,a\n\n , ,\n0.3,1,\"b,c\"\n"
+        assert list(par.read_table(text, par.FRONT_HEADER)) == [
+            (2, ["0.1", "2", "a"]), (5, ["0.3", "1", "b,c"])]
+        assert list(par.read_table(" \n", par.FRONT_HEADER)) == []
+        for text, line in (("vf,c\n", 1), ("vf,c,provenance\n0.1,2\n", 2),
+                           ("vf,c,provenance\n0.1,2,a\n\n0.2,1,a,b\n", 4)):
+            with pytest.raises(ParseError) as exc:
+                list(par.read_table(text, par.FRONT_HEADER))
+            assert exc.value.line == line
+
+    def test_write_table_floats_as_repr(self):
+        text = par.write_table(("a", "b", "c"), [(np.float64(0.1), 1 / 3, "x,y")])
+        assert text == 'a,b,c\n0.1,0.3333333333333333,"x,y"\n'
+
     def test_csv_parse_errors(self):
         with pytest.raises(ParseError):
             ParetoFront.from_csv("nope\n1,2,3\n")
