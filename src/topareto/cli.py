@@ -224,10 +224,10 @@ def cmd_optimize(args) -> int:
         cfg.problem, [{"vf": args.vf, "init_kind": "uniform"}],
         cfg.optimizer, cfg.cache(), cfg.workers)[0]
     out = cfg.out_dir
-    grid = cfg.problem.grid
-    rows = res.densities.as_grid(grid).tolist()
-    _write(out / "densities.csv", "".join(",".join(map(repr, row)) + "\n" for row in rows))
-    _write(out / "design.svg", svgplot.density_raster(res.densities.values, grid))
+    img = res.densities.as_grid(cfg.problem.grid)
+    _write(out / "densities.csv",
+           "".join(",".join(map(repr, row)) + "\n" for row in img.tolist()))
+    _write(out / "design.svg", svgplot.density_raster(img))
     _write(out / "summary.json", json.dumps(
         {"problem": cfg.problem.name, "vf": args.vf, **res.summary()},
         sort_keys=True, indent=2) + "\n")

@@ -18,7 +18,7 @@ import numpy as np
 from .cache import RunCache
 from .errors import (FitFailureError, FitInfeasibleError,
                      InfeasibleStiffnessError, InvalidArgumentError, ParseError)
-from .fem2d import ProblemSpec, kernel_for, simp_modulus
+from .fem2d import ProblemSpec, _json_number, kernel_for, simp_modulus
 from .pareto import multistart_states
 from .simp import OptimizerConfig
 
@@ -54,8 +54,9 @@ class MetaModel:
     def from_json(text: str) -> "MetaModel":
         try:
             doc = json.loads(text)
-            return MetaModel(float(doc["a"]), float(doc["b"]),
-                             tuple(tuple(p) for p in doc["fit_points"]),
+            return MetaModel(_json_number(doc["a"], "a"), _json_number(doc["b"], "b"),
+                             tuple(tuple(_json_number(v, "fit_points entry") for v in p)
+                                   for p in doc["fit_points"]),
                              str(doc.get("problem_name", "")))
         except KeyError as exc:
             raise ParseError(f"meta-model is missing key {exc}") from exc
@@ -172,7 +173,7 @@ def fit_problem(problem: ProblemSpec, cfg: OptimizerConfig | None = None,
                 report=None) -> MetaModel:
     """Fit the model for a problem from one multi-start anchor optimization.
 
-    The anchor at ``anchor_vf`` controls the whole model, so all eleven
+    The anchor at ``anchor_vf`` controls the whole model, so all ten
     initial designs are run there and the best penalization-1 compliance is
     kept; the second point is the direct full-density solve. ``report``
     receives the anchor batch's census line.

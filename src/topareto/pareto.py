@@ -2,7 +2,7 @@
 
 The front of a problem is built in up to three stages of increasing cost:
 a baseline sweep (one optimization per volume fraction from the uniform
-start), a multi-start sweep over all eleven initial designs, and an
+start), a multi-start sweep over all ten initial designs, and an
 iterative refinement that re-optimizes every point from the designs of
 nearby significant points (product-curve minima to the left, compliance
 drops to the right), keeping the pointwise best. Each stage is one
@@ -56,8 +56,6 @@ DEFAULT_SIGMA = 0.04
 # 1.45x and 1.77x of the uniform start's compliance at the same iteration,
 # so 10 leaves a margin of 5.6x or more
 ABANDON_FACTOR = 10.0
-# starts that run the uniform start's optimization, which sets the bound
-UNBOUNDED_KINDS = ("uniform", "previous")
 FRONT_HEADER = ("vf", "c", "provenance")
 
 
@@ -238,9 +236,7 @@ def _init_descriptor(task: dict) -> str:
     kind = task.get("init_kind")
     if kind is None:
         return field_descriptor(task["init_values"])
-    # "previous" starts from the uniform field (see simp.initial_design):
-    # the same optimization, so it shares uniform's key
-    return "kind:" + ("uniform" if kind == "previous" else kind)
+    return "kind:" + kind
 
 
 def abandoned(res: DesignResult, cfg: OptimizerConfig) -> bool:
@@ -364,14 +360,14 @@ def default_vf_grid(count: int = 50, lo: float = 0.02, hi: float = 1.0) -> list[
 
 
 def start_tasks(vfs, kinds) -> list[dict]:
-    """A task per volume fraction and start kind, in that order. A kind
-    outside ``UNBOUNDED_KINDS`` races against its vf's first task."""
+    """A task per volume fraction and start kind, in that order. Every task
+    after its vf's first races against that first task."""
     tasks = []
     for vf in vfs:
         ref = len(tasks)
         for kind in kinds:
             task = {"vf": vf, "init_kind": kind}
-            if kind not in UNBOUNDED_KINDS:
+            if len(tasks) > ref:
                 task["bound_by"] = ref
             tasks.append(task)
     return tasks
@@ -380,7 +376,7 @@ def start_tasks(vfs, kinds) -> list[dict]:
 def _sweep(problem: ProblemSpec, vf_grid, kinds, cfg: OptimizerConfig, cache, workers,
            report) -> tuple[ParetoFront, list[DesignResult]]:
     """At every vf, the first of ``kinds`` with the lowest penalization-1
-    compliance among the starts that finished; uniform always finishes."""
+    compliance among the starts that finished; the first kind always finishes."""
     vfs = check_vfs(vf_grid)
     results = run_optimizations(problem, start_tasks(vfs, kinds), cfg, cache,
                                 workers, report)
@@ -404,7 +400,7 @@ def baseline_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
 def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
                       cache: RunCache | None = None, workers: int = 1,
                       report=None) -> tuple[ParetoFront, list[DesignResult]]:
-    """Best of the eleven initial designs at every volume fraction.
+    """Best of the ten initial designs at every volume fraction.
 
     The starts race against the uniform start at the same volume fraction
     (``bound_by``, see :func:`run_optimizations`): a start whose penalized

@@ -33,7 +33,6 @@ INITIAL_DESIGN_KINDS = (
     "disc",
     "ring",
     "noise",
-    "previous",
 )
 
 _NOISE_SEED = 130904
@@ -163,13 +162,10 @@ def _filter_cached(grid: Grid, rmin: float):
 
 
 def initial_design(kind: str, target_vf: float, grid: Grid) -> DensityField:
-    """One of the eleven starting fields, volume-rescaled to ``target_vf``.
+    """One of the ten starting fields, volume-rescaled to ``target_vf``.
 
     Base patterns live in [0,1]; a global shift clamped to [0,1] is bisected
-    until the mean density matches the target within 1e-6. ``previous`` is a
-    placeholder kind that degenerates to uniform when no earlier design is
-    supplied by the caller; being the same optimization, it shares
-    uniform's cache key, so a sweep runs it once.
+    until the mean density matches the target within 1e-6.
     """
     if kind not in INITIAL_DESIGN_KINDS:
         raise InvalidArgumentError(f"unknown initial design kind {kind!r}")
@@ -190,7 +186,7 @@ def _base_pattern(kind: str, grid: Grid) -> np.ndarray:
     # the cosine starts: wave number, and the coordinate the wave runs along
     waves = {"vstripes2": (2, x), "vstripes4": (4, x), "hstripes2": (2, y),
              "hstripes4": (4, y), "diag_sum": (1.5, x + y), "diag_diff": (1.5, x - y)}
-    if kind in ("uniform", "previous"):
+    if kind == "uniform":
         base = np.full(grid.nel, 0.5)
     elif kind in waves:
         k, t = waves[kind]
@@ -269,8 +265,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     kern = kernel_for(problem)
     f = problem.load_vector()
     rmin = cfg.resolve_rmin(grid)
-    w = filter_build(grid, rmin)
-    _, w_t, weights, dv, dv_t = _filter_cached(grid, float(rmin))
+    w, w_t, weights, dv, dv_t = _filter_cached(grid, float(rmin))
     # the filter kind fixes the physical field of the design variables (the
     # design itself under the sensitivity filter), the filtered sensitivity,
     # the volume weights and the volume sensitivity

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fem2d import Grid
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 MARGIN = 56.0
@@ -106,16 +105,17 @@ def chart(series, xlabel="", ylabel="", title="", width=640.0, height=420.0,
     return "\n".join(parts) + "\n"
 
 
-def density_raster(values, grid: Grid, cell: float = 8.0) -> str:
-    """Grayscale raster of a density field (dark = solid)."""
-    img = np.asarray(values, dtype=float).reshape(grid.nelx, grid.nely).T
-    w = grid.nelx * cell
-    h = grid.nely * cell
+def density_raster(img, cell: float = 8.0) -> str:
+    """Grayscale raster of a ``DensityField.as_grid`` image (dark = solid)."""
+    img = np.asarray(img, dtype=float)
+    nely, nelx = img.shape
+    w = nelx * cell
+    h = nely * cell
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
              f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">']
     parts.append(f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="#fff"/>')
-    for iy in range(grid.nely):
-        for ix in range(grid.nelx):
+    for iy in range(nely):
+        for ix in range(nelx):
             g = int(round(255 * (1.0 - img[iy, ix])))
             if g >= 255:
                 continue

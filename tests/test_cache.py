@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from topareto.cache import RunCache, field_descriptor, result_key
-from topareto.fem2d import DensityField, Grid, preset
+from topareto.fem2d import DensityField, preset
 from topareto.simp import DesignResult, OptimizerConfig
 from topareto import svgplot
 from topareto.errors import InvalidArgumentError
@@ -144,8 +144,7 @@ class TestSvgplot:
             svgplot.chart([("s", [0.0, 1.0], [1.0, 2.0])], logx=True)
 
     def test_density_raster_shape(self):
-        g = Grid(4, 3)
-        svg = svgplot.density_raster(np.linspace(0, 1, 12), g, cell=10)
+        svg = svgplot.density_raster(np.linspace(0, 1, 12).reshape(3, 4), cell=10)
         assert 'width="40"' in svg
         assert 'height="30"' in svg
 

@@ -105,11 +105,11 @@ class TestParetoCmd:
         common = tiny("--out", str(tmp_path / "o"), "--cache", str(tmp_path / "c"))
         assert run([*args, "pareto", *common, "--strategy", "refine"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("multistart: 22 tasks, 20 distinct, 0 cached, ")
+        assert lines[0].startswith("multistart: 20 tasks, 20 distinct, 0 cached, ")
         assert all(line.startswith("refine round: ") for line in lines[1:-1])
         assert run([*args, "fit", *common]) == 0
         fit_line = capsys.readouterr().out.splitlines()[0]
-        assert fit_line.startswith("fit anchor: 11 tasks, 10 distinct, ")
+        assert fit_line.startswith("fit anchor: 10 tasks, 10 distinct, ")
         assert fit_line.endswith(" iterations")
 
     def test_warm_cache_rerun_identical(self, tmp_path):
@@ -326,6 +326,15 @@ class TestSelectCmd:
          "fit_points must be two"),
         ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.5, 9.84]]}',
          "fit_points must be two"),
+        # numbers: a bool or a string is not one
+        ('{"a": true, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+         "a must be a number, got True"),
+        ('{"a": 3.28, "b": false, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+         "b must be a number, got False"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [true, 9.84]]}',
+         "fit_points entry must be a number, got True"),
+        ('{"a": "1.5", "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+         "a must be a number, got '1.5'"),
     ])
     def test_bad_metamodel_exit_2(self, tmp_path, table1_csv, capsys, text,
                                   message):

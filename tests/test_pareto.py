@@ -233,8 +233,7 @@ class TestSweeps:
             multi, _ = multistart_states(tiny_mbb, grid, cfg, cache)
         finally:
             par_mod.optimize = orig
-        # uniform runs must come from the cache, and "previous" (which
-        # degenerates to uniform) shares uniform's key: 2 points x 9 new kinds
+        # uniform runs must come from the cache: 2 points x 9 other kinds
         assert len(calls) == 18
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -267,7 +266,7 @@ class TestSweeps:
 
 
 def _exhaustive(problem, vf, cfg):
-    """All eleven starts run in full; the first lowest in kind order wins."""
+    """All ten starts run in full; the first lowest in kind order wins."""
     norm = problem.with_unit_load()
     runs = [optimize(norm, vf, cfg, initial_design(kind, vf, problem.grid))
             for kind in INITIAL_DESIGN_KINDS]
@@ -277,6 +276,18 @@ def _exhaustive(problem, vf, cfg):
 
 class TestRace:
     """Multi-start starts abandoned against the uniform start's compliance."""
+
+    def test_every_start_distinct_and_raced_against_uniform(self, tiny_mbb, cfg):
+        tasks = par.start_tasks([0.2, 0.5], INITIAL_DESIGN_KINDS)
+        assert len(tasks) == 2 * len(INITIAL_DESIGN_KINDS)
+        for vf in (0.2, 0.5):
+            block = [i for i, t in enumerate(tasks) if t["vf"] == vf]
+            (ref,) = [i for i in block if tasks[i]["init_kind"] == "uniform"]
+            assert ref == block[0] and "bound_by" not in tasks[ref]
+            assert all(tasks[i]["bound_by"] == ref for i in block[1:])
+        norm = tiny_mbb.with_unit_load()
+        keys = [result_key(norm, t["vf"], par._init_descriptor(t), cfg) for t in tasks]
+        assert len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("max_iters", [10, 40])
     def test_equals_exhaustive_minimum(self, small_mbb, max_iters):
@@ -318,7 +329,7 @@ class TestRace:
         cfg = OptimizerConfig(max_iters=40)
         cache = RunCache(tmp_path)
         tasks = [{"vf": 0.3, "init_kind": kind} for kind in INITIAL_DESIGN_KINDS]
-        for task in tasks[1:-1]:
+        for task in tasks[1:]:
             task["bound_by"] = 0
         results = par.run_optimizations(small_mbb, tasks, cfg, cache)
         stopped = [t["init_kind"] for t, r in zip(tasks, results)
@@ -340,12 +351,12 @@ class TestRace:
         monkeypatch.setattr(par, "ABANDON_FACTOR", 1.5)
         cfg = OptimizerConfig(max_iters=40)
         tasks = [{"vf": 0.3, "init_kind": kind} for kind in INITIAL_DESIGN_KINDS]
-        for task in tasks[1:-1]:
+        for task in tasks[1:]:
             task["bound_by"] = 0
         results = par.run_optimizations(small_mbb, tasks, cfg)
         ref = results[0].history
         n_stopped = 0
-        for res in results[1:-1]:
+        for res in results[1:]:
             bound = [1.5 * ref[min(it, len(ref)) - 1]
                      for it in range(1, len(res.history) + 1)]
             over = [it for it, (c, b) in enumerate(zip(res.history, bound), start=1)
@@ -366,8 +377,8 @@ class TestRace:
         b, _ = multistart_states(small_mbb, [0.2, 0.3], cfg, cache,
                                  report=warm.append)
         assert a == b
-        assert cold[0].startswith("22 tasks, 20 distinct, 0 cached, ")
-        assert warm[0].startswith("22 tasks, 20 distinct, 20 cached, ")
+        assert cold[0].startswith("20 tasks, 20 distinct, 0 cached, ")
+        assert warm[0].startswith("20 tasks, 20 distinct, 20 cached, ")
         assert cold[0].split(", ")[3:] == warm[0].split(", ")[3:]
 
     def test_one_and_two_workers_agree(self, small_mbb, tmp_path):

@@ -136,13 +136,18 @@ class TestInitialDesign:
         d = initial_design(kind, vf, Grid(12, 8))
         assert abs(d.volume_fraction - vf) <= 1e-6
 
-    def test_eleven_kinds(self):
-        assert len(INITIAL_DESIGN_KINDS) == 11
-        assert len(set(INITIAL_DESIGN_KINDS)) == 11
+    def test_ten_kinds(self):
+        assert len(INITIAL_DESIGN_KINDS) == 10
+        assert len(set(INITIAL_DESIGN_KINDS)) == 10
+        assert INITIAL_DESIGN_KINDS[0] == "uniform"
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidArgumentError):
             initial_design("zigzag", 0.5, Grid(4, 4))
+
+    def test_retired_previous_kind_is_unknown(self):
+        with pytest.raises(InvalidArgumentError, match="unknown initial design kind"):
+            initial_design("previous", 0.5, Grid(4, 4))
 
     def test_noise_deterministic(self):
         a = initial_design("noise", 0.4, Grid(10, 10))
