@@ -2,13 +2,12 @@
 stiffness-driven material selection for 2D topology optimization."""
 
 from .cache import RunCache
-from .er import (AnalyticComponent, ErSeries, analytic_er, analytic_front,
-                 analytic_stiffness, compute_er, filter_er)
+from .er import ErSeries, compute_er, filter_er
 from .fem2d import DensityField, Grid, ProblemSpec, element_stiffness, preset
 from .materials import (LoadCase, Material, SelectionReport, ashby_index,
                         load_materials, refine_vf, screen_density,
                         screen_pareto, select)
-from .metamodel import (MetaModel, eval_er, eval_front, fit, fit_problem,
+from .metamodel import (MetaModel, eval_front, fit, fit_problem,
                         full_density_compliance, inverse)
 from .pareto import (FrontPoint, ParetoFront, SignificantPoints,
                      baseline_states, default_vf_grid, detect_significant,
@@ -19,15 +18,14 @@ from .simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticComponent", "DensityField", "DesignResult", "ErSeries",
-    "FrontPoint", "Grid", "INITIAL_DESIGN_KINDS", "LoadCase", "Material",
-    "MetaModel", "OptimizerConfig", "ParetoFront", "ProblemSpec", "RunCache",
-    "SelectionReport", "SignificantPoints", "analytic_er", "analytic_front",
-    "analytic_stiffness", "ashby_index", "baseline_states", "compute_er",
-    "default_vf_grid", "detect_significant", "element_stiffness", "envelope",
-    "eval_er", "eval_front", "evaluate_p1", "filter_build", "filter_er", "fit",
-    "fit_problem", "full_density_compliance", "initial_design", "inverse",
-    "load_materials", "multistart_states", "optimize", "preset",
+    "DensityField", "DesignResult", "ErSeries", "FrontPoint", "Grid",
+    "INITIAL_DESIGN_KINDS", "LoadCase", "Material", "MetaModel",
+    "OptimizerConfig", "ParetoFront", "ProblemSpec", "RunCache",
+    "SelectionReport", "SignificantPoints", "ashby_index", "baseline_states",
+    "compute_er", "default_vf_grid", "detect_significant", "element_stiffness",
+    "envelope", "eval_front", "evaluate_p1", "filter_build", "filter_er",
+    "fit", "fit_problem", "full_density_compliance", "initial_design",
+    "inverse", "load_materials", "multistart_states", "optimize", "preset",
     "refine_states", "refine_vf", "screen_density", "screen_pareto", "select",
     "smooth",
 ]

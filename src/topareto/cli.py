@@ -31,7 +31,7 @@ from .cache import RunCache
 from .errors import (InfeasibleProblemError, InfeasibleStiffnessError,
                      InvalidArgumentError, ParseError, SolverError,
                      SweepFailureError, ToparetoError)
-from .fem2d import ProblemSpec, preset
+from .fem2d import ProblemSpec, _json_number, preset
 from .simp import OptimizerConfig
 
 CACHE_ENV = "TOPARETO_CACHE"
@@ -179,14 +179,9 @@ def _integer(value, name: str, minimum: int) -> int:
 
 
 def _finite(value, name: str) -> float:
-    """A config number; JSON's ``NaN``, ``Infinity``, ``true`` and ``false``
+    """A config number; a string, a bool and JSON's ``NaN`` and ``Infinity``
     are invalid input."""
-    if isinstance(value, bool):
-        raise ParseError(f"{name} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad {name} in config: {exc}") from exc
+    value = _json_number(value, name)
     if not math.isfinite(value):
         raise ParseError(f"{name} must be finite, got {value}")
     return value

@@ -6,10 +6,6 @@ the material already placed. It equals the negated log-log slope of the
 front, so it is ``np.gradient`` of ln C over ln v (nonuniform 3-point
 differences, one-sided at the ends), exact for power-law fronts
 ``C = A v^-n``.
-
-Closed-form constant-ratio components (tension rod, square-section
-cantilever beam, bending plate) are provided for validation: their fronts
-are exact power laws with exponents 1, 2 and 3.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pareto import (DEFAULT_SIGMA, FrontPoint, ParetoFront, check_vfs, envelope,
+from .pareto import (DEFAULT_SIGMA, ParetoFront, check_vfs, envelope,
                      finite_cell, read_table, smooth, write_table)
 
 ER_LOWER_BOUND = -0.02
@@ -78,54 +74,3 @@ def filter_er(front: ParetoFront, sigma: float = DEFAULT_SIGMA) -> ErSeries:
     ns = smooth(raw.vfs(), raw.values(), sigma)
     return ErSeries(tuple(zip(raw.vfs(), ns)))
 
-
-# ---------------------------------------------------------------------------
-# constant-ratio analytic components
-
-VALID_KINDS = ("rod", "beam", "plate")
-
-
-@dataclass(frozen=True)
-class AnalyticComponent:
-    """Tension rod, square-section cantilever beam, or bending plate.
-
-    ``section`` is the design-space cross-section area (rod/beam),
-    ``h_ds`` the design-space plate thickness, ``width`` the plate width.
-    """
-
-    kind: str
-    e: float = 1.0
-    length: float = 1.0
-    section: float = 1.0
-    h_ds: float = 1.0
-    width: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise InvalidArgumentError(f"unknown component kind {self.kind!r}")
-        for nm in ("e", "length", "section", "h_ds", "width"):
-            if getattr(self, nm) <= 0:
-                raise InvalidArgumentError(f"{nm} must be positive")
-
-
-def analytic_stiffness(comp: AnalyticComponent, vf: float) -> float:
-    """Apparent tip stiffness of the component at a volume fraction."""
-    if not 0 < vf <= 1:
-        raise InvalidArgumentError("vf must lie in (0, 1]")
-    if comp.kind == "rod":
-        return comp.e * vf * comp.section / comp.length
-    if comp.kind == "beam":
-        return comp.e * vf**2 * comp.section**2 / (4 * comp.length**3)
-    return comp.e * comp.width * vf**3 * comp.h_ds**3 / (4 * comp.length**3)
-
-
-def analytic_er(comp: AnalyticComponent) -> float:
-    """Constant efficiency ratio of the component (1, 2 or 3)."""
-    return {"rod": 1.0, "beam": 2.0, "plate": 3.0}[comp.kind]
-
-
-def analytic_front(comp: AnalyticComponent, vf_grid) -> ParetoFront:
-    """Compliance front (inverse stiffness) sampled on a vf grid."""
-    pts = tuple(FrontPoint(float(v), 1.0 / analytic_stiffness(comp, float(v)),
-                           f"analytic:{comp.kind}") for v in vf_grid)
-    return ParetoFront(pts)

@@ -71,14 +71,6 @@ def eval_front(m: MetaModel, x: float) -> float:
     return m.a * (1.0 / x + m.b * x ** (1.0 / m.b))
 
 
-def eval_er(m: MetaModel, x: float) -> float:
-    """Model efficiency ratio ``-x f'(x) / f(x)`` in closed form."""
-    if not 0 < x <= 1:
-        raise InvalidArgumentError("x must lie in (0, 1]")
-    xp = x ** (1.0 / m.b + 1.0)
-    return (1.0 - xp) / (1.0 + m.b * xp)
-
-
 def _anchor_ratio(b: float, x1: float) -> float:
     return (1.0 / x1 + b * x1 ** (1.0 / b)) / (1.0 + b)
 

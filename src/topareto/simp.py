@@ -64,10 +64,10 @@ class OptimizerConfig:
     max_iters: int = 300
 
     def __post_init__(self):
-        if self.penal < 1:
-            raise InvalidArgumentError("penal must be >= 1")
-        if self.rmin is not None and self.rmin < 1:
-            raise InvalidArgumentError("rmin must be >= 1")
+        if not 1 <= self.penal < np.inf:
+            raise InvalidArgumentError("penal must be finite and >= 1")
+        if self.rmin is not None and not 1 <= self.rmin < np.inf:
+            raise InvalidArgumentError("rmin must be finite and >= 1")
         if self.filter_kind not in ("density", "sensitivity"):
             raise InvalidArgumentError(f"unknown filter kind {self.filter_kind!r}")
         if self.max_iters < 1:
@@ -119,8 +119,8 @@ class DesignResult:
 
 def filter_build(grid: Grid, rmin: float) -> scipy.sparse.csr_matrix:
     """Row-normalized cone filter: w_ij = max(0, rmin - dist(i, j))."""
-    if rmin < 1:
-        raise InvalidArgumentError("rmin must be >= 1")
+    if not 1 <= rmin < np.inf:
+        raise InvalidArgumentError("rmin must be finite and >= 1")
     return _filter_cached(grid, float(rmin))[0]
 
 

@@ -1,13 +1,20 @@
 """Independent textbook implementations used as test oracles.
 
 Everything here is written from first principles (shape functions, Gauss
-quadrature, loop assembly, reduced-system solves) and deliberately shares
-no code with the package. Slow and simple on purpose.
+quadrature, loop assembly, reduced-system solves, the closed-form rod, beam,
+plate and meta-model efficiency ratios) and deliberately shares no code with
+the package; its one import from it is ``InvalidArgumentError``, so that the
+analytic components reject bad arguments as the package does. Slow and
+simple on purpose.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+
+from topareto.errors import InvalidArgumentError
 
 GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -256,3 +263,55 @@ def loglog_slope(v, c):
                  + (h2 - h1) / (h1 * h2) * z[1:-1]
                  + h1 / (h2 * (h1 + h2)) * z[2:])
     return out
+
+
+@dataclass(frozen=True)
+class AnalyticComponent:
+    """Tension rod, square-section cantilever beam, or bending plate.
+
+    ``section`` is the design-space cross-section area (rod/beam),
+    ``h_ds`` the design-space plate thickness, ``width`` the plate width.
+    Their compliance fronts are exact power laws with exponents 1, 2 and 3.
+    """
+
+    kind: str
+    e: float = 1.0
+    length: float = 1.0
+    section: float = 1.0
+    h_ds: float = 1.0
+    width: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("rod", "beam", "plate"):
+            raise InvalidArgumentError(f"unknown component kind {self.kind!r}")
+        for nm in ("e", "length", "section", "h_ds", "width"):
+            if getattr(self, nm) <= 0:
+                raise InvalidArgumentError(f"{nm} must be positive")
+
+
+def analytic_stiffness(comp, vf):
+    """Apparent tip stiffness of the component at a volume fraction."""
+    if not 0 < vf <= 1:
+        raise InvalidArgumentError("vf must lie in (0, 1]")
+    if comp.kind == "rod":
+        return comp.e * vf * comp.section / comp.length
+    if comp.kind == "beam":
+        return comp.e * vf**2 * comp.section**2 / (4 * comp.length**3)
+    return comp.e * comp.width * vf**3 * comp.h_ds**3 / (4 * comp.length**3)
+
+
+def analytic_er(comp):
+    """Constant efficiency ratio of the component (1, 2 or 3)."""
+    return {"rod": 1.0, "beam": 2.0, "plate": 3.0}[comp.kind]
+
+
+def analytic_front(comp, vfs):
+    """``(vf, compliance)`` pairs, compliance being the inverse stiffness."""
+    return [(float(v), 1.0 / analytic_stiffness(comp, float(v))) for v in vfs]
+
+
+def metamodel_er(b, x):
+    """Efficiency ratio ``-x f'(x) / f(x)`` of the meta-model front
+    ``f(x) = a * (1/x + b * x^(1/b))``, in closed form (free of ``a``)."""
+    xp = x ** (1.0 / b + 1.0)
+    return (1.0 - xp) / (1.0 + b * xp)

@@ -496,7 +496,17 @@ class TestConfigPrecedence:
                                              ("sweep.points", '"a"')])
     def test_non_numeric_number_exit_2(self, tmp_path, capsys, name, value):
         assert self._er_with_config(tmp_path, name, value) == 2
-        assert f"bad {name} in config" in capsys.readouterr().err
+        assert f"{name} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["optimizer.penal", "optimizer.rmin", "sigma",
+                                      "anchor_vf", "tie_tol", "min_threshold",
+                                      "drop_threshold", "sweep.lo", "sweep.hi",
+                                      "sweep.points"])
+    def test_numeric_string_exit_2(self, tmp_path, capsys, name):
+        # a JSON string is not a number, even when it spells one
+        value = '"3"' if name.startswith("optimizer.") else '"0.5"'
+        assert self._er_with_config(tmp_path, name, value) == 2
+        assert f"{name} must be a number, got {value[1:-1]!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [(), ("--workers", "-3"), ("--workers", "0")])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, flags):
@@ -523,7 +533,10 @@ class TestConfigPrecedence:
         code = run(["--config", str(cfgfile), "optimize", "--preset", "mbb",
                     *flags, "--out", str(out), "--vf", "1.0"])
         assert code == 2 and not out.exists()
-        assert "must be an integer of at least 1" in capsys.readouterr().err
+        # a string is not a number, whatever it spells
+        message = ("nelx must be a number, got '8'" if doc.get("nelx") == "8"
+                   else "must be an integer of at least 1")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, message", [
         ({"problem": {"name": "x"}}, "problem config is missing key 'nelx'"),

@@ -29,14 +29,26 @@ class TestOptimizerConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(penal=0.5), dict(rmin=0.8), dict(filter_kind="median"),
-        dict(max_iters=0),
+        dict(max_iters=0), dict(penal=np.nan), dict(penal=np.inf),
+        dict(rmin=np.nan), dict(rmin=np.inf),
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(**bad)
 
+    def test_digest_pinned(self):
+        # cache keys: a change here orphans every cached run
+        assert OptimizerConfig().digest() == "1662730267bebfea"
+        assert OptimizerConfig(penal=1.0, rmin=2.5, filter_kind="sensitivity",
+                               max_iters=40).digest() == "02496708bbfdfa49"
+
 
 class TestFilterBuild:
+    @pytest.mark.parametrize("rmin", [0.5, np.nan, np.inf])
+    def test_bad_rmin_rejected(self, rmin):
+        with pytest.raises(InvalidArgumentError, match="rmin must be finite"):
+            filter_build(Grid(4, 2), rmin)
+
     def test_rmin_one_is_identity(self):
         w = filter_build(Grid(5, 4), 1.0).toarray()
         assert np.allclose(w, np.eye(20))
