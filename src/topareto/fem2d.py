@@ -19,25 +19,62 @@ Conventions (fixed, used everywhere):
   Fortran-ordered lower-band storage. The band is assembled as one
   precomputed sparse product, ``P @ emod``, mapping element moduli to band
   entries (the precomputed-index assembly of Ferrari & Sigmund 2020).
+* The package calls two compiled scipy modules and none of scipy's Python
+  functions: ``dpbtrf``/``dpbtrs`` of ``scipy.linalg._flapack`` and
+  ``csr_matvec`` of ``scipy.sparse._sparsetools``. :func:`_scipy_extension`
+  loads each from scipy's directory, so neither ``scipy.linalg`` nor
+  ``scipy.sparse`` is imported (their ``__init__`` takes about half of a
+  command's start-up). Sparse operators are :class:`Csr` records built
+  with numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse import _sparsetools
 
 from .errors import InvalidArgumentError, SolverError
 
 RESID_TOL = 1e-8
 E_MIN = 1e-9  # modulus of a void element, relative to the solid
 NU = 0.3  # Poisson ratio of the solid phase
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module ``scipy.<name>``, loaded from its file.
+
+    Importing the top-level ``scipy`` package first sets up the libraries
+    its wheel bundles; the subpackage ``__init__`` is never run. Loading
+    enters the module in ``sys.modules``; unless the subpackage had already
+    put it there, it is taken out again, so that a later import of the
+    subpackage loads it as usual.
+    """
+    import scipy
+
+    path = os.path.join(os.path.dirname(scipy.__file__),
+                        *name.split(".")) + EXTENSION_SUFFIXES[0]
+    if not os.path.exists(path):
+        raise ImportError(f"compiled scipy module not found: {path}", path=path)
+    loader = ExtensionFileLoader(f"scipy.{name}", path)
+    imported = loader.name in sys.modules
+    module = module_from_spec(spec_from_file_location(loader.name, path, loader=loader))
+    loader.exec_module(module)
+    if not imported:
+        sys.modules.pop(loader.name, None)
+    return module
+
+
+_flapack = _scipy_extension("linalg._flapack")
+_sparsetools = _scipy_extension("sparse._sparsetools")
 
 
 @dataclass(frozen=True)
@@ -74,7 +111,9 @@ class ProblemSpec:
     """A discretized design domain with loads and supports.
 
     ``symmetry_factor`` is the volume multiplier mapping the modeled domain
-    to the physical part (2 for a half-symmetric model).
+    to the physical part (2 for a half-symmetric model). A problem no solve
+    can answer, with supports that leave a rigid-body mode free or with
+    every load on a fixed DOF, is rejected.
     """
 
     grid: Grid
@@ -97,6 +136,17 @@ class ProblemSpec:
         for dof in self.fixed_dofs:
             if not 0 <= dof < ndof:
                 raise InvalidArgumentError(f"fixed DOF {dof} out of range (ndof={ndof})")
+        if all(dof in self.fixed_dofs for dof, _ in self.loads):
+            raise InvalidArgumentError(f"problem {self.name!r}: every load is on a fixed DOF")
+        # the x, y and rotation rigid-body modes, (1, 0), (0, 1) and
+        # (-y, x) at node (x, y) = (ix, -iy), at the fixed DOFs: the
+        # constrained stiffness is singular unless they are independent there
+        fixed = np.array(sorted(self.fixed_dofs), dtype=int)
+        ix, iy = np.divmod(fixed // 2, self.grid.nely + 1)
+        is_y = fixed % 2
+        if np.linalg.matrix_rank(np.column_stack((1 - is_y, is_y, np.where(is_y, ix, iy)))) < 3:
+            raise InvalidArgumentError(f"problem {self.name!r}: the supports leave a "
+                                       "rigid-body mode free")
         if not 0 < self.symmetry_factor < math.inf:
             raise InvalidArgumentError("symmetry_factor must be positive and finite")
 
@@ -185,9 +235,28 @@ class DensityField:
         return self.values.reshape(grid.nelx, grid.nely).T
 
 
-def csr_dot(a: scipy.sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a float CSR matrix and vector: the same ``csr_matvec``
-    into a fresh zeroed vector, and the same bits, without scipy's dispatch."""
+class Csr(NamedTuple):
+    """A float sparse matrix as the compressed-row arrays ``csr_matvec`` reads."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def csr_from_entries(rows, cols, data, shape) -> Csr:
+    """The :class:`Csr` of entries ``(rows[k], cols[k], data[k])``, none
+    repeated, keeping their given order within each row."""
+    order = np.argsort(rows, kind="stable")
+    idx = np.int32 if max(len(order), *shape) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return Csr(indptr, cols[order].astype(idx), data[order], shape)
+
+
+def csr_dot(a: Csr, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a float CSR matrix and vector: scipy's ``csr_matvec``
+    into a fresh zeroed vector, and the same bits as scipy's ``@``."""
     if x.shape != (a.shape[1],):  # the kernel reads x without a bounds check
         raise ValueError(f"csr_dot: vector of shape {x.shape} for a {a.shape} matrix")
     out = np.zeros(a.shape[0])
@@ -214,17 +283,17 @@ def element_stiffness(nu: float) -> np.ndarray:
 
 def simp_modulus(values: np.ndarray, penal: float) -> np.ndarray:
     """Per-element modulus ``E_MIN + rho^p * (1 - E_MIN)`` (modified SIMP)."""
-    if penal < 1:
-        raise InvalidArgumentError("penal must be >= 1")
+    if not 1 <= penal < math.inf:
+        raise InvalidArgumentError("penal must be finite and >= 1")
     return E_MIN + np.asarray(values, dtype=float) ** penal * (1.0 - E_MIN)
 
 
 class GridKernel:
     """Precomputed index machinery for one (grid, fixed_dofs) pair.
 
-    Carries the element DOF table, the banded assembly operator (a CSR
-    matrix from element moduli to the Fortran-ordered constrained lower
-    band), the LAPACK ``pbtrf``/``pbtrs`` routines, and the fixed DOFs. Its
+    Carries the element DOF table, the banded assembly operator (a
+    :class:`Csr` from element moduli to the Fortran-ordered constrained
+    lower band) and the fixed DOFs. Its
     :meth:`solve`, a banded Cholesky factorization with iterative
     refinement, is the one linear solver of the package.
     """
@@ -254,7 +323,8 @@ class GridKernel:
         # Fortran-order as LAPACK reads it (entry (i, j) of the matrix at
         # j*(bw+1) + i-j), is ``P @ emod``. Entries in fixed rows/cols are
         # dropped; every band entry gets at most one term per element, and
-        # sorted indices sum them in element order, as a scatter would.
+        # each row keeps the element order, so ``csr_matvec`` sums them as
+        # a scatter would.
         # Most band entries are structurally zero (four in five at 60x20),
         # so ``P`` keeps only its non-empty rows, ``_band_rows``, and the
         # product is scattered into a zeroed band.
@@ -265,11 +335,8 @@ class GridKernel:
             (j_idx * (bw + 1) + i_idx - j_idx)[keep], return_inverse=True)
         cols = np.repeat(np.arange(grid.nel), 64)[keep]
         data = np.tile(self.ke.ravel(), grid.nel)[keep]
-        self._band_op = scipy.sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self._band_rows.size, grid.nel))
-        self._band_op.sort_indices()
-        self._pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(
-            ("pbtrf", "pbtrs"), dtype=np.float64)
+        self._band_op = csr_from_entries(rows, cols, data,
+                                         (self._band_rows.size, grid.nel))
 
     def assemble_banded(self, emod: np.ndarray) -> np.ndarray:
         """Constrained stiffness in lower-banded storage, Fortran-ordered.
@@ -318,13 +385,13 @@ class GridKernel:
         ``cholesky_banded``/``cho_solve_banded``), factoring the freshly
         assembled band in place.
         """
-        cb, info = self._pbtrf(self.assemble_banded(emod), lower=1, overwrite_ab=1)
+        cb, info = _flapack.dpbtrf(self.assemble_banded(emod), lower=1, overwrite_ab=1)
         if info > 0:
             raise SolverError(f"banded Cholesky failed: {info}-th leading minor "
                               "not positive definite")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of pbtrf")
-        return lambda rhs: self._pbtrs(cb, rhs, lower=1)[0]
+        return lambda rhs: _flapack.dpbtrs(cb, rhs, lower=1)[0]
 
     def solve(self, emod: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Solve the constrained system for one modulus field.

@@ -2,10 +2,11 @@
 
 Everything here is written from first principles (shape functions, Gauss
 quadrature, loop assembly, reduced-system solves, the closed-form rod, beam,
-plate and meta-model efficiency ratios) and deliberately shares no code with
-the package; its one import from it is ``InvalidArgumentError``, so that the
-analytic components reject bad arguments as the package does. Slow and
-simple on purpose.
+plate and meta-model efficiency ratios) or with scipy's sparse matrices (the
+filter and the banded assembly operator), and deliberately shares no code
+with the package; its one import from it is ``InvalidArgumentError``, so
+that the analytic components reject bad arguments as the package does. Slow
+and simple on purpose.
 """
 
 from dataclasses import dataclass
@@ -113,6 +114,44 @@ def build_filter(nelx, nely, rmin):
     h = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nel, nel)).tocsr()
     hs = np.asarray(h.sum(axis=1)).ravel()
     return h, hs
+
+
+def scipy_filter(nelx, nely, rmin):
+    """The density filter's shared arrays as scipy builds them: ``w =
+    diags(1 / hs) @ h`` (CSR, each row's columns in the descending order
+    ``csr_matmat`` emits), ``w.T`` as CSR, the column means of ``w``, the
+    volume sensitivity ``dv`` and ``w.T @ dv``."""
+    h, hs = build_filter(nelx, nely, rmin)
+    w = (scipy.sparse.diags(1.0 / hs) @ h).tocsr()
+    w_t = w.T.tocsr()
+    dv = np.full(nelx * nely, 1.0 / (nelx * nely))
+    return w, w_t, np.asarray(w.sum(axis=0)).ravel() / (nelx * nely), dv, w_t.dot(dv)
+
+
+def scipy_band_operator(edof, ke, fixed_dofs, ndof):
+    """The banded assembly operator as scipy builds it from an element DOF
+    table and element matrix: the positions of the non-empty entries of the
+    constrained lower band in Fortran-ordered ``(bw+1, ndof)`` storage, and
+    the CSR matrix from element moduli to those entries."""
+    nel = edof.shape[0]
+    i_idx = np.repeat(edof, 8, axis=1).ravel()
+    j_idx = np.tile(edof, (1, 8)).ravel()
+    bw = int(np.max(edof.max(axis=1) - edof.min(axis=1)))
+    fixed = np.zeros(ndof, dtype=bool)
+    fixed[list(fixed_dofs)] = True
+    keep = (i_idx >= j_idx) & ~fixed[i_idx] & ~fixed[j_idx]
+    band_rows, rows = np.unique((j_idx * (bw + 1) + i_idx - j_idx)[keep],
+                                return_inverse=True)
+    cols = np.repeat(np.arange(nel), 64)[keep]
+    data = np.tile(ke.ravel(), nel)[keep]
+    op = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(band_rows.size, nel))
+    op.sort_indices()
+    return band_rows, op
+
+
+def scipy_csr(a):
+    """A scipy CSR matrix over the arrays of a ``fem2d.Csr`` record."""
+    return scipy.sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def oc_bisection(x, dc, dv, target, move, eta, weights=None):

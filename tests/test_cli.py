@@ -583,6 +583,11 @@ class TestConfigPrecedence:
          "bad problem config: symmetry_factor must be a number, got False"),
         ({"problem": {**SMALL_PROBLEM, "loads": [[29, "-1"]]}},
          "bad problem config: loads magnitude must be a number, got '-1'"),
+        # problems that no solve can answer
+        ({"problem": {**SMALL_PROBLEM, "name": "loose", "fixed_dofs": [0]}},
+         "bad problem config: problem 'loose': the supports leave a rigid-body mode free"),
+        ({"problem": {**SMALL_PROBLEM, "name": "held", "loads": [[3, -1.0]]}},
+         "bad problem config: problem 'held': every load is on a fixed DOF"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"

@@ -127,8 +127,10 @@ class TestAssemble:
         assert np.allclose(ab, _lower_band(dense, ab.shape[0]), rtol=1e-12, atol=1e-15)
 
     def test_rejects_bad_penal(self, tiny_mbb):
-        with pytest.raises(InvalidArgumentError):
-            simp_modulus(np.ones(tiny_mbb.grid.nel), penal=0.5)
+        # NaN compares False both ways, so ``penal < 1`` alone lets it in
+        for penal in (0.5, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                simp_modulus(np.ones(tiny_mbb.grid.nel), penal=penal)
 
     def test_banded_is_lower_band_of_constrained_loop_matrix(self, small_mbb):
         rng = np.random.default_rng(5)
@@ -157,6 +159,15 @@ def _bincount_band(kern, emod):
                      minlength=shape[0] * shape[1]).reshape(shape)
     ab[0, fixed] = 1.0
     return ab
+
+
+def _preset_kernel(name, shape):
+    """``kernel_for`` of a preset at ``shape``. The 1x1 bridge's two loads
+    sit on its supports, which makes it no valid problem, so its kernel is
+    built from those supports (pin at node 1, roller at node 3) directly."""
+    if (name, shape) == ("bridge", (1, 1)):
+        return fem2d.GridKernel(Grid(1, 1), frozenset({2, 3, 7}))
+    return kernel_for(preset(name, *shape))
 
 
 def _random_emod(problem, seed, void_solid=False):
@@ -208,16 +219,28 @@ class TestBitIdentity:
         assert np.array_equal(kern.solve(emod, f), u)
 
     @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (60, 20), (120, 40)])
+    def test_band_operator_equals_scipy_build(self, name, shape):
+        kern = _preset_kernel(name, shape)
+        band_rows, want = ref.scipy_band_operator(kern.edof, kern.ke,
+                                                  set(kern._fixed_at), kern.ndof)
+        assert np.array_equal(kern._band_rows, band_rows)
+        op = kern._band_op
+        assert op.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
     def test_csr_dot_equals_matmul_on_band_operator(self, name, shape):
-        op = kernel_for(preset(name, *shape))._band_op
+        op = _preset_kernel(name, shape)._band_op
         rng = np.random.default_rng(15)
         for scale in (1e-9, 1.0, 1e9):
             x = rng.random(op.shape[1]) * scale
             x[rng.random(x.size) < 0.25] = 0.0  # exact zeros
             got = fem2d.csr_dot(op, x)
             assert got.shape == (op.shape[0],)
-            assert np.array_equal(got, op @ x)
+            assert np.array_equal(got, ref.scipy_csr(op) @ x)
         # the kernel would read past a short vector
         with pytest.raises(ValueError, match="shape"):
             fem2d.csr_dot(op, np.ones(op.shape[1] - 1))
@@ -225,7 +248,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
     def test_element_energies_equal_element_major_einsum(self, name, shape):
-        kern = kernel_for(preset(name, *shape))
+        kern = _preset_kernel(name, shape)
         rng = np.random.default_rng(14)
         fields = [np.zeros(kern.ndof)]
         for scale in 10.0 ** np.arange(-12, 15, 2):
@@ -281,10 +304,13 @@ class TestSolve:
         assert np.allclose(u, u_ref, rtol=1e-6, atol=1e-9)
 
     def test_singular_raises(self):
-        g = Grid(2, 2)
-        problem = ProblemSpec(g, ((1, -1.0),), frozenset({0}), "underfixed")
+        # supports that leave rigid-body modes free: no valid problem, so
+        # the kernel is built directly
+        kern = fem2d.GridKernel(Grid(2, 2), frozenset({0}))
+        f = np.zeros(kern.ndof)
+        f[1] = -1.0
         with pytest.raises(SolverError, match="banded Cholesky failed"):
-            kernel_solve(problem, np.ones(4), 1.0)
+            kern.solve(simp_modulus(np.ones(4), 1.0), f)
 
     def test_residual_failure_names_residual_and_limit(self, tiny_mbb):
         kern = fem2d.GridKernel(tiny_mbb.grid, tiny_mbb.fixed_dofs)
@@ -425,6 +451,41 @@ class TestProblemSpec:
         g = Grid(2, 2)
         with pytest.raises(InvalidArgumentError):
             ProblemSpec(g, tuple(), frozenset({0}))
+
+    @pytest.mark.parametrize("fixed", [
+        set(),
+        {0},  # one x DOF: y translation and rotation free
+        {2 * n for n in range(4)},  # the left edge in x: y translation free
+        {2 * n + 1 for n in range(3, 28, 4)},  # the bottom edge in y: x free
+        {0, 1},  # a pin: rotation about it free
+        {0, 1, 3},  # a pin and a y roller below it: rotation free
+    ])
+    def test_supports_leaving_a_rigid_mode_free_rejected(self, fixed):
+        g = Grid(6, 3)
+        with pytest.raises(InvalidArgumentError,
+                           match="problem 'loose': the supports leave a rigid-body mode free"):
+            ProblemSpec(g, ((53, -1.0),), frozenset(fixed), "loose")
+
+    def test_supports_fixing_every_rigid_mode_accepted(self):
+        g = Grid(6, 3)
+        # a pin and an x roller below it, and a pin and a y roller beside it
+        for fixed in ({0, 1, 2}, {0, 1, 9}):
+            ProblemSpec(g, ((53, -1.0),), frozenset(fixed))
+        for name in fem2d.PRESET_SIZES:
+            for shape in ((1, 1), (7, 3), (60, 20)):
+                if (name, shape) != ("bridge", (1, 1)):
+                    preset(name, *shape)
+
+    def test_loads_all_on_fixed_dofs_rejected(self):
+        g = Grid(6, 3)
+        with pytest.raises(InvalidArgumentError,
+                           match="problem 'held': every load is on a fixed DOF"):
+            ProblemSpec(g, ((1, -1.0), (0, 2.0)), frozenset({0, 1, 2}), "held")
+        # one load off the supports is enough
+        ProblemSpec(g, ((1, -1.0), (4, 2.0)), frozenset({0, 1, 2}), "held")
+        # the 1x1 bridge puts both its loads on its supports
+        with pytest.raises(InvalidArgumentError, match="every load is on a fixed DOF"):
+            preset("bridge", 1, 1)
 
     def test_presets_solve_at_full_density(self):
         for name in ("mbb", "bridge", "complex"):

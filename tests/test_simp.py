@@ -50,11 +50,11 @@ class TestFilterBuild:
             filter_build(Grid(4, 2), rmin)
 
     def test_rmin_one_is_identity(self):
-        w = filter_build(Grid(5, 4), 1.0).toarray()
+        w = ref.scipy_csr(filter_build(Grid(5, 4), 1.0)).toarray()
         assert np.allclose(w, np.eye(20))
 
     def test_uniform_field_preserved(self):
-        w = filter_build(Grid(7, 5), 2.5)
+        w = ref.scipy_csr(filter_build(Grid(7, 5), 2.5))
         x = np.full(35, 0.42)
         assert np.allclose(w @ x, x)
 
@@ -62,7 +62,7 @@ class TestFilterBuild:
         # 5x5 grid, rmin=1.5: self weight 1.5, edge neighbors 1.5-1=0.5,
         # diagonal neighbors 1.5-sqrt(2); everything further is outside
         grid = Grid(5, 5)
-        w = filter_build(grid, 1.5)
+        w = ref.scipy_csr(filter_build(grid, 1.5))
         eid = {divmod(el, grid.nely): el for el in range(grid.nel)}
         center = eid[2, 2]
         impulse = np.zeros(25)
@@ -79,12 +79,12 @@ class TestFilterBuild:
         assert out[eid[2, 4]] == 0.0
 
     def test_rows_normalized(self):
-        w = filter_build(Grid(9, 6), 3.0)
+        w = ref.scipy_csr(filter_build(Grid(9, 6), 3.0))
         assert np.allclose(np.asarray(w.sum(axis=1)).ravel(), 1.0)
 
     def test_matches_reference_filter(self):
         h, hs = ref.build_filter(6, 5, 2.2)
-        mine = filter_build(Grid(6, 5), 2.2).toarray()
+        mine = ref.scipy_csr(filter_build(Grid(6, 5), 2.2)).toarray()
         theirs = (h.toarray().T / hs).T
         assert np.allclose(mine, theirs, rtol=1e-12)
 
@@ -98,13 +98,14 @@ class TestFilterInvariants:
         assert simp_mod._filter_cached(grid, 2.5) is got
         w, w_t, weights, dv, dv_t = got
         assert filter_build(grid, 2.5) is w
-        fresh = w.T.tocsr()
+        fresh = ref.scipy_csr(w).T.tocsr()
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(w_t, name), getattr(fresh, name)), name
-        assert np.array_equal(weights, np.asarray(w.sum(axis=0)).ravel() / grid.nel)
+        assert np.array_equal(weights,
+                              np.asarray(ref.scipy_csr(w).sum(axis=0)).ravel() / grid.nel)
         assert np.array_equal(dv, np.full(grid.nel, 1.0 / grid.nel))
         assert np.array_equal(dv_t, fresh.dot(np.full(grid.nel, 1.0 / grid.nel)))
-        for arr in (w_t.data, w_t.indices, w_t.indptr, weights, dv, dv_t):
+        for arr in (*w[:3], *w_t[:3], weights, dv, dv_t):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -120,7 +121,19 @@ class TestFilterInvariants:
             x = rng.random(grid.nel) * scale
             x[rng.random(grid.nel) < 0.25] = 0.0  # exact zeros
             for a in (w, w_t):
-                assert np.array_equal(csr_dot(a, x), a @ x)
+                assert np.array_equal(csr_dot(a, x), ref.scipy_csr(a) @ x)
+
+    @pytest.mark.parametrize("rmin", [1.0, 1.2, 1.8, 2.5, 3.0])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (60, 20), (120, 40)])
+    def test_equal_scipy_build(self, shape, rmin):
+        got = simp_mod._filter_cached.__wrapped__(Grid(*shape), rmin)
+        want = ref.scipy_filter(*shape, rmin)
+        for mine, theirs in zip(got[:2], want[:2]):
+            assert mine.shape == theirs.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
+        for mine, theirs in zip(got[2:], want[2:]):
+            assert np.array_equal(mine, theirs)
 
 
 class TestInitialDesign:
@@ -161,6 +174,13 @@ class TestInitialDesign:
         with pytest.raises(InvalidArgumentError, match="unknown initial design kind"):
             initial_design("previous", 0.5, Grid(4, 4))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (60, 20), (120, 40)])
+    def test_noise_equals_scipy_build(self, shape):
+        grid = Grid(*shape)
+        w = ref.scipy_filter(*shape, 1.0 + min(shape) / 8.0)[0]
+        raw = np.random.default_rng(simp_mod._NOISE_SEED).random(grid.nel)
+        assert np.array_equal(simp_mod._base_pattern("noise", grid), w @ (w @ raw))
+
     def test_noise_deterministic(self):
         a = initial_design("noise", 0.4, Grid(10, 10))
         b = initial_design("noise", 0.4, Grid(10, 10))
@@ -175,7 +195,7 @@ class TestInitialDesign:
     def test_rescale_hits_weighted_mean(self):
         # the density-filter weights: col_mean @ x is the mean of W @ x
         grid = Grid(12, 6)
-        w = filter_build(grid, 2.5)
+        w = ref.scipy_csr(filter_build(grid, 2.5))
         col_mean = np.asarray(w.sum(axis=0)).ravel() / grid.nel
         base = np.random.default_rng(3).random(grid.nel) ** 3
         out = rescale_to_volume(base, 0.45, col_mean)
@@ -187,7 +207,7 @@ class TestInitialDesign:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_rescale_equals_clip_mean_bisection(self, weighted):
         grid = Grid(12, 6)
-        w = filter_build(grid, 2.5)
+        w = ref.scipy_csr(filter_build(grid, 2.5))
         weights = np.asarray(w.sum(axis=0)).ravel() / grid.nel if weighted else None
         rng = np.random.default_rng(5)
         bases = [simp_mod._base_pattern(kind, grid) for kind in INITIAL_DESIGN_KINDS]
@@ -323,7 +343,7 @@ class TestRaceBound:
         init = initial_design("disc", 0.3, small_mbb.grid)
         cfg = OptimizerConfig(max_iters=1)
         res = optimize(small_mbb, 0.3, cfg, init)
-        w = filter_build(small_mbb.grid, cfg.resolve_rmin(small_mbb.grid))
+        w = ref.scipy_csr(filter_build(small_mbb.grid, cfg.resolve_rmin(small_mbb.grid)))
         u = kernel_solve(small_mbb, w @ init.values, 3.0)
         assert len(res.history) == 1
         assert res.history[0] == pytest.approx(
