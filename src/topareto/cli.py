@@ -127,6 +127,9 @@ def _load_config(args) -> RunConfig:
                        "workers", 1)
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
                for name in NUMBER_KEYS}
+    for name in ("min_threshold", "drop_threshold", "sigma", "tie_tol"):
+        if numbers[name] < 0:  # would silently turn its stage off, or on everywhere
+            raise ParseError(f"{name} must be at least 0, got {numbers[name]}")
     return RunConfig(
         problem=problem,
         optimizer=optimizer,
@@ -318,15 +321,10 @@ def cmd_select(args) -> int:
                           height=args.height)
     out = cfg.out_dir
     model_path = out / "metamodel.json"
-    if model_path.exists():
-        model = _read(model_path, "meta-model", mm_mod.MetaModel.from_json)
-        if model.problem_name != cfg.problem.name:
-            raise InvalidArgumentError(f"meta-model {model_path} was fitted to problem "
-                                       f"{model.problem_name!r}, not {cfg.problem.name!r}")
-    else:
-        model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,
-                                   cfg.cache(), cfg.workers)
-        _write(model_path, model.to_json() + "\n")
+    model = _read(model_path, "meta-model", mm_mod.MetaModel.from_json)
+    if model.problem_name != cfg.problem.name:
+        raise InvalidArgumentError(f"meta-model {model_path} was fitted to problem "
+                                   f"{model.problem_name!r}, not {cfg.problem.name!r}")
 
     report = mat_mod.select(mats, model, lc, cfg.tie_tol, problem=cfg.problem,
                             cfg=cfg.optimizer, cache=cfg.cache(), workers=cfg.workers)

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 from .cache import RunCache
 from .errors import (FitInfeasibleError, InfeasibleProblemError,
-                     InfeasibleStiffnessError, InvalidArgumentError, ParseError)
+                     InfeasibleStiffnessError, InvalidArgumentError)
 from .fem2d import ProblemSpec
 from .metamodel import MetaModel, fit, inverse
-from .pareto import read_table, run_optimizations
+from .pareto import finite_cell, read_table, run_optimizations
 from .simp import OptimizerConfig
 
 DEFAULT_TIE_TOL = 0.02
@@ -104,16 +104,15 @@ class SelectionReport:
 
 def load_materials(text: str) -> list[Material]:
     """Materials of a CSV table with header ``name,E_GPa,rho_kgm3`` (SI on load).
-    A cell that is no number, a value :class:`Material` rejects and a repeated
-    name are errors naming the line."""
+    A cell that is no finite number (:func:`pareto.finite_cell`), a value
+    :class:`Material` rejects and a repeated name are errors naming the line."""
     mats: list[Material] = []
     for line, (name, e_gpa, rho) in read_table(text, ("name", "E_GPa", "rho_kgm3")):
         try:
-            mat = Material(name.strip(), float(e_gpa) * 1e9, float(rho))
+            mat = Material(name.strip(), finite_cell(e_gpa, line) * 1e9,
+                           finite_cell(rho, line))
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"line {line}: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"bad number in row for {name!r}: {exc}", line=line) from exc
         if any(m.name == mat.name for m in mats):
             raise InvalidArgumentError(f"line {line}: duplicate material {mat.name!r}")
         mats.append(mat)

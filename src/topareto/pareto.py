@@ -278,7 +278,8 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     the first iteration from the third on whose penalized compliance
     exceeds that multiple of the reference's at the same iteration (see
     ``simp.optimize``). Unbounded tasks run first, then the bounded ones,
-    in the same pool. A bounded task is keyed by its descriptor plus the
+    in one pool, started once two runs are pending (a lone run before that
+    runs in this process). A bounded task is keyed by its descriptor plus the
     factor and its reference's result key, so an abandoned result never
     sits under a full-run key, and a warm cache, which gives the same
     bound, serves it again. A bounded task whose reference failed is
@@ -326,7 +327,7 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
                 })
             if not pending:
                 continue
-            if workers > 1 and pool is None:
+            if workers > 1 and len(pending) > 1 and pool is None:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             done = pool.map(_run_point, pending) if pool else map(_run_point, pending)
             for payload, (res, err) in zip(pending, done):

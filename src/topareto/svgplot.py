@@ -14,54 +14,63 @@ from .errors import InvalidArgumentError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 MARGIN = 56.0
+WIDTH, HEIGHT = 640.0, 420.0
+TICK_COUNT = 5  # ticks of a linear axis
+ASHBY_TITLE = "modulus vs density"
 
 
 def _transform(vals, lo, hi, out_lo, out_hi, log):
     if log:
         vals = np.log10(vals)
         lo, hi = math.log10(lo), math.log10(hi)
-    if hi <= lo:
-        hi = lo + 1.0
     return out_lo + (np.asarray(vals) - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def _ticks(lo, hi, log, count=5):
+def _ticks(lo, hi, log):
     if log:
         lo10, hi10 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         return [10.0 ** k for k in range(lo10, hi10 + 1)]
-    return list(np.linspace(lo, hi, count))
+    return list(np.linspace(lo, hi, TICK_COUNT))
 
 
-def _axes(parts, lo_x, hi_x, lo_y, hi_y, width, height, xlabel, ylabel,
-          logx, logy):
+def _span(values, log) -> tuple[float, float]:
+    """The axis range of the data: its extremes, a flat one widened, on a log
+    axis by a factor so that it stays positive."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi > lo:
+        return lo, hi
+    return (lo / 2, hi * 2) if log else (lo - 0.5, hi + 0.5)
+
+
+def _axes(parts, lo_x, hi_x, lo_y, hi_y, xlabel, ylabel, logx, logy):
     parts.append(f'<rect x="{MARGIN:.2f}" y="{MARGIN / 2:.2f}" '
-                 f'width="{width - 1.5 * MARGIN:.2f}" height="{height - 1.5 * MARGIN:.2f}" '
+                 f'width="{WIDTH - 1.5 * MARGIN:.2f}" height="{HEIGHT - 1.5 * MARGIN:.2f}" '
                  f'fill="none" stroke="#333" stroke-width="1"/>')
     for tv in _ticks(lo_x, hi_x, logx):
         if tv < lo_x * (1 - 1e-12) or tv > hi_x * (1 + 1e-12):
             continue
-        px = float(_transform([tv], lo_x, hi_x, MARGIN, width - MARGIN / 2, logx)[0])
-        parts.append(f'<line x1="{px:.2f}" y1="{height - MARGIN:.2f}" '
-                     f'x2="{px:.2f}" y2="{height - MARGIN + 5:.2f}" stroke="#333"/>')
-        parts.append(f'<text x="{px:.2f}" y="{height - MARGIN + 18:.2f}" '
+        px = float(_transform([tv], lo_x, hi_x, MARGIN, WIDTH - MARGIN / 2, logx)[0])
+        parts.append(f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN:.2f}" '
+                     f'x2="{px:.2f}" y2="{HEIGHT - MARGIN + 5:.2f}" stroke="#333"/>')
+        parts.append(f'<text x="{px:.2f}" y="{HEIGHT - MARGIN + 18:.2f}" '
                      f'font-size="11" text-anchor="middle">{tv:.6g}</text>')
     for tv in _ticks(lo_y, hi_y, logy):
         if tv < lo_y * (1 - 1e-12) or tv > hi_y * (1 + 1e-12):
             continue
-        py = float(_transform([tv], lo_y, hi_y, height - MARGIN, MARGIN / 2, logy)[0])
+        py = float(_transform([tv], lo_y, hi_y, HEIGHT - MARGIN, MARGIN / 2, logy)[0])
         parts.append(f'<line x1="{MARGIN - 5:.2f}" y1="{py:.2f}" '
                      f'x2="{MARGIN:.2f}" y2="{py:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{MARGIN - 8:.2f}" y="{py + 4:.2f}" '
                      f'font-size="11" text-anchor="end">{tv:.6g}</text>')
-    parts.append(f'<text x="{(width) / 2:.2f}" y="{height - 12:.2f}" '
+    parts.append(f'<text x="{WIDTH / 2:.2f}" y="{HEIGHT - 12:.2f}" '
                  f'font-size="12" text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="14" y="{height / 2:.2f}" font-size="12" '
-                 f'text-anchor="middle" transform="rotate(-90 14 {height / 2:.2f})">'
+    parts.append(f'<text x="14" y="{HEIGHT / 2:.2f}" font-size="12" '
+                 f'text-anchor="middle" transform="rotate(-90 14 {HEIGHT / 2:.2f})">'
                  f'{ylabel}</text>')
 
 
-def chart(series, xlabel="", ylabel="", title="", width=640.0, height=420.0,
-          logx=False, logy=False, markers=False) -> str:
+def chart(series, xlabel="", ylabel="", title="", logx=False, logy=False,
+          markers=False) -> str:
     """Render labeled (xs, ys) series as one SVG line/scatter chart."""
     if not series:
         raise InvalidArgumentError("chart needs at least one series")
@@ -69,24 +78,18 @@ def chart(series, xlabel="", ylabel="", title="", width=640.0, height=420.0,
     all_y = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     if logx and np.any(all_x <= 0) or logy and np.any(all_y <= 0):
         raise InvalidArgumentError("log axes need positive data")
-    lo_x, hi_x = float(all_x.min()), float(all_x.max())
-    lo_y, hi_y = float(all_y.min()), float(all_y.max())
-    if hi_y == lo_y:
-        lo_y, hi_y = lo_y - 0.5, hi_y + 0.5
-    if hi_x == lo_x:
-        lo_x, hi_x = lo_x - 0.5, hi_x + 0.5
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-             f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-             f'<text x="{width / 2:.2f}" y="20" font-size="14" '
+    (lo_x, hi_x), (lo_y, hi_y) = _span(all_x, logx), _span(all_y, logy)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
+             f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
+             f'<text x="{WIDTH / 2:.2f}" y="20" font-size="14" '
              f'text-anchor="middle">{title}</text>']
-    _axes(parts, lo_x, hi_x, lo_y, hi_y, width, height, xlabel, ylabel, logx, logy)
+    _axes(parts, lo_x, hi_x, lo_y, hi_y, xlabel, ylabel, logx, logy)
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         px = _transform(np.asarray(xs, dtype=float), lo_x, hi_x, MARGIN,
-                        width - MARGIN / 2, logx)
+                        WIDTH - MARGIN / 2, logx)
         py = _transform(np.asarray(ys, dtype=float), lo_y, hi_y,
-                        height - MARGIN, MARGIN / 2, logy)
+                        HEIGHT - MARGIN, MARGIN / 2, logy)
         if markers or len(px) == 1:
             for x, y in zip(px, py):
                 parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" '
@@ -96,7 +99,7 @@ def chart(series, xlabel="", ylabel="", title="", width=640.0, height=420.0,
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN / 2 + 14 + 16 * i
-        lx = width - MARGIN / 2 - 150
+        lx = WIDTH - MARGIN / 2 - 150
         parts.append(f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 22:.2f}" '
                      f'y2="{ly - 4:.2f}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-size="11">'
@@ -126,7 +129,7 @@ def density_raster(img, cell: float = 8.0) -> str:
     return "\n".join(parts) + "\n"
 
 
-def ashby_chart(groups, title="modulus vs density") -> str:
+def ashby_chart(groups) -> str:
     """Log-log scatter of (rho, E) material groups, e.g. screening stages."""
     series = []
     for label, mats in groups:
@@ -134,4 +137,4 @@ def ashby_chart(groups, title="modulus vs density") -> str:
             continue
         series.append((label, [m.rho for m in mats], [m.e for m in mats]))
     return chart(series, xlabel="density rho (kg/m^3)", ylabel="Young's modulus E (Pa)",
-                 title=title, logx=True, logy=True, markers=True)
+                 title=ASHBY_TITLE, logx=True, logy=True, markers=True)

@@ -123,6 +123,18 @@ class TestRunCache:
         assert field_descriptor(v) == field_descriptor(v.copy())
         assert field_descriptor(v) != field_descriptor(v * 0.9)
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import os
+        cache = RunCache(tmp_path)
+
+        def no_room(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_room)
+        with pytest.raises(OSError, match="No space left"):
+            cache.put("k", make_result())
+        assert list(tmp_path.iterdir()) == []
+
     def test_overwrite_is_atomic_replace(self, tmp_path):
         cache = RunCache(tmp_path)
         cache.put("k", make_result())
@@ -142,6 +154,17 @@ class TestSvgplot:
     def test_log_axes_reject_nonpositive(self):
         with pytest.raises(InvalidArgumentError):
             svgplot.chart([("s", [0.0, 1.0], [1.0, 2.0])], logx=True)
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 125.0])
+    def test_flat_series_on_log_axes(self, value):
+        # a flat range widens by a factor, so a log axis stays positive
+        svg = svgplot.chart([("front", [value], [value])], logx=True, logy=True)
+        assert svg.count("<circle") == 1 and "nan" not in svg
+        assert 'cx="334.00"' in svg  # the middle of the widened range
+
+    def test_flat_series_on_linear_axes(self):
+        svg = svgplot.chart([("s", [0.5, 0.5], [2.0, 2.0])])
+        assert "nan" not in svg and "polyline" in svg
 
     def test_density_raster_shape(self):
         svg = svgplot.density_raster(np.linspace(0, 1, 12).reshape(3, 4), cell=10)

@@ -64,6 +64,22 @@ class TestOptimizeCmd:
         for name in ("densities.csv", "design.svg", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_explicit_rmin_reaches_the_optimizer(self, tmp_path):
+        from topareto import simp
+        from topareto.fem2d import preset
+        designs = {}
+        for flags in ((), ("--rmin", "2.5")):
+            out = tmp_path / str(len(flags))
+            assert run(["optimize", *tiny("--out", str(out), *flags), "--vf", "0.5"]) == 0
+            designs[flags] = (out / "densities.csv").read_text()
+        assert designs[()] != designs[("--rmin", "2.5")]
+        problem = preset("mbb", 12, 6)
+        res = simp.optimize(problem.with_unit_load(), 0.5, simp.OptimizerConfig(rmin=2.5),
+                            simp.initial_design("uniform", 0.5, problem.grid))
+        img = res.densities.as_grid(problem.grid)
+        assert designs[("--rmin", "2.5")] == \
+            "".join(",".join(map(repr, row)) + "\n" for row in img.tolist())
+
     def test_densities_csv_is_numeric(self, tmp_path):
         from topareto import pareto
         from topareto.fem2d import preset
@@ -153,6 +169,24 @@ class TestErCmd:
         from topareto.er import ErSeries
         filt = ErSeries.from_csv((out / "er_filtered.csv").read_text())
         assert np.max(np.abs(filt.values() - 1.0)) <= 0.03
+
+    def test_sigma_zero_filters_to_the_envelope_ratio(self, tmp_path):
+        from topareto.er import ErSeries, compute_er
+        from topareto.pareto import envelope
+        # a front with one poor point, which the envelope flattens
+        cs = [20.0, 9.0, 10.0, 4.0, 2.5, 1.5]
+        front = ParetoFront(tuple(FrontPoint(v, c) for v, c in
+                                  zip([0.1, 0.2, 0.3, 0.5, 0.7, 1.0], cs)))
+        path = tmp_path / "front.csv"
+        path.write_text(front.to_csv())
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"sigma": 0}))
+        out = tmp_path / "o"
+        assert run(["--config", str(cfgfile), "er", *tiny("--out", str(out)),
+                    "--front", str(path)]) == 0
+        filt = ErSeries.from_csv((out / "er_filtered.csv").read_text())
+        assert filt.points == compute_er(envelope(front)).points
+        assert filt.points != compute_er(front).points
 
     def test_missing_front_exit_2(self, tmp_path):
         assert run(["er", *tiny("--out", str(tmp_path / "o")),
@@ -275,8 +309,10 @@ class TestSelectCmd:
         assert f"cannot read materials file {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, line", [("bad,ten,100", "(line 3)"),
+                                           ("bad,10,inf", "(line 3)"),
                                            ("bad,10,100,1", "(line 3)"),
                                            ("bad,0,100", "line 3: bad:"),
+                                           ("bad,10,-5", "line 3: bad:"),
                                            ("Inconel 713,10,100", "line 3: duplicate")])
     def test_bad_materials_row_names_file(self, tmp_path, capsys, row, line):
         path = tmp_path / "mats.csv"
@@ -288,6 +324,32 @@ class TestSelectCmd:
         err = capsys.readouterr().err
         assert line in err and f"cannot read materials file {path}" in err
         assert not out.exists()
+
+    def test_missing_metamodel_exit_2(self, tmp_path, table1_csv, capsys, monkeypatch):
+        # select reads the model that fit wrote; it never fits one itself
+        from topareto import pareto
+        monkeypatch.setattr(pareto, "run_optimizations",
+                            lambda *a, **k: pytest.fail("optimization ran"))
+        out, cache = tmp_path / "o", tmp_path / "c"
+        code = run(["select", *tiny("--out", str(out), "--cache", str(cache)),
+                    "--materials", str(table1_csv), *SELECT_LOAD])
+        assert code == 2
+        assert f"cannot read meta-model {out / 'metamodel.json'}" in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
+
+    def test_single_material_flat_log_axes(self, tmp_path):
+        # one candidate puts one point on both log axes, at rho 0.3 < 1
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "metamodel.json").write_text(
+            MetaModel(3.28, 2.0, ((0.1, 36.0), (1.0, 9.84)), "mbb").to_json())
+        path = tmp_path / "mats.csv"
+        path.write_text("name,E_GPa,rho_kgm3\nfoam,200,0.3\n")
+        assert run(["select", *tiny("--out", str(out)), "--materials", str(path),
+                    *SELECT_LOAD]) == 0
+        svg = (out / "ashby.svg").read_text()
+        # drawn once as on the pareto front and once as kept
+        assert svg.count("<circle") == 2 and "nan" not in svg
 
     def test_model_of_another_problem_exit_2(self, tmp_path, table1_csv, capsys):
         # a meta-model fitted to the bridge, read by a run on the mbb preset
@@ -507,6 +569,20 @@ class TestConfigPrecedence:
         value = '"3"' if name.startswith("optimizer.") else '"0.5"'
         assert self._er_with_config(tmp_path, name, value) == 2
         assert f"{name} must be a number, got {value[1:-1]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["min_threshold", "drop_threshold", "sigma",
+                                      "tie_tol"])
+    def test_negative_threshold_exit_2(self, tmp_path, capsys, name):
+        assert self._er_with_config(tmp_path, name, "-2") == 2
+        assert f"{name} must be at least 0, got -2.0" in capsys.readouterr().err
+
+    def test_zero_thresholds_accepted(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        names = ("min_threshold", "drop_threshold", "sigma", "tie_tol")
+        cfgfile.write_text(json.dumps(dict.fromkeys(names, 0)))
+        cfg = cli._load_config(cli.build_parser().parse_args(
+            ["--config", str(cfgfile), "pareto", *tiny()]))
+        assert [getattr(cfg, name) for name in names] == [0.0] * 4
 
     @pytest.mark.parametrize("flags", [(), ("--workers", "-3"), ("--workers", "0")])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, flags):

@@ -257,6 +257,25 @@ class TestSweeps:
         assert log.read_text().splitlines() == ["0.5"]
         assert results[0] is results[1]
 
+    def test_pool_starts_once_two_runs_are_pending(self, tiny_mbb, monkeypatch):
+        cfg = OptimizerConfig(max_iters=5)
+        pools = []
+        real = par.ProcessPoolExecutor
+
+        def counted(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", counted)
+        task = {"vf": 0.5, "init_kind": "uniform"}
+        alone = par.run_optimizations(tiny_mbb, [task], cfg, workers=2)[0]
+        assert pools == []  # one pending run runs in this process
+        assert alone.summary() == par.run_optimizations(tiny_mbb, [task], cfg)[0].summary()
+        # the uniform reference runs here, the nine raced starts in one pool
+        front, _ = multistart_states(tiny_mbb, [0.5], cfg, workers=2)
+        assert pools == [2]
+        assert front.to_csv() == multistart_states(tiny_mbb, [0.5], cfg)[0].to_csv()
+
     def test_parallel_equals_serial(self, tiny_mbb, cfg, tmp_path):
         grid = [0.3, 0.7, 1.0]
         serial, _ = multistart_states(tiny_mbb, grid, cfg, RunCache(tmp_path / "a"))
@@ -394,6 +413,20 @@ class TestRace:
         assert out[1] == out[2]
         assert sorted(p.name for p in (tmp_path / "1").iterdir()) == \
             sorted(p.name for p in (tmp_path / "2").iterdir())
+
+    def test_failed_reference_runs_no_bounded_start(self, tiny_mbb, cfg, monkeypatch):
+        from topareto.errors import SolverError, SweepFailureError
+        calls = []
+
+        def fake(problem, vf, cfg_, init=None, **race):
+            calls.append(race)
+            raise SolverError("synthetic failure")
+
+        monkeypatch.setattr(par, "optimize", fake)
+        with pytest.raises(SweepFailureError) as exc:
+            multistart_states(tiny_mbb, [0.5], cfg)
+        assert exc.value.failures == [("vf=0.5 init=uniform", "synthetic failure")]
+        assert calls == [{}]  # the uniform run only: no start ran bounded
 
     @pytest.mark.parametrize("bound_by", [1, 5, -1])
     def test_bound_must_name_an_unbounded_task(self, tiny_mbb, cfg, bound_by):
