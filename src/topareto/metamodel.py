@@ -165,7 +165,7 @@ def fit_problem(problem: ProblemSpec, cfg: OptimizerConfig | None = None,
                 report=None) -> MetaModel:
     """Fit the model for a problem from one multi-start anchor optimization.
 
-    The anchor at ``anchor_vf`` controls the whole model, so all ten
+    The anchor at ``anchor_vf`` controls the whole model, so all nine
     initial designs are run there and the best penalization-1 compliance is
     kept; the second point is the direct full-density solve. ``report``
     receives the anchor batch's census line.

@@ -2,7 +2,7 @@
 
 The front of a problem is built in up to three stages of increasing cost:
 a baseline sweep (one optimization per volume fraction from the uniform
-start), a multi-start sweep over all ten initial designs, and an
+start), a multi-start sweep over all nine initial designs, and an
 iterative refinement that re-optimizes every point from the designs of
 nearby significant points (product-curve minima to the left, compliance
 drops to the right), keeping the pointwise best. Each stage is one
@@ -401,7 +401,7 @@ def baseline_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
 def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
                       cache: RunCache | None = None, workers: int = 1,
                       report=None) -> tuple[ParetoFront, list[DesignResult]]:
-    """Best of the ten initial designs at every volume fraction.
+    """Best of the nine initial designs at every volume fraction.
 
     The starts race against the uniform start at the same volume fraction
     (``bound_by``, see :func:`run_optimizations`): a start whose penalized

@@ -30,7 +30,6 @@ INITIAL_DESIGN_KINDS = (
     "hstripes4",
     "diag_sum",
     "diag_diff",
-    "disc",
     "ring",
     "noise",
 )
@@ -173,7 +172,7 @@ def _filter_cached(grid: Grid, rmin: float):
 
 
 def initial_design(kind: str, target_vf: float, grid: Grid) -> DensityField:
-    """One of the ten starting fields, volume-rescaled to ``target_vf``.
+    """One of the nine starting fields, volume-rescaled to ``target_vf``.
 
     Base patterns live in [0,1]; a global shift clamped to [0,1] is bisected
     until the mean density matches the target within 1e-6.
@@ -202,8 +201,6 @@ def _base_pattern(kind: str, grid: Grid) -> np.ndarray:
     elif kind in waves:
         k, t = waves[kind]
         base = 0.5 * (1 + np.cos(2 * np.pi * k * t))
-    elif kind == "disc":
-        base = np.clip(2.5 * (0.45 - d), 0.0, 1.0)
     elif kind == "ring":
         base = np.exp(-((d - 0.33) / 0.12) ** 2)
     else:  # noise

@@ -41,7 +41,7 @@ class TestRunCache:
                    *(rng.random(20) * 10.0 ** rng.integers(-300, 300, 20)))
         res = replace(make_result(), history=tuple(float(c) for c in awkward))
         run = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=12),
-                       initial_design("disc", 0.3, small_mbb.grid))
+                       initial_design("ring", 0.3, small_mbb.grid))
         for key, result in (("k1", res), ("k2", run)):
             cache.put(key, result)
             back = cache.get(key)
@@ -73,7 +73,7 @@ class TestRunCache:
         k2 = result_key(p, 0.5, "kind:uniform", cfg)
         assert k1 == k2
         assert result_key(p, 0.6, "kind:uniform", cfg) != k1
-        assert result_key(p, 0.5, "kind:disc", cfg) != k1
+        assert result_key(p, 0.5, "kind:ring", cfg) != k1
         # every optimizer field enters the key, and the dict form sent to
         # pool workers rebuilds an equal config
         changed = {"penal": 2.0, "rmin": 2.0, "filter_kind": "sensitivity",

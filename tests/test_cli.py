@@ -121,11 +121,11 @@ class TestParetoCmd:
         common = tiny("--out", str(tmp_path / "o"), "--cache", str(tmp_path / "c"))
         assert run([*args, "pareto", *common, "--strategy", "refine"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("multistart: 20 tasks, 20 distinct, 0 cached, ")
+        assert lines[0].startswith("multistart: 18 tasks, 18 distinct, 0 cached, ")
         assert all(line.startswith("refine round: ") for line in lines[1:-1])
         assert run([*args, "fit", *common]) == 0
         fit_line = capsys.readouterr().out.splitlines()[0]
-        assert fit_line.startswith("fit anchor: 10 tasks, 10 distinct, ")
+        assert fit_line.startswith("fit anchor: 9 tasks, 9 distinct, ")
         assert fit_line.endswith(" iterations")
 
     def test_warm_cache_rerun_identical(self, tmp_path):

@@ -233,8 +233,8 @@ class TestSweeps:
             multi, _ = multistart_states(tiny_mbb, grid, cfg, cache)
         finally:
             par_mod.optimize = orig
-        # uniform runs must come from the cache: 2 points x 9 other kinds
-        assert len(calls) == 18
+        # uniform runs must come from the cache: 2 points x 8 other kinds
+        assert len(calls) == 16
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_duplicate_tasks_run_once(self, tiny_mbb, tmp_path, monkeypatch,
@@ -271,7 +271,7 @@ class TestSweeps:
         alone = par.run_optimizations(tiny_mbb, [task], cfg, workers=2)[0]
         assert pools == []  # one pending run runs in this process
         assert alone.summary() == par.run_optimizations(tiny_mbb, [task], cfg)[0].summary()
-        # the uniform reference runs here, the nine raced starts in one pool
+        # the uniform reference runs here, the eight raced starts in one pool
         front, _ = multistart_states(tiny_mbb, [0.5], cfg, workers=2)
         assert pools == [2]
         assert front.to_csv() == multistart_states(tiny_mbb, [0.5], cfg)[0].to_csv()
@@ -285,7 +285,7 @@ class TestSweeps:
 
 
 def _exhaustive(problem, vf, cfg):
-    """All ten starts run in full; the first lowest in kind order wins."""
+    """All nine starts run in full; the first lowest in kind order wins."""
     norm = problem.with_unit_load()
     runs = [optimize(norm, vf, cfg, initial_design(kind, vf, problem.grid))
             for kind in INITIAL_DESIGN_KINDS]
@@ -324,12 +324,12 @@ class TestRace:
 
     def test_abandoned_start_never_wins(self, tiny_mbb, cfg, monkeypatch):
         # an abandoned start with the lowest compliance, and a tie between
-        # two finished ones that the first in kind order (disc before ring)
-        # wins
+        # two finished ones that the first in kind order (diag_diff before
+        # ring) wins
         def fake(problem, tasks, cfg_, *args, **kwargs):
             out = []
             for task in tasks:
-                c = {"vstripes2": 1.0, "disc": 3.0, "ring": 3.0}.get(
+                c = {"vstripes2": 1.0, "diag_diff": 3.0, "ring": 3.0}.get(
                     task["init_kind"], 5.0)
                 iters = 5 if task["init_kind"] == "vstripes2" else cfg_.max_iters
                 out.append(DesignResult(DensityField(np.full(32, 0.5)), c, c,
@@ -338,7 +338,7 @@ class TestRace:
 
         monkeypatch.setattr(par, "run_optimizations", fake)
         front, _ = multistart_states(tiny_mbb, [0.5], cfg)
-        assert front.points[0].provenance == "disc"
+        assert front.points[0].provenance == "diag_diff"
 
     def test_abandoned_result_only_under_its_bounded_key(self, small_mbb,
                                                           tmp_path,
@@ -396,8 +396,8 @@ class TestRace:
         b, _ = multistart_states(small_mbb, [0.2, 0.3], cfg, cache,
                                  report=warm.append)
         assert a == b
-        assert cold[0].startswith("20 tasks, 20 distinct, 0 cached, ")
-        assert warm[0].startswith("20 tasks, 20 distinct, 20 cached, ")
+        assert cold[0].startswith("18 tasks, 18 distinct, 0 cached, ")
+        assert warm[0].startswith("18 tasks, 18 distinct, 18 cached, ")
         assert cold[0].split(", ")[3:] == warm[0].split(", ")[3:]
 
     def test_one_and_two_workers_agree(self, small_mbb, tmp_path):
@@ -431,7 +431,7 @@ class TestRace:
     @pytest.mark.parametrize("bound_by", [1, 5, -1])
     def test_bound_must_name_an_unbounded_task(self, tiny_mbb, cfg, bound_by):
         tasks = [{"vf": 0.5, "init_kind": "uniform"},
-                 {"vf": 0.5, "init_kind": "disc", "bound_by": 0},
+                 {"vf": 0.5, "init_kind": "diag_diff", "bound_by": 0},
                  {"vf": 0.5, "init_kind": "ring", "bound_by": bound_by}]
         with pytest.raises(InvalidArgumentError):
             par.run_optimizations(tiny_mbb, tasks, cfg)

@@ -161,9 +161,9 @@ class TestInitialDesign:
         d = initial_design(kind, vf, Grid(12, 8))
         assert abs(d.volume_fraction - vf) <= 1e-6
 
-    def test_ten_kinds(self):
-        assert len(INITIAL_DESIGN_KINDS) == 10
-        assert len(set(INITIAL_DESIGN_KINDS)) == 10
+    def test_nine_kinds(self):
+        assert len(INITIAL_DESIGN_KINDS) == 9
+        assert len(set(INITIAL_DESIGN_KINDS)) == 9
         assert INITIAL_DESIGN_KINDS[0] == "uniform"
 
     def test_unknown_kind(self):
@@ -173,6 +173,19 @@ class TestInitialDesign:
     def test_retired_previous_kind_is_unknown(self):
         with pytest.raises(InvalidArgumentError, match="unknown initial design kind"):
             initial_design("previous", 0.5, Grid(4, 4))
+
+    def test_retired_disc_kind_is_unknown(self):
+        with pytest.raises(InvalidArgumentError, match="unknown initial design kind"):
+            initial_design("disc", 0.5, Grid(4, 4))
+
+    @pytest.mark.parametrize("shape", [(12, 8), (30, 10)])
+    def test_base_patterns_pairwise_distinct(self, shape):
+        # two kinds with one pattern would run one start twice per vf
+        grid = Grid(*shape)
+        bases = [simp_mod._base_pattern(kind, grid) for kind in INITIAL_DESIGN_KINDS]
+        for i, a in enumerate(bases):
+            for b in bases[i + 1:]:
+                assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (60, 20), (120, 40)])
     def test_noise_equals_scipy_build(self, shape):
@@ -340,7 +353,7 @@ class TestRaceBound:
                                        _abandon_above=bound), plain)
 
     def test_history_is_the_penalized_compliance_of_each_iteration(self, small_mbb):
-        init = initial_design("disc", 0.3, small_mbb.grid)
+        init = initial_design("hstripes4", 0.3, small_mbb.grid)
         cfg = OptimizerConfig(max_iters=1)
         res = optimize(small_mbb, 0.3, cfg, init)
         w = ref.scipy_csr(filter_build(small_mbb.grid, cfg.resolve_rmin(small_mbb.grid)))

@@ -13,13 +13,13 @@ keeps them. Outputs repeat only at a fixed BLAS thread count.
 
 Groups:
 
-* ``mbb30-multistart``: 30x10 ``mbb``, all ten starts raced as
+* ``mbb30-multistart``: 30x10 ``mbb``, all nine starts raced as
   ``pareto.multistart_states`` races them, at vf 0.1, 0.3 and 0.6;
 * ``mbb60-baseline-density`` and ``mbb60-baseline-sensitivity``: 60x20
   ``mbb`` from the uniform start at the 50 default vfs, under each filter;
-* ``mbb60-multistart``: 60x20 ``mbb``, ten starts at 10 vfs, 40 iterations;
+* ``mbb60-multistart``: 60x20 ``mbb``, nine starts at 10 vfs, 40 iterations;
 * ``bridge`` and ``complex``: each preset at its default size, a 10-vf
-  baseline and a ten-start sweep at vf 0.1, 0.3 and 0.6, 40 iterations;
+  baseline and a nine-start sweep at vf 0.1, 0.3 and 0.6, 40 iterations;
 * ``mbb120-optimize``: 120x40 ``mbb`` from the uniform start at vf 0.2 and
   0.5, 30 iterations, as the benchmark workload of that name runs it.
 """
