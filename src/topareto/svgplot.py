@@ -16,6 +16,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 MARGIN = 56.0
 WIDTH, HEIGHT = 640.0, 420.0
 TICK_COUNT = 5  # ticks of a linear axis
+LOG_MULTIPLES = ((1,), (1, 2, 5), tuple(range(1, 10)))
 ASHBY_TITLE = "modulus vs density"
 
 
@@ -27,10 +28,19 @@ def _transform(vals, lo, hi, out_lo, out_hi, log):
 
 
 def _ticks(lo, hi, log):
+    """The tick values inside [lo, hi]: ``TICK_COUNT`` evenly spaced ones on
+    a linear axis; on a log axis the coarsest ``LOG_MULTIPLES`` of the powers
+    of ten that put at least two inside, or the finest."""
     if log:
-        lo10, hi10 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
-        return [10.0 ** k for k in range(lo10, hi10 + 1)]
-    return list(np.linspace(lo, hi, TICK_COUNT))
+        decades = range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
+        candidates = [[m * 10.0 ** k for k in decades for m in ms] for ms in LOG_MULTIPLES]
+    else:
+        candidates = [list(np.linspace(lo, hi, TICK_COUNT))]
+    for ticks in candidates:
+        ticks = [t for t in ticks if lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12)]
+        if len(ticks) >= 2:
+            break
+    return ticks
 
 
 def _span(values, log) -> tuple[float, float]:
@@ -47,16 +57,12 @@ def _axes(parts, lo_x, hi_x, lo_y, hi_y, xlabel, ylabel, logx, logy):
                  f'width="{WIDTH - 1.5 * MARGIN:.2f}" height="{HEIGHT - 1.5 * MARGIN:.2f}" '
                  f'fill="none" stroke="#333" stroke-width="1"/>')
     for tv in _ticks(lo_x, hi_x, logx):
-        if tv < lo_x * (1 - 1e-12) or tv > hi_x * (1 + 1e-12):
-            continue
         px = float(_transform([tv], lo_x, hi_x, MARGIN, WIDTH - MARGIN / 2, logx)[0])
         parts.append(f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN:.2f}" '
                      f'x2="{px:.2f}" y2="{HEIGHT - MARGIN + 5:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{px:.2f}" y="{HEIGHT - MARGIN + 18:.2f}" '
                      f'font-size="11" text-anchor="middle">{tv:.6g}</text>')
     for tv in _ticks(lo_y, hi_y, logy):
-        if tv < lo_y * (1 - 1e-12) or tv > hi_y * (1 + 1e-12):
-            continue
         py = float(_transform([tv], lo_y, hi_y, HEIGHT - MARGIN, MARGIN / 2, logy)[0])
         parts.append(f'<line x1="{MARGIN - 5:.2f}" y1="{py:.2f}" '
                      f'x2="{MARGIN:.2f}" y2="{py:.2f}" stroke="#333"/>')

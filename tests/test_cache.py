@@ -1,6 +1,7 @@
 """On-disk result cache and SVG emission utilities."""
 
 import json
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -176,3 +177,23 @@ class TestSvgplot:
         mats = [Material("a", 10e9, 1000), Material("b", 100e9, 5000)]
         svg = svgplot.ashby_chart([("all", mats)])
         assert svg.count("<circle") == 2
+
+    def test_ashby_chart_of_table_1_labels_both_axes(self):
+        from test_materials import TABLE_MATS
+        svg = svgplot.ashby_chart([("all", TABLE_MATS)])
+        # rho 2795-7915 holds no power of ten, E 70.8-205 GPa only 1e+11
+        x_labels = re.findall(r'font-size="11" text-anchor="middle">([^<]+)<', svg)
+        y_labels = re.findall(r'font-size="11" text-anchor="end">([^<]+)<', svg)
+        assert x_labels == ["3000", "4000", "5000", "6000", "7000"]
+        assert y_labels == ["1e+11", "2e+11"]
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (1e-3, 1e3, [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]),
+        (0.02, 1.0, [0.1, 1.0]),
+        (100.0, 400.0, [100.0, 200.0]),
+        (7.08e10, 2.05e11, [1e11, 2e11]),
+        (2795.0, 7915.0, [3000.0, 4000.0, 5000.0, 6000.0, 7000.0]),
+        (0.3, 0.35, [0.3]),
+    ])
+    def test_log_ticks_coarsest_multiples_with_two_inside(self, lo, hi, want):
+        assert svgplot._ticks(lo, hi, True) == pytest.approx(want, rel=1e-12)
