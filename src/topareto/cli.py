@@ -92,10 +92,9 @@ def _load_config(args) -> RunConfig:
                          f"got {type(prob_spec).__name__}")
 
     opt_doc = dict(_section(doc, "optimizer"))
-    for name in ("penal", "rmin", "filter_kind"):
+    for name in ("penal", "rmin"):
         if getattr(args, name, None) is not None:
             opt_doc[name] = getattr(args, name)
-    for name in ("penal", "rmin"):
         if opt_doc.get(name) is not None:
             opt_doc[name] = _finite(opt_doc[name], f"optimizer.{name}")
     if "max_iters" in opt_doc:
@@ -227,7 +226,7 @@ def cmd_optimize(args) -> int:
            "".join(",".join(map(repr, row)) + "\n" for row in img.tolist()))
     _write(out / "design.svg", svgplot.density_raster(img))
     _write(out / "summary.json", json.dumps(
-        {"problem": cfg.problem.name, "vf": args.vf, **res.summary()},
+        {"problem": cfg.problem.name, **res.summary()},
         sort_keys=True, indent=2) + "\n")
     print(f"optimize {cfg.problem.name} vf={args.vf:g}: "
           f"compliance_p={res.compliance_p:.6g} compliance_p1={res.compliance_p1:.6g} "
@@ -352,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int)
         sp.add_argument("--penal", type=float)
         sp.add_argument("--rmin", type=float)
-        sp.add_argument("--filter-kind", dest="filter_kind",
-                        choices=["density", "sensitivity"])
 
     sp = sub.add_parser("optimize", help="one compliance minimization")
     common(sp)

@@ -1,8 +1,8 @@
 """SIMP compliance minimization at a fixed volume fraction.
 
 Optimality-criteria update with move limits and a bisected volume
-multiplier, cone density/sensitivity filtering, and a penalization-1
-re-evaluation of the final design. The update follows the 88-line code
+multiplier, the cone density filter, and a penalization-1 re-evaluation
+of the final design. The update and filter follow the 88-line code
 (Andreassen et al. 2011): its move limit 0.2, damping 0.5 and change
 tolerance 0.01 are the constants ``MOVE_LIMIT``, ``ETA`` and ``CHANGE_TOL``.
 """
@@ -14,7 +14,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class OptimizerConfig:
 
     penal: float = 3.0
     rmin: float | None = None
-    filter_kind: str = "density"
     max_iters: int = 300
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class OptimizerConfig:
             raise InvalidArgumentError("penal must be finite and >= 1")
         if self.rmin is not None and not 1 <= self.rmin < np.inf:
             raise InvalidArgumentError("rmin must be finite and >= 1")
-        if self.filter_kind not in ("density", "sensitivity"):
-            raise InvalidArgumentError(f"unknown filter kind {self.filter_kind!r}")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
 
@@ -127,8 +124,8 @@ def filter_build(grid: Grid, rmin: float) -> Csr:
 def _filter_cached(grid: Grid, rmin: float):
     """The filter ``w`` of :func:`filter_build`, and the read-only arrays
     every ``optimize`` run on ``(grid, rmin)`` shares: ``w.T``, the volume
-    weights (``weights @ x`` is the mean of ``w @ x``), the volume
-    sensitivity ``dv`` and ``w.T @ dv``.
+    weights (``weights @ x`` is the mean of ``w @ x``) and the filtered
+    volume sensitivity ``w.T @ dv`` of the uniform ``dv = 1 / nel``.
 
     The arrays are those of the scipy build of the 88-line code, ``h =
     coo_matrix(...).tocsr()`` and ``w = diags(1 / h.sum(axis=1)) @ h``, bit
@@ -163,9 +160,8 @@ def _filter_cached(grid: Grid, rmin: float):
     w = csr_from_entries(rows, cols, inv_rowsum[rows] * vals, (nel, nel))
     w_rows = np.repeat(np.arange(nel), np.diff(w.indptr))
     w_t = csr_from_entries(w.indices, w_rows, w.data, (nel, nel))
-    dv = np.full(nel, 1.0 / nel)
     weights = np.bincount(w.indices, weights=w.data, minlength=nel) / nel
-    out = (w, w_t, weights, dv, csr_dot(w_t, dv))
+    out = (w, w_t, weights, csr_dot(w_t, np.full(nel, 1.0 / nel)))
     for a in (*w[:3], *w_t[:3], *out[2:]):
         a.flags.writeable = False
     return out
@@ -273,17 +269,10 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     kern = kernel_for(problem)
     f = problem.load_vector()
     rmin = cfg.resolve_rmin(grid)
-    w, w_t, weights, dv, dv_t = _filter_cached(grid, float(rmin))
-    # the filter kind fixes the physical field of the design variables (the
-    # design itself under the sensitivity filter), the filtered sensitivity,
-    # the volume weights and the volume sensitivity
-    density = cfg.filter_kind == "density"
-    phys = partial(csr_dot, w) if density else np.asarray
-    if not density:
-        weights, dv_t = None, dv
+    w, w_t, weights, dv_t = _filter_cached(grid, float(rmin))
 
     x = init.values.copy()
-    x_phys = phys(x)
+    x_phys = csr_dot(w, x)
 
     converged = False
     lm = None  # the OC multiplier of the last update
@@ -304,11 +293,11 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
             break
 
         dc = -cfg.penal * (1.0 - E_MIN) * x_phys ** (cfg.penal - 1.0) * ce
-        dc = csr_dot(w_t, dc) if density else csr_dot(w, x * dc) / np.maximum(1e-3, x)
+        dc = csr_dot(w_t, dc)
         x_new, lm = _oc_update(x, dc, dv_t, target_vf, weights, lm)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
-        x_phys = phys(x)
+        x_phys = csr_dot(w, x)
         if change < CHANGE_TOL:
             converged = True
             break
@@ -325,7 +314,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
             x = rescale_to_volume(x, target_vf, weights)
         except InvalidArgumentError:
             pass
-        x_phys = np.clip(phys(x), 0.0, 1.0)
+        x_phys = np.clip(csr_dot(w, x), 0.0, 1.0)
         achieved = float(x_phys.mean())
     if abs(achieved - target_vf) > 1e-4:
         raise SolverError(
@@ -371,10 +360,10 @@ class _MultiplierSearch:
     just outside the tolerance band first; it chooses which points are
     evaluated, never the result.
 
-    ``weights`` (density filter only) lets ``step`` evaluate the mean of
-    the filtered field as a dot product instead of a filter apply. The
-    clamp to the move limits is ``minimum(maximum(...))``: the same values
-    as ``np.clip``, which costs about three times as much per call.
+    ``weights`` lets ``step`` evaluate the mean of the filtered field as a
+    dot product instead of a filter apply. The clamp to the move limits is
+    ``minimum(maximum(...))``: the same values as ``np.clip``, which costs
+    about three times as much per call.
     """
 
     # the bisection stops when the mean is within VOLUME_TOL of the target;

@@ -18,6 +18,8 @@ WIDTH, HEIGHT = 640.0, 420.0
 TICK_COUNT = 5  # ticks of a linear axis
 LOG_MULTIPLES = ((1,), (1, 2, 5), tuple(range(1, 10)))
 ASHBY_TITLE = "modulus vs density"
+# the characters a text node cannot hold raw
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _transform(vals, lo, hi, out_lo, out_hi, log):
@@ -31,13 +33,12 @@ def _ticks(lo, hi, log):
     """The tick values inside [lo, hi]: ``TICK_COUNT`` evenly spaced ones on
     a linear axis; on a log axis the coarsest ``LOG_MULTIPLES`` of the powers
     of ten that put at least two inside, or the finest."""
-    if log:
-        decades = range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
-        candidates = [[m * 10.0 ** k for k in decades for m in ms] for ms in LOG_MULTIPLES]
-    else:
-        candidates = [list(np.linspace(lo, hi, TICK_COUNT))]
-    for ticks in candidates:
-        ticks = [t for t in ticks if lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12)]
+    if not log:
+        return list(np.linspace(lo, hi, TICK_COUNT))
+    decades = range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
+    for ms in LOG_MULTIPLES:
+        ticks = [t for t in (m * 10.0 ** k for k in decades for m in ms)
+                 if lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12)]
         if len(ticks) >= 2:
             break
     return ticks
@@ -85,6 +86,7 @@ def chart(series, xlabel="", ylabel="", title="", logx=False, logy=False,
     if logx and np.any(all_x <= 0) or logy and np.any(all_y <= 0):
         raise InvalidArgumentError("log axes need positive data")
     (lo_x, hi_x), (lo_y, hi_y) = _span(all_x, logx), _span(all_y, logy)
+    title, xlabel, ylabel = (s.translate(_XML_ESCAPES) for s in (title, xlabel, ylabel))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
              f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
              f'<text x="{WIDTH / 2:.2f}" y="20" font-size="14" '
@@ -109,7 +111,7 @@ def chart(series, xlabel="", ylabel="", title="", logx=False, logy=False,
         parts.append(f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 22:.2f}" '
                      f'y2="{ly - 4:.2f}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-size="11">'
-                     f'{label}</text>')
+                     f'{label.translate(_XML_ESCAPES)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

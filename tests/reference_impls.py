@@ -119,13 +119,13 @@ def build_filter(nelx, nely, rmin):
 def scipy_filter(nelx, nely, rmin):
     """The density filter's shared arrays as scipy builds them: ``w =
     diags(1 / hs) @ h`` (CSR, each row's columns in the descending order
-    ``csr_matmat`` emits), ``w.T`` as CSR, the column means of ``w``, the
-    volume sensitivity ``dv`` and ``w.T @ dv``."""
+    ``csr_matmat`` emits), ``w.T`` as CSR, the column means of ``w``, and
+    ``w.T @ dv`` for the volume sensitivity ``dv = 1 / nel``."""
     h, hs = build_filter(nelx, nely, rmin)
     w = (scipy.sparse.diags(1.0 / hs) @ h).tocsr()
     w_t = w.T.tocsr()
     dv = np.full(nelx * nely, 1.0 / (nelx * nely))
-    return w, w_t, np.asarray(w.sum(axis=0)).ravel() / (nelx * nely), dv, w_t.dot(dv)
+    return w, w_t, np.asarray(w.sum(axis=0)).ravel() / (nelx * nely), w_t.dot(dv)
 
 
 def scipy_band_operator(edof, ke, fixed_dofs, ndof):
@@ -214,12 +214,12 @@ def rescale_by_clip(base, target, weights=None):
 
 
 def simp_reference(nelx, nely, volfrac, penal, rmin, loads, fixed_dofs,
-                   filter_kind="density", max_iters=300, move=0.2,
-                   change_tol=0.01, nu=0.3, e_min=1e-9):
+                   max_iters=300, move=0.2, change_tol=0.01, nu=0.3, e_min=1e-9):
     """Textbook SIMP compliance minimization (88-line style translation).
 
-    Sparse assembly with scipy, OC update with damping 0.5, volume
-    multiplier bisection. Returns (xphys, penalized compliance, iterations).
+    Sparse assembly with scipy, density filter, OC update with damping 0.5,
+    volume multiplier bisection. Returns (xphys, penalized compliance,
+    iterations).
     """
     nel = nelx * nely
     ndof = 2 * (nelx + 1) * (nely + 1)
@@ -251,25 +251,22 @@ def simp_reference(nelx, nely, volfrac, penal, rmin, loads, fixed_dofs,
         c = float(emod @ ce)
         dc = -penal * (1.0 - e_min) * xphys ** (penal - 1) * ce
         dv = np.ones(nel)
-        if filter_kind == "sensitivity":
-            dc = np.asarray(h @ (x * dc)) / hs / np.maximum(1e-3, x)
-        else:
-            dc = np.asarray(h @ (dc / hs))
-            dv = np.asarray(h @ (dv / hs))
+        dc = np.asarray(h @ (dc / hs))
+        dv = np.asarray(h @ (dv / hs))
         l1, l2 = 1e-9, 1e9
         while (l2 - l1) / (l1 + l2) > 1e-9:
             lmid = 0.5 * (l2 + l1)
             xnew = np.maximum(0.0, np.maximum(
                 x - move, np.minimum(1.0, np.minimum(
                     x + move, x * np.sqrt(np.maximum(0.0, -dc / dv) / lmid)))))
-            xphys_new = np.asarray(h @ xnew) / hs if filter_kind == "density" else xnew
+            xphys_new = np.asarray(h @ xnew) / hs
             if xphys_new.sum() > volfrac * nel:
                 l1 = lmid
             else:
                 l2 = lmid
         change = float(np.max(np.abs(xnew - x)))
         x = xnew
-        xphys = np.asarray(h @ x) / hs if filter_kind == "density" else x
+        xphys = np.asarray(h @ x) / hs
 
     emod = e_min + xphys ** penal * (1.0 - e_min)
     vals = (emod[:, None] * ke.ravel()[None, :]).ravel()

@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import asdict, fields, replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -77,8 +78,7 @@ class TestRunCache:
         assert result_key(p, 0.5, "kind:ring", cfg) != k1
         # every optimizer field enters the key, and the dict form sent to
         # pool workers rebuilds an equal config
-        changed = {"penal": 2.0, "rmin": 2.0, "filter_kind": "sensitivity",
-                   "max_iters": 100}
+        changed = {"penal": 2.0, "rmin": 2.0, "max_iters": 100}
         assert set(changed) == {f.name for f in fields(OptimizerConfig)}
         for name, value in changed.items():
             other = replace(cfg, **{name: value})
@@ -197,3 +197,21 @@ class TestSvgplot:
     ])
     def test_log_ticks_coarsest_multiples_with_two_inside(self, lo, hi, want):
         assert svgplot._ticks(lo, hi, True) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (0.0155, 1.29, [0.0155, 0.334125, 0.65275, 0.971375, 1.29]),
+        (-0.5, 1.0, [-0.5, -0.125, 0.25, 0.625, 1.0]),
+        (-3.0, -1.0, [-3.0, -2.5, -2.0, -1.5, -1.0]),
+        (-1.0, 0.0, [-1.0, -0.75, -0.5, -0.25, 0.0]),
+    ])
+    def test_linear_ticks_keep_both_ends(self, lo, hi, want):
+        # negative ends too: efficiency ratios can be negative
+        assert svgplot._ticks(lo, hi, False) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_chart_text_is_escaped(self):
+        svg = svgplot.chart([("s<1> & more", [0.1, 0.5], [1.0, 2.0])],
+                            xlabel="x <m>", ylabel="a&b", title="A&B <x>")
+        root = ElementTree.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        for text in ("A&B <x>", "x <m>", "a&b", "s<1> & more"):
+            assert text in texts

@@ -50,6 +50,15 @@ class TestOptimizeCmd:
                                   p.loads, p.fixed_dofs)
         assert summary["compliance_p"] == pytest.approx(c, rel=1e-9)
 
+    def test_summary_vf_is_the_achieved_mean(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["optimize", *tiny("--out", str(out)), "--vf", "0.3"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        dens = np.loadtxt(out / "densities.csv", delimiter=",")
+        # the mean of the written field, not the requested 0.3
+        assert summary["vf"] == pytest.approx(dens.mean(), rel=1e-12)
+        assert summary["vf"] != 0.3
+
     def test_invalid_vf_exit_2(self, tmp_path, capsys):
         code = run(["optimize", *tiny("--out", str(tmp_path / "o")),
                     "--vf", "1.5"])
@@ -713,8 +722,10 @@ class TestConfigPrecedence:
 
     def test_unknown_optimizer_key_exit_2(self, tmp_path, capsys):
         # fields of older configs: the OC constants are no longer settings
+        # and the retired filter choice: the density filter is the only one
         for key, value in (("solve_method", "dense"), ("move_limit", 0.2),
-                           ("eta", 0.5), ("change_tol", 0.01), ("e_min", 1e-9)):
+                           ("eta", 0.5), ("change_tol", 0.01), ("e_min", 1e-9),
+                           ("filter_kind", "density")):
             cfgfile = tmp_path / "cfg.json"
             cfgfile.write_text(json.dumps({"optimizer": {key: value}}))
             code = run(["--config", str(cfgfile), "optimize",
@@ -722,6 +733,13 @@ class TestConfigPrecedence:
             assert code == 2
             err = capsys.readouterr().err
             assert "bad optimizer config" in err and key in err
+
+    def test_filter_kind_flag_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", *tiny("--out", str(tmp_path / "o")), "--vf", "0.5",
+                 "--filter-kind", "density"])
+        assert exc.value.code == 2 and not (tmp_path / "o").exists()
+        assert "unrecognized arguments: --filter-kind" in capsys.readouterr().err
 
     def test_every_config_key_accepted(self, tmp_path):
         # the keys of the benchmark pipeline's config, and all the others

@@ -30,8 +30,8 @@ def test_groups_build_without_optimizing(monkeypatch):
     tool = _tool()
     groups = list(tool.groups())
     assert [name for name, _, _ in groups] == [
-        "mbb30-multistart", "mbb60-baseline-density", "mbb60-baseline-sensitivity",
-        "mbb60-multistart", "bridge", "complex", "mbb120-optimize"]
+        "mbb30-multistart", "mbb60-baseline", "mbb60-multistart", "bridge",
+        "complex", "mbb120-optimize"]
     for _, problem, batches in groups:
         assert isinstance(problem, ProblemSpec)
         for tasks, cfg in batches:

@@ -28,9 +28,8 @@ class TestOptimizerConfig:
         assert cfg.resolve_rmin(Grid(400, 100)) == pytest.approx(6.0)
 
     @pytest.mark.parametrize("bad", [
-        dict(penal=0.5), dict(rmin=0.8), dict(filter_kind="median"),
-        dict(max_iters=0), dict(penal=np.nan), dict(penal=np.inf),
-        dict(rmin=np.nan), dict(rmin=np.inf),
+        dict(penal=0.5), dict(rmin=0.8), dict(max_iters=0), dict(penal=np.nan),
+        dict(penal=np.inf), dict(rmin=np.nan), dict(rmin=np.inf),
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(InvalidArgumentError):
@@ -38,9 +37,9 @@ class TestOptimizerConfig:
 
     def test_digest_pinned(self):
         # cache keys: a change here orphans every cached run
-        assert OptimizerConfig().digest() == "1662730267bebfea"
-        assert OptimizerConfig(penal=1.0, rmin=2.5, filter_kind="sensitivity",
-                               max_iters=40).digest() == "02496708bbfdfa49"
+        assert OptimizerConfig().digest() == "d41224b290489eae"
+        assert OptimizerConfig(penal=1.0, rmin=2.5,
+                               max_iters=40).digest() == "005d5531a25390dd"
 
 
 class TestFilterBuild:
@@ -96,16 +95,15 @@ class TestFilterInvariants:
         grid = Grid(12, 6)
         got = simp_mod._filter_cached(grid, 2.5)
         assert simp_mod._filter_cached(grid, 2.5) is got
-        w, w_t, weights, dv, dv_t = got
+        w, w_t, weights, dv_t = got
         assert filter_build(grid, 2.5) is w
         fresh = ref.scipy_csr(w).T.tocsr()
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(w_t, name), getattr(fresh, name)), name
         assert np.array_equal(weights,
                               np.asarray(ref.scipy_csr(w).sum(axis=0)).ravel() / grid.nel)
-        assert np.array_equal(dv, np.full(grid.nel, 1.0 / grid.nel))
         assert np.array_equal(dv_t, fresh.dot(np.full(grid.nel, 1.0 / grid.nel)))
-        for arr in (*w[:3], *w_t[:3], weights, dv, dv_t):
+        for arr in (*w[:3], *w_t[:3], weights, dv_t):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -272,15 +270,7 @@ class TestOptimize:
         res = optimize(small_mbb, 0.5, cfg)
         _, c_ref, _ = ref.simp_reference(
             30, 10, 0.5, 3.0, cfg.resolve_rmin(small_mbb.grid),
-            small_mbb.loads, small_mbb.fixed_dofs, filter_kind="density")
-        assert abs(res.compliance_p - c_ref) / c_ref <= 0.02
-
-    def test_sensitivity_filter_matches_reference(self, small_mbb):
-        cfg = OptimizerConfig(filter_kind="sensitivity")
-        res = optimize(small_mbb, 0.5, cfg)
-        _, c_ref, _ = ref.simp_reference(
-            30, 10, 0.5, 3.0, cfg.resolve_rmin(small_mbb.grid),
-            small_mbb.loads, small_mbb.fixed_dofs, filter_kind="sensitivity")
+            small_mbb.loads, small_mbb.fixed_dofs)
         assert abs(res.compliance_p - c_ref) / c_ref <= 0.02
 
     def test_box_constraints_and_move_limit(self, tiny_mbb):

@@ -15,8 +15,8 @@ Groups:
 
 * ``mbb30-multistart``: 30x10 ``mbb``, all nine starts raced as
   ``pareto.multistart_states`` races them, at vf 0.1, 0.3 and 0.6;
-* ``mbb60-baseline-density`` and ``mbb60-baseline-sensitivity``: 60x20
-  ``mbb`` from the uniform start at the 50 default vfs, under each filter;
+* ``mbb60-baseline``: 60x20 ``mbb`` from the uniform start at the 50
+  default vfs;
 * ``mbb60-multistart``: 60x20 ``mbb``, nine starts at 10 vfs, 40 iterations;
 * ``bridge`` and ``complex``: each preset at its default size, a 10-vf
   baseline and a nine-start sweep at vf 0.1, 0.3 and 0.6, 40 iterations;
@@ -57,9 +57,7 @@ def groups():
     ten = pareto.default_vf_grid(10)
     fifty = pareto.default_vf_grid()
     yield "mbb30-multistart", preset("mbb", 30, 10), [(multistart_tasks(three), OptimizerConfig())]
-    for kind in ("density", "sensitivity"):
-        yield (f"mbb60-baseline-{kind}", preset("mbb"),
-               [(baseline_tasks(fifty), OptimizerConfig(filter_kind=kind))])
+    yield "mbb60-baseline", preset("mbb"), [(baseline_tasks(fifty), OptimizerConfig())]
     yield "mbb60-multistart", preset("mbb"), [(multistart_tasks(ten), SHORT)]
     for name in ("bridge", "complex"):
         yield name, preset(name), [(baseline_tasks(ten), OptimizerConfig()),
