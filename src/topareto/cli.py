@@ -35,8 +35,8 @@ from .fem2d import ProblemSpec, _json_number, preset
 from .simp import OptimizerConfig
 
 CACHE_ENV = "TOPARETO_CACHE"
-# the thresholds and tolerances a config may set at its top level
-NUMBER_KEYS = ("min_threshold", "drop_threshold", "sigma", "anchor_vf", "tie_tol")
+# the real-valued numbers a config may set at its top level
+NUMBER_KEYS = ("sigma", "anchor_vf", "tie_tol")
 
 
 @dataclass
@@ -48,8 +48,6 @@ class RunConfig:
     cache_dir: Path | None
     workers: int = 1
     rounds: int = 3
-    min_threshold: float = pareto_mod.DEFAULT_MIN_THRESHOLD
-    drop_threshold: float = pareto_mod.DEFAULT_DROP_THRESHOLD
     sigma: float = pareto_mod.DEFAULT_SIGMA
     anchor_vf: float = mm_mod.DEFAULT_ANCHOR_VF
     tie_tol: float = mat_mod.DEFAULT_TIE_TOL
@@ -95,7 +93,8 @@ def _load_config(args) -> RunConfig:
     for name in ("penal", "rmin"):
         if getattr(args, name, None) is not None:
             opt_doc[name] = getattr(args, name)
-        if opt_doc.get(name) is not None:
+        # a null rmin is the per-grid default; a null penal is no number
+        if name in opt_doc and (name == "penal" or opt_doc[name] is not None):
             opt_doc[name] = _finite(opt_doc[name], f"optimizer.{name}")
     if "max_iters" in opt_doc:
         opt_doc["max_iters"] = _integer(opt_doc["max_iters"], "optimizer.max_iters", 1)
@@ -107,6 +106,9 @@ def _load_config(args) -> RunConfig:
     sweep = _section(doc, "sweep")
     _known_keys(sweep, ("points", "count", "lo", "hi"), "sweep")
     if "points" in sweep:
+        if len(sweep) > 1:  # the grid is the points, or count, lo and hi
+            raise ParseError("sweep.points excludes sweep key(s) "
+                             f"{sorted(set(sweep) - {'points'})}")
         if not isinstance(sweep["points"], list):
             raise ParseError("sweep.points must be a JSON array, "
                              f"got {type(sweep['points']).__name__}")
@@ -126,8 +128,8 @@ def _load_config(args) -> RunConfig:
                        "workers", 1)
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
                for name in NUMBER_KEYS}
-    for name in ("min_threshold", "drop_threshold", "sigma", "tie_tol"):
-        if numbers[name] < 0:  # would silently turn its stage off, or on everywhere
+    for name in ("sigma", "tie_tol"):
+        if numbers[name] < 0:  # would silently turn its stage off
             raise ParseError(f"{name} must be at least 0, got {numbers[name]}")
     return RunConfig(
         problem=problem,
@@ -249,8 +251,7 @@ def cmd_pareto(args) -> int:
     if strategy == "refine":
         front, _ = pareto_mod.refine_states(
             cfg.problem, front, states, cfg.rounds, cfg.optimizer, cache,
-            cfg.workers, cfg.min_threshold, cfg.drop_threshold,
-            _census("refine round"))
+            cfg.workers, _census("refine round"))
     _write(out / f"front_{strategy}.csv", front.to_csv())
     _write(out / f"front_{strategy}.svg",
            _front_svg(front, f"{cfg.problem.name} front ({strategy})"))

@@ -42,11 +42,11 @@ from .fem2d import DensityField, ProblemSpec
 from .simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
                    initial_design, optimize, rescale_to_volume)
 
-DEFAULT_MIN_THRESHOLD = 0.002
-# product-curve drop threshold: calibrated on the desk-scale benchmark so
-# refinement catches the local-optimum artifacts that otherwise leave the
-# filtered efficiency ratio above its theoretical band
-DEFAULT_DROP_THRESHOLD = 0.025
+# detect_significant's thresholds, not settings: calibrated on the desk-scale
+# benchmark so refinement catches the local-optimum artifacts that otherwise
+# leave the filtered efficiency ratio above its theoretical band
+MIN_THRESHOLD = 0.002
+DROP_THRESHOLD = 0.025
 IMPROVE_TOL = 5e-4
 DEFAULT_SIGMA = 0.04
 # a multi-start run is abandoned when its penalized compliance exceeds this
@@ -143,8 +143,8 @@ def write_table(header, rows) -> str:
 class SignificantPoints:
     """Indices of product-curve local minima and of compliance drops.
 
-    A drop index marks the first point after a relative compliance fall
-    larger than the threshold, i.e. the design worth propagating leftward.
+    A drop index marks the first point after a relative product fall larger
+    than ``DROP_THRESHOLD``, i.e. the design worth propagating leftward.
     """
 
     minima: tuple[int, ...]
@@ -186,15 +186,13 @@ def smooth(vf: np.ndarray, y: np.ndarray, sigma: float = DEFAULT_SIGMA) -> np.nd
     return (w @ y) / w.sum(axis=1)
 
 
-def detect_significant(front: ParetoFront,
-                       min_threshold: float = DEFAULT_MIN_THRESHOLD,
-                       drop_threshold: float = DEFAULT_DROP_THRESHOLD) -> SignificantPoints:
+def detect_significant(front: ParetoFront) -> SignificantPoints:
     """Flag significant local minima and drops of the product curve ``c * vf``.
 
     A local minimum of the product curve is significant when its compliance
-    undercuts the next point (higher vf) by at least ``min_threshold``
+    undercuts the next point (higher vf) by at least ``MIN_THRESHOLD``
     relative: evidence that the right neighbor converged badly. A drop is
-    significant when the product falls by more than ``drop_threshold``
+    significant when the product falls by more than ``DROP_THRESHOLD``
     relative between consecutive points; an ideal front has a
     non-decreasing product (efficiency ratio at most 1), so any product
     drop marks a genuine topology jump rather than smooth steepness.
@@ -205,10 +203,10 @@ def detect_significant(front: ParetoFront,
     minima = []
     for i in range(1, len(prod) - 1):
         if prod[i] < prod[i - 1] and prod[i] < prod[i + 1]:
-            if (c[i + 1] - c[i]) / c[i + 1] >= min_threshold:
+            if (c[i + 1] - c[i]) / c[i + 1] >= MIN_THRESHOLD:
                 minima.append(i)
     drops = [i + 1 for i in range(len(prod) - 1)
-             if (prod[i] - prod[i + 1]) / prod[i] > drop_threshold]
+             if (prod[i] - prod[i + 1]) / prod[i] > DROP_THRESHOLD]
     return SignificantPoints(tuple(minima), tuple(drops))
 
 
@@ -414,19 +412,18 @@ def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
 
 def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int,
                   cfg: OptimizerConfig, cache: RunCache | None = None,
-                  workers: int = 1,
-                  min_threshold: float = DEFAULT_MIN_THRESHOLD,
-                  drop_threshold: float = DEFAULT_DROP_THRESHOLD, report=None
+                  workers: int = 1, report=None
                   ) -> tuple[ParetoFront, list[DesignResult]]:
     """Iteratively re-optimize every point from nearby significant designs.
 
     Each round warm-starts every point from the nearest product-curve
     minimum to its left and the nearest compliance-drop design to its
-    right (volume-rescaled), keeping the pointwise best result. A warm
-    start already run (same volume fraction, same seed field) is not run
-    again: its result competed for that point once, and a point only
-    improves. Rounds stop early once no point improves by more than
-    ``IMPROVE_TOL``.
+    right (volume-rescaled), both as :func:`detect_significant` flags them
+    at the fixed ``MIN_THRESHOLD`` and ``DROP_THRESHOLD``, keeping the
+    pointwise best result. A warm start already run (same volume fraction,
+    same seed field) is not run again: its result competed for that point
+    once, and a point only improves. Rounds stop early once no point
+    improves by more than ``IMPROVE_TOL``.
     """
     states = list(designs)
     if len(states) != len(front):
@@ -436,7 +433,7 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
 
     for _ in range(rounds):
         cur = ParetoFront(tuple(points))
-        sig = detect_significant(cur, min_threshold, drop_threshold)
+        sig = detect_significant(cur)
         tasks = []
         owners = []
         for j in range(len(points)):

@@ -540,9 +540,8 @@ class TestConfigPrecedence:
         assert not out.exists()
         return code
 
-    @pytest.mark.parametrize("name", ["rounds", "min_threshold", "drop_threshold",
-                                      "sigma", "anchor_vf", "tie_tol", "workers",
-                                      "sweep.count", "sweep.lo", "sweep.hi",
+    @pytest.mark.parametrize("name", ["rounds", "sigma", "anchor_vf", "tie_tol",
+                                      "workers", "sweep.count", "sweep.lo", "sweep.hi",
                                       "sweep.points", "optimizer.penal",
                                       "optimizer.rmin", "optimizer.max_iters"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "false"])
@@ -570,8 +569,7 @@ class TestConfigPrecedence:
         assert f"{name} must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["optimizer.penal", "optimizer.rmin", "sigma",
-                                      "anchor_vf", "tie_tol", "min_threshold",
-                                      "drop_threshold", "sweep.lo", "sweep.hi",
+                                      "anchor_vf", "tie_tol", "sweep.lo", "sweep.hi",
                                       "sweep.points"])
     def test_numeric_string_exit_2(self, tmp_path, capsys, name):
         # a JSON string is not a number, even when it spells one
@@ -579,19 +577,25 @@ class TestConfigPrecedence:
         assert self._er_with_config(tmp_path, name, value) == 2
         assert f"{name} must be a number, got {value[1:-1]!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["min_threshold", "drop_threshold", "sigma",
-                                      "tie_tol"])
+    @pytest.mark.parametrize("name", ["sigma", "tie_tol"])
     def test_negative_threshold_exit_2(self, tmp_path, capsys, name):
         assert self._er_with_config(tmp_path, name, "-2") == 2
         assert f"{name} must be at least 0, got -2.0" in capsys.readouterr().err
 
     def test_zero_thresholds_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        names = ("min_threshold", "drop_threshold", "sigma", "tie_tol")
+        names = ("sigma", "tie_tol")
         cfgfile.write_text(json.dumps(dict.fromkeys(names, 0)))
         cfg = cli._load_config(cli.build_parser().parse_args(
             ["--config", str(cfgfile), "pareto", *tiny()]))
-        assert [getattr(cfg, name) for name in names] == [0.0] * 4
+        assert [getattr(cfg, name) for name in names] == [0.0] * 2
+
+    def test_null_rmin_is_the_grid_default(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"optimizer": {"rmin": None}}))
+        cfg = cli._load_config(cli.build_parser().parse_args(
+            ["--config", str(cfgfile), "pareto", *tiny()]))
+        assert cfg.optimizer.rmin is None
 
     @pytest.mark.parametrize("flags", [(), ("--workers", "-3"), ("--workers", "0")])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, flags):
@@ -673,6 +677,18 @@ class TestConfigPrecedence:
          "bad problem config: problem 'loose': the supports leave a rigid-body mode free"),
         ({"problem": {**SMALL_PROBLEM, "name": "held", "loads": [[3, -1.0]]}},
          "bad problem config: problem 'held': every load is on a fixed DOF"),
+        # the retired refine thresholds are constants of pareto now
+        ({"min_threshold": 0.002}, "unknown config key(s) ['min_threshold']"),
+        ({"drop_threshold": 0.025}, "unknown config key(s) ['drop_threshold']"),
+        # the points are the whole grid: the count and range keys would be ignored
+        ({"sweep": {"points": [0.3], "lo": float("nan")}},
+         "sweep.points excludes sweep key(s) ['lo']"),
+        ({"sweep": {"points": [0.3], "count": "x"}},
+         "sweep.points excludes sweep key(s) ['count']"),
+        ({"sweep": {"points": [0.3], "count": 3, "lo": 0.1, "hi": 0.9}},
+         "sweep.points excludes sweep key(s) ['count', 'hi', 'lo']"),
+        # a null rmin is the per-grid default, but penal has none
+        ({"optimizer": {"penal": None}}, "optimizer.penal must be a number, got None"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -746,8 +762,7 @@ class TestConfigPrecedence:
         doc = {"problem": "mbb", "nelx": 12, "nely": 6,
                "optimizer": {"max_iters": 5}, "sweep": {"points": [0.3]},
                "out_dir": str(tmp_path / "o"), "cache_dir": str(tmp_path / "c"),
-               "workers": 1, "rounds": 1, "min_threshold": 0.01,
-               "drop_threshold": 0.01, "sigma": 0.05, "anchor_vf": 0.3,
+               "workers": 1, "rounds": 1, "sigma": 0.05, "anchor_vf": 0.3,
                "tie_tol": 0.02}
         for sweep in ({"points": [0.3]}, {"count": 3, "lo": 0.1, "hi": 0.9}):
             cfgfile = tmp_path / "cfg.json"

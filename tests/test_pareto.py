@@ -7,10 +7,10 @@ from topareto import pareto as par
 from topareto.cache import RunCache, field_descriptor, result_key
 from topareto.errors import InvalidArgumentError, ParseError
 from topareto.fem2d import DensityField, ProblemSpec, preset
-from topareto.pareto import (FrontPoint, ParetoFront, SignificantPoints,
-                             baseline_states, default_vf_grid,
-                             detect_significant, envelope, multistart_states,
-                             refine_states, smooth)
+from topareto.pareto import (DROP_THRESHOLD, MIN_THRESHOLD, FrontPoint,
+                             ParetoFront, SignificantPoints, baseline_states,
+                             default_vf_grid, detect_significant, envelope,
+                             multistart_states, refine_states, smooth)
 from topareto.simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
                            initial_design, optimize)
 
@@ -120,8 +120,9 @@ class TestSmooth:
 
 class TestDetectSignificant:
     def test_smooth_monotone_front_clean(self):
+        # the product 2 * (1 + v^2) rises at every step: no drop, no minimum
         front = synth_front(np.linspace(0.05, 1, 30), lambda v: 2 * (1 / v + v))
-        sig = detect_significant(front, drop_threshold=0.05)
+        sig = detect_significant(front)
         assert sig.minima == tuple()
         assert sig.drops == tuple()
 
@@ -134,7 +135,9 @@ class TestDetectSignificant:
         cs[dip] *= 0.997
         cs[dip + 1] *= 1.10
         front = ParetoFront(tuple(FrontPoint(v, c) for v, c in zip(vfs, cs)))
-        sig = detect_significant(front, min_threshold=0.002, drop_threshold=0.5)
+        undercut = 1 - cs[dip] / cs[dip + 1]
+        assert MIN_THRESHOLD < undercut < 10 * MIN_THRESHOLD
+        sig = detect_significant(front)
         assert sig.minima == (dip,)
 
     def test_dip_without_undercut_not_flagged(self):
@@ -144,8 +147,9 @@ class TestDetectSignificant:
         cs = 2.0 / vfs
         cs[9] *= 0.99
         front = ParetoFront(tuple(FrontPoint(v, c) for v, c in zip(vfs, cs)))
-        sig = detect_significant(front, min_threshold=0.002, drop_threshold=0.5)
+        sig = detect_significant(front)
         assert sig.minima == tuple()
+        assert sig.drops == tuple()  # the 1 percent product dip is no drop either
 
     def test_step_drop_flagged(self):
         # 10 percent step in the product curve: flagged at the point after
@@ -155,7 +159,7 @@ class TestDetectSignificant:
         prod[6:] -= 0.2
         cs = prod / vfs
         front = ParetoFront(tuple(FrontPoint(v, c) for v, c in zip(vfs, cs)))
-        sig = detect_significant(front, drop_threshold=0.05)
+        sig = detect_significant(front)
         assert sig.drops == (6,)
 
     def test_shallow_minimum_not_significant(self):
@@ -165,6 +169,23 @@ class TestDetectSignificant:
         front = ParetoFront(tuple(FrontPoint(v, c) for v, c in zip(vfs, cs)))
         sig = detect_significant(front)
         assert sig.minima == tuple()
+
+    def test_undercut_of_exactly_min_threshold_flagged(self):
+        # the product 500, 499, 1000 has its minimum at 1, and 998 undercuts
+        # 1000 by 2/1000: the threshold itself, which the >= rule flags
+        vfs = [0.25, 0.5, 1.0]
+        assert (1000.0 - 998.0) / 1000.0 == MIN_THRESHOLD
+        for c_mid, minima in ((998.0, (1,)), (998.001, ())):
+            front = ParetoFront(tuple(map(FrontPoint, vfs, [2000.0, c_mid, 1000.0])))
+            assert detect_significant(front).minima == minima
+
+    def test_drop_of_exactly_drop_threshold_not_flagged(self):
+        # the product falls from 40 to 39 by 1/40: the threshold itself,
+        # which the > rule does not flag
+        assert (40.0 - 39.0) / 40.0 == DROP_THRESHOLD
+        for c_right, drops in ((39.0, ()), (38.999, (1,))):
+            front = ParetoFront((FrontPoint(0.5, 80.0), FrontPoint(1.0, c_right)))
+            assert detect_significant(front).drops == drops
 
 
 class TestSweeps:
@@ -462,9 +483,11 @@ class TestRefine:
         assert np.all(out.cs() <= multi.cs() + 1e-12)
 
     def test_rounds_skip_warm_starts_already_run(self, monkeypatch):
-        problem = preset("mbb", 20, 8)
+        # a front with a product drop above DROP_THRESHOLD in each of the
+        # three rounds
+        problem = preset("mbb", 30, 10)
         cfg = OptimizerConfig(max_iters=40)
-        front, states = baseline_states(problem, default_vf_grid(14, 0.05), cfg)
+        front, states = baseline_states(problem, default_vf_grid(25, 0.02), cfg)
         starts = []
         orig = par.optimize
 
@@ -475,15 +498,14 @@ class TestRefine:
         monkeypatch.setattr(par, "optimize", spy)
         lines = []
         out = refine_states(problem, front, states, 3, cfg, RunCache(None),
-                            drop_threshold=0.01, report=lines.append)
+                            report=lines.append)
         skipping = starts[:]
         del starts[:]
         # one round per call: each call starts afresh and so runs every
         # warm start of its round, as rounds did before they skipped repeats
         again = (front, states)
         for _ in lines:
-            again = refine_states(problem, *again, 1, cfg, RunCache(None),
-                                  drop_threshold=0.01)
+            again = refine_states(problem, *again, 1, cfg, RunCache(None))
         assert len(lines) == 3
         assert len(set(skipping)) == len(skipping) < len(starts)
         assert out[0] == again[0]
