@@ -36,7 +36,7 @@ from .simp import OptimizerConfig
 
 CACHE_ENV = "TOPARETO_CACHE"
 # the real-valued numbers a config may set at its top level
-NUMBER_KEYS = ("sigma", "anchor_vf", "tie_tol")
+NUMBER_KEYS = ("anchor_vf", "tie_tol")
 
 
 @dataclass
@@ -47,8 +47,6 @@ class RunConfig:
     out_dir: Path
     cache_dir: Path | None
     workers: int = 1
-    rounds: int = 3
-    sigma: float = pareto_mod.DEFAULT_SIGMA
     anchor_vf: float = mm_mod.DEFAULT_ANCHOR_VF
     tie_tol: float = mat_mod.DEFAULT_TIE_TOL
 
@@ -61,7 +59,7 @@ def _load_config(args) -> RunConfig:
     if not isinstance(doc, dict):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
     _known_keys(doc, ("problem", "nelx", "nely", "optimizer", "sweep", "out_dir",
-                      "cache_dir", "workers", "rounds", *NUMBER_KEYS), "config")
+                      "cache_dir", "workers", *NUMBER_KEYS), "config")
     prob_spec = doc.get("problem", "mbb")
     sizes = []
     for name in ("nelx", "nely"):
@@ -90,12 +88,6 @@ def _load_config(args) -> RunConfig:
                          f"got {type(prob_spec).__name__}")
 
     opt_doc = dict(_section(doc, "optimizer"))
-    for name in ("penal", "rmin"):
-        if getattr(args, name, None) is not None:
-            opt_doc[name] = getattr(args, name)
-        # a null rmin is the per-grid default; a null penal is no number
-        if name in opt_doc and (name == "penal" or opt_doc[name] is not None):
-            opt_doc[name] = _finite(opt_doc[name], f"optimizer.{name}")
     if "max_iters" in opt_doc:
         opt_doc["max_iters"] = _integer(opt_doc["max_iters"], "optimizer.max_iters", 1)
     try:
@@ -128,9 +120,8 @@ def _load_config(args) -> RunConfig:
                        "workers", 1)
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
                for name in NUMBER_KEYS}
-    for name in ("sigma", "tie_tol"):
-        if numbers[name] < 0:  # would silently turn its stage off
-            raise ParseError(f"{name} must be at least 0, got {numbers[name]}")
+    if numbers["tie_tol"] < 0:  # would silently turn the tie break off
+        raise ParseError(f"tie_tol must be at least 0, got {numbers['tie_tol']}")
     return RunConfig(
         problem=problem,
         optimizer=optimizer,
@@ -138,7 +129,6 @@ def _load_config(args) -> RunConfig:
         out_dir=out_dir,
         cache_dir=cache_dir,
         workers=workers,
-        rounds=_integer(doc.get("rounds", RunConfig.rounds), "rounds", 0),
         **numbers,
     )
 
@@ -250,8 +240,8 @@ def cmd_pareto(args) -> int:
                           cfg.workers, _census(kind))
     if strategy == "refine":
         front, _ = pareto_mod.refine_states(
-            cfg.problem, front, states, cfg.rounds, cfg.optimizer, cache,
-            cfg.workers, _census("refine round"))
+            cfg.problem, front, states, cfg.optimizer, cache, cfg.workers,
+            _census("refine round"))
     _write(out / f"front_{strategy}.csv", front.to_csv())
     _write(out / f"front_{strategy}.svg",
            _front_svg(front, f"{cfg.problem.name} front ({strategy})"))
@@ -264,7 +254,7 @@ def cmd_er(args) -> int:
     cfg = _load_config(args)
     front = _read(args.front, "front file", pareto_mod.ParetoFront.from_csv)
     raw = er_mod.compute_er(front)
-    filt = er_mod.filter_er(front, cfg.sigma)
+    filt = er_mod.filter_er(front)
     out = cfg.out_dir
     _write(out / "er_raw.csv", raw.to_csv())
     _write(out / "er_filtered.csv", filt.to_csv())
@@ -350,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--cache", help="cache directory")
         sp.add_argument("--workers", type=int)
-        sp.add_argument("--penal", type=float)
-        sp.add_argument("--rmin", type=float)
 
     sp = sub.add_parser("optimize", help="one compliance minimization")
     common(sp)

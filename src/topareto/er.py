@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pareto import (DEFAULT_SIGMA, ParetoFront, check_vfs, envelope,
-                     finite_cell, read_table, smooth, write_table)
+from .pareto import (ParetoFront, check_vfs, envelope, finite_cell, read_table,
+                     smooth, write_table)
 
 ER_LOWER_BOUND = -0.02
 ER_UPPER_BOUND = 1.02
@@ -63,14 +63,15 @@ def compute_er(front: ParetoFront) -> ErSeries:
     return ErSeries(tuple(zip(v, n)))
 
 
-def filter_er(front: ParetoFront, sigma: float = DEFAULT_SIGMA) -> ErSeries:
+def filter_er(front: ParetoFront) -> ErSeries:
     """Two-step filtered efficiency ratio.
 
     Step one forces the front monotone with the running-minimum envelope;
-    step two Gaussian-averages the resulting ratio series (the derivative
-    of a raw front is far too noisy to use directly).
+    step two Gaussian-averages the resulting ratio series with
+    :func:`pareto.smooth` (the derivative of a raw front is far too noisy to
+    use directly).
     """
     raw = compute_er(envelope(front))
-    ns = smooth(raw.vfs(), raw.values(), sigma)
+    ns = smooth(raw.vfs(), raw.values())
     return ErSeries(tuple(zip(raw.vfs(), ns)))
 

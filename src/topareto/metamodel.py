@@ -39,9 +39,11 @@ class MetaModel:
             raise InvalidArgumentError("model constants must be positive and finite")
         fp = tuple((float(x), float(c)) for x, c in self.fit_points)
         object.__setattr__(self, "fit_points", fp)
-        if len(fp) != 2 or not all(0 < x <= 1 and 0 < c < np.inf for x, c in fp):
-            raise InvalidArgumentError("fit_points must be two (vf, c) pairs with vf "
-                                       f"in (0, 1] and c positive and finite, got {fp}")
+        # fit's order: the low-vf anchor, then vf 1, whose c refine_vf reads
+        if len(fp) != 2 or not (0 < fp[0][0] < 1 and fp[1][0] == 1.0
+                                and all(0 < c < np.inf for _, c in fp)):
+            raise InvalidArgumentError("fit_points must be two (vf, c) pairs, vf in (0, 1) "
+                                       f"then vf 1, with c positive and finite, got {fp}")
 
     def to_json(self) -> str:
         return json.dumps({

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -48,7 +49,9 @@ from .simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
 MIN_THRESHOLD = 0.002
 DROP_THRESHOLD = 0.025
 IMPROVE_TOL = 5e-4
-DEFAULT_SIGMA = 0.04
+# refine's most rounds, and the efficiency ratio's smoothing width in vf
+REFINE_ROUNDS = 3
+SIGMA = 0.04
 # a multi-start run is abandoned when its penalized compliance exceeds this
 # multiple of the uniform start's at the same iteration and vf. Measured on
 # unraced runs (all 50 desk vfs of the 60x20 half-MBB; bridge and complex
@@ -164,11 +167,12 @@ def envelope(front: ParetoFront) -> ParetoFront:
     return ParetoFront(tuple(pts))
 
 
-def smooth(vf: np.ndarray, y: np.ndarray, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
+def smooth(vf: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gaussian-kernel weighted average of a series over the vf axis.
 
-    The kernel is truncated at three standard deviations and renormalized,
-    so boundary points average over their one-sided neighborhoods.
+    The kernel has standard deviation ``SIGMA``; it is truncated at three
+    standard deviations and renormalized, so boundary points average over
+    their one-sided neighborhoods.
     """
     vf = np.asarray(vf, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -176,13 +180,11 @@ def smooth(vf: np.ndarray, y: np.ndarray, sigma: float = DEFAULT_SIGMA) -> np.nd
         raise InvalidArgumentError("series arrays must be 1-d and equal length")
     if np.any(np.diff(vf) <= 0):
         raise InvalidArgumentError("vf must be strictly increasing")
-    if sigma <= 0:
-        return y.copy()
     d = vf[:, None] - vf[None, :]
-    w = np.exp(-0.5 * (d / sigma) ** 2)
+    w = np.exp(-0.5 * (d / SIGMA) ** 2)
     # small tolerance keeps the cutoff symmetric when the grid spacing
-    # divides 3*sigma exactly
-    w[np.abs(d) > 3 * sigma * (1 + 1e-9)] = 0.0
+    # divides 3*SIGMA exactly
+    w[np.abs(d) > 3 * SIGMA * (1 + 1e-9)] = 0.0
     return (w @ y) / w.sum(axis=1)
 
 
@@ -277,12 +279,13 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     exceeds that multiple of the reference's at the same iteration (see
     ``simp.optimize``). Unbounded tasks run first, then the bounded ones,
     in one pool, started once two runs are pending (a lone run before that
-    runs in this process). A bounded task is keyed by its descriptor plus the
-    factor and its reference's result key, so an abandoned result never
-    sits under a full-run key, and a warm cache, which gives the same
-    bound, serves it again. A bounded task whose reference failed is
-    skipped; the batch raises for the failure. ``report``, when given,
-    receives the batch's :func:`census` line.
+    runs in this process). The pool forks all its processes at once, so it
+    has ``workers`` of them but no more than the CPUs. A bounded task is
+    keyed by its descriptor plus the factor and its reference's result
+    key, so an abandoned result never sits under a full-run key, and a warm
+    cache, which gives the same bound, serves it again. A bounded task
+    whose reference failed is skipped; the batch raises for the failure.
+    ``report``, when given, receives the batch's :func:`census` line.
     """
     cache = cache or RunCache(None)
     problem = problem.with_unit_load()
@@ -326,7 +329,8 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
             if not pending:
                 continue
             if workers > 1 and len(pending) > 1 and pool is None:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=min(workers, os.cpu_count() or 1)))
             done = pool.map(_run_point, pending) if pool else map(_run_point, pending)
             for payload, (res, err) in zip(pending, done):
                 if err is not None:
@@ -410,7 +414,7 @@ def multistart_states(problem: ProblemSpec, vf_grid, cfg: OptimizerConfig,
     return _sweep(problem, vf_grid, INITIAL_DESIGN_KINDS, cfg, cache, workers, report)
 
 
-def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int,
+def refine_states(problem: ProblemSpec, front: ParetoFront, designs,
                   cfg: OptimizerConfig, cache: RunCache | None = None,
                   workers: int = 1, report=None
                   ) -> tuple[ParetoFront, list[DesignResult]]:
@@ -422,8 +426,9 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
     at the fixed ``MIN_THRESHOLD`` and ``DROP_THRESHOLD``, keeping the
     pointwise best result. A warm start already run (same volume fraction,
     same seed field) is not run again: its result competed for that point
-    once, and a point only improves. Rounds stop early once no point
-    improves by more than ``IMPROVE_TOL``.
+    once, and a point only improves. It runs at most ``REFINE_ROUNDS``
+    rounds, and stops early once no point improves by more than
+    ``IMPROVE_TOL``.
     """
     states = list(designs)
     if len(states) != len(front):
@@ -431,7 +436,7 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs, rounds: int
     points = list(front.points)
     ran = set()
 
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         cur = ParetoFront(tuple(points))
         sig = detect_significant(cur)
         tasks = []

@@ -3,8 +3,9 @@
 Optimality-criteria update with move limits and a bisected volume
 multiplier, the cone density filter, and a penalization-1 re-evaluation
 of the final design. The update and filter follow the 88-line code
-(Andreassen et al. 2011): its move limit 0.2, damping 0.5 and change
-tolerance 0.01 are the constants ``MOVE_LIMIT``, ``ETA`` and ``CHANGE_TOL``.
+(Andreassen et al. 2011): its move limit 0.2, damping 0.5, change
+tolerance 0.01 and penalization 3 are the constants ``MOVE_LIMIT``,
+``ETA``, ``CHANGE_TOL`` and ``PENAL``.
 """
 
 from __future__ import annotations
@@ -41,37 +42,29 @@ _NOISE_SEED = 130904
 # (60x20 half-MBB, 50 vfs); from iteration 3 on, 1.77x at most
 FIRST_CHECK = 3
 # the OC update of the 88-line code: largest density change per update, the
-# damping exponent on the optimality ratio, and the largest density change
-# below which a run has converged
+# damping exponent on the optimality ratio, the largest density change
+# below which a run has converged, and the SIMP penalization of the moduli
 MOVE_LIMIT = 0.2
 ETA = 0.5
 CHANGE_TOL = 0.01
+PENAL = 3.0
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for one compliance minimization.
+    """Settings for one compliance minimization: its iteration limit."""
 
-    ``rmin=None`` resolves per grid as ``3 * nelx / 200`` clamped to at
-    least 1.2, mimicking the relative filter size of a 200-wide reference
-    grid on smaller ones.
-    """
-
-    penal: float = 3.0
-    rmin: float | None = None
     max_iters: int = 300
 
     def __post_init__(self):
-        if not 1 <= self.penal < np.inf:
-            raise InvalidArgumentError("penal must be finite and >= 1")
-        if self.rmin is not None and not 1 <= self.rmin < np.inf:
-            raise InvalidArgumentError("rmin must be finite and >= 1")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
 
-    def resolve_rmin(self, grid: Grid) -> float:
-        if self.rmin is not None:
-            return self.rmin
+    @staticmethod
+    def resolve_rmin(grid: Grid) -> float:
+        """The filter radius of a grid: ``3 * nelx / 200`` clamped to at least
+        1.2, mimicking the relative filter size of a 200-wide reference grid
+        on smaller ones."""
         return max(1.2, 3.0 * grid.nelx / 200.0)
 
     def digest(self) -> str:
@@ -268,8 +261,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
 
     kern = kernel_for(problem)
     f = problem.load_vector()
-    rmin = cfg.resolve_rmin(grid)
-    w, w_t, weights, dv_t = _filter_cached(grid, float(rmin))
+    w, w_t, weights, dv_t = _filter_cached(grid, cfg.resolve_rmin(grid))
 
     x = init.values.copy()
     x_phys = csr_dot(w, x)
@@ -279,7 +271,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     history = []
     n_bound = len(_abandon_above)
     for it in range(1, cfg.max_iters + 1):
-        emod = simp_modulus(x_phys, cfg.penal)
+        emod = simp_modulus(x_phys, PENAL)
         try:
             u = kern.solve(emod, f)
         except SolverError as exc:
@@ -292,7 +284,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
                 and c > _abandon_above[min(it, n_bound) - 1]):
             break
 
-        dc = -cfg.penal * (1.0 - E_MIN) * x_phys ** (cfg.penal - 1.0) * ce
+        dc = -PENAL * (1.0 - E_MIN) * x_phys ** (PENAL - 1.0) * ce
         dc = csr_dot(w_t, dc)
         x_new, lm = _oc_update(x, dc, dv_t, target_vf, weights, lm)
         change = float(np.max(np.abs(x_new - x)))
@@ -320,7 +312,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         raise SolverError(
             f"volume constraint missed: got {achieved:.6f}, want {target_vf:.6f}")
 
-    emod_last, emod = emod, simp_modulus(x_phys, cfg.penal)
+    emod_last, emod = emod, simp_modulus(x_phys, PENAL)
     # an abandoned run stopped before the OC update: its last solve was of
     # these very moduli
     if not np.array_equal(emod, emod_last):

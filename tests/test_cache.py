@@ -78,7 +78,7 @@ class TestRunCache:
         assert result_key(p, 0.5, "kind:ring", cfg) != k1
         # every optimizer field enters the key, and the dict form sent to
         # pool workers rebuilds an equal config
-        changed = {"penal": 2.0, "rmin": 2.0, "max_iters": 100}
+        changed = {"max_iters": 100}
         assert set(changed) == {f.name for f in fields(OptimizerConfig)}
         for name, value in changed.items():
             other = replace(cfg, **{name: value})

@@ -73,22 +73,6 @@ class TestOptimizeCmd:
         for name in ("densities.csv", "design.svg", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_explicit_rmin_reaches_the_optimizer(self, tmp_path):
-        from topareto import simp
-        from topareto.fem2d import preset
-        designs = {}
-        for flags in ((), ("--rmin", "2.5")):
-            out = tmp_path / str(len(flags))
-            assert run(["optimize", *tiny("--out", str(out), *flags), "--vf", "0.5"]) == 0
-            designs[flags] = (out / "densities.csv").read_text()
-        assert designs[()] != designs[("--rmin", "2.5")]
-        problem = preset("mbb", 12, 6)
-        res = simp.optimize(problem.with_unit_load(), 0.5, simp.OptimizerConfig(rmin=2.5),
-                            simp.initial_design("uniform", 0.5, problem.grid))
-        img = res.densities.as_grid(problem.grid)
-        assert designs[("--rmin", "2.5")] == \
-            "".join(",".join(map(repr, row)) + "\n" for row in img.tolist())
-
     def test_densities_csv_is_numeric(self, tmp_path):
         from topareto import pareto
         from topareto.fem2d import preset
@@ -178,24 +162,6 @@ class TestErCmd:
         from topareto.er import ErSeries
         filt = ErSeries.from_csv((out / "er_filtered.csv").read_text())
         assert np.max(np.abs(filt.values() - 1.0)) <= 0.03
-
-    def test_sigma_zero_filters_to_the_envelope_ratio(self, tmp_path):
-        from topareto.er import ErSeries, compute_er
-        from topareto.pareto import envelope
-        # a front with one poor point, which the envelope flattens
-        cs = [20.0, 9.0, 10.0, 4.0, 2.5, 1.5]
-        front = ParetoFront(tuple(FrontPoint(v, c) for v, c in
-                                  zip([0.1, 0.2, 0.3, 0.5, 0.7, 1.0], cs)))
-        path = tmp_path / "front.csv"
-        path.write_text(front.to_csv())
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"sigma": 0}))
-        out = tmp_path / "o"
-        assert run(["--config", str(cfgfile), "er", *tiny("--out", str(out)),
-                    "--front", str(path)]) == 0
-        filt = ErSeries.from_csv((out / "er_filtered.csv").read_text())
-        assert filt.points == compute_er(envelope(front)).points
-        assert filt.points != compute_er(front).points
 
     def test_missing_front_exit_2(self, tmp_path):
         assert run(["er", *tiny("--out", str(tmp_path / "o")),
@@ -385,7 +351,8 @@ class TestSelectCmd:
         ('{"a": 3.28, "b": 2.0, "fit_points": 7}', "bad meta-model"),
         ("[1, 2]", "bad meta-model"),
         (b"\xff\xfe\x00", "can't decode"),
-        # fit points: exactly two finite pairs, vf in (0, 1], c > 0
+        # fit points: exactly two finite pairs, c > 0, the low-vf anchor in
+        # (0, 1) first and the full-density compliance at vf 1 second
         ('{"a": 3.28, "b": 2.0, "fit_points": [[1.0, 9.84]]}', "fit_points must be two"),
         ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84], [0.5, 20.0]]}',
          "fit_points must be two"),
@@ -396,6 +363,10 @@ class TestSelectCmd:
         ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 0.0]]}',
          "fit_points must be two"),
         ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.5, 9.84]]}',
+         "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[1.0, 9.84], [0.1, 36.0]]}',
+         "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [0.5, 9.84]]}',
          "fit_points must be two"),
         # numbers: a bool or a string is not one
         ('{"a": true, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
@@ -521,6 +492,13 @@ class TestConfigPrecedence:
         assert len(dens) == 4  # rows = nely from the flag, not the file
         assert len(dens[0].split(",")) == 8
 
+    # the retired settings: a config that names one exits 2, whatever the
+    # value, as it does for any key the program does not read
+    RETIRED = {"rounds": "unknown config key(s) ['rounds']",
+               "sigma": "unknown config key(s) ['sigma']",
+               "optimizer.penal": "unexpected keyword argument 'penal'",
+               "optimizer.rmin": "unexpected keyword argument 'rmin'"}
+
     @staticmethod
     def _er_with_config(tmp_path, name, value, *flags):
         """Runs ``er`` on a valid front with the config setting ``name`` to
@@ -548,18 +526,12 @@ class TestConfigPrecedence:
     def test_non_finite_number_exit_2(self, tmp_path, capsys, name, value):
         assert self._er_with_config(tmp_path, name, value) == 2
         err = capsys.readouterr().err
-        if value in ("true", "false"):  # a JSON bool is not a number
+        if name in self.RETIRED:
+            assert self.RETIRED[name] in err
+        elif value in ("true", "false"):  # a JSON bool is not a number
             assert f"{name} must be" in err and f"got {value.title()}" in err
         else:
             assert f"{name} must be finite" in err
-
-    @pytest.mark.parametrize("flags", [("--penal", "nan"), ("--penal", "inf"),
-                                       ("--rmin", "inf"), ("--rmin", "nan")])
-    def test_non_finite_optimizer_flag_exit_2(self, tmp_path, capsys, flags):
-        # the flag wins over the config's valid value
-        name = "optimizer." + flags[0][2:]
-        assert self._er_with_config(tmp_path, name, "3", *flags) == 2
-        assert f"{name} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [("workers", '"two"'),
                                              ("sweep.count", '"x"'),
@@ -575,27 +547,21 @@ class TestConfigPrecedence:
         # a JSON string is not a number, even when it spells one
         value = '"3"' if name.startswith("optimizer.") else '"0.5"'
         assert self._er_with_config(tmp_path, name, value) == 2
-        assert f"{name} must be a number, got {value[1:-1]!r}" in capsys.readouterr().err
+        message = self.RETIRED.get(name, f"{name} must be a number, got {value[1:-1]!r}")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["sigma", "tie_tol"])
     def test_negative_threshold_exit_2(self, tmp_path, capsys, name):
         assert self._er_with_config(tmp_path, name, "-2") == 2
-        assert f"{name} must be at least 0, got -2.0" in capsys.readouterr().err
+        message = self.RETIRED.get(name, f"{name} must be at least 0, got -2.0")
+        assert message in capsys.readouterr().err
 
     def test_zero_thresholds_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        names = ("sigma", "tie_tol")
-        cfgfile.write_text(json.dumps(dict.fromkeys(names, 0)))
+        cfgfile.write_text(json.dumps({"tie_tol": 0}))
         cfg = cli._load_config(cli.build_parser().parse_args(
             ["--config", str(cfgfile), "pareto", *tiny()]))
-        assert [getattr(cfg, name) for name in names] == [0.0] * 2
-
-    def test_null_rmin_is_the_grid_default(self, tmp_path):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"optimizer": {"rmin": None}}))
-        cfg = cli._load_config(cli.build_parser().parse_args(
-            ["--config", str(cfgfile), "pareto", *tiny()]))
-        assert cfg.optimizer.rmin is None
+        assert cfg.tie_tol == 0.0
 
     @pytest.mark.parametrize("flags", [(), ("--workers", "-3"), ("--workers", "0")])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, flags):
@@ -687,8 +653,12 @@ class TestConfigPrecedence:
          "sweep.points excludes sweep key(s) ['count']"),
         ({"sweep": {"points": [0.3], "count": 3, "lo": 0.1, "hi": 0.9}},
          "sweep.points excludes sweep key(s) ['count', 'hi', 'lo']"),
-        # a null rmin is the per-grid default, but penal has none
-        ({"optimizer": {"penal": None}}, "optimizer.penal must be a number, got None"),
+        # the retired settings are constants: PENAL, the grid's filter
+        # radius, SIGMA and REFINE_ROUNDS
+        ({"optimizer": {"penal": 3.0}}, "unexpected keyword argument 'penal'"),
+        ({"optimizer": {"rmin": None}}, "unexpected keyword argument 'rmin'"),
+        ({"sigma": 0.04}, "unknown config key(s) ['sigma']"),
+        ({"rounds": 3}, "unknown config key(s) ['rounds']"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -757,13 +727,20 @@ class TestConfigPrecedence:
         assert exc.value.code == 2 and not (tmp_path / "o").exists()
         assert "unrecognized arguments: --filter-kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--penal", "--rmin"])
+    def test_retired_optimizer_flag_exit_2(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", *tiny("--out", str(tmp_path / "o")), "--vf", "0.5",
+                 flag, "3"])
+        assert exc.value.code == 2 and not (tmp_path / "o").exists()
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
     def test_every_config_key_accepted(self, tmp_path):
         # the keys of the benchmark pipeline's config, and all the others
         doc = {"problem": "mbb", "nelx": 12, "nely": 6,
                "optimizer": {"max_iters": 5}, "sweep": {"points": [0.3]},
                "out_dir": str(tmp_path / "o"), "cache_dir": str(tmp_path / "c"),
-               "workers": 1, "rounds": 1, "sigma": 0.05, "anchor_vf": 0.3,
-               "tie_tol": 0.02}
+               "workers": 1, "anchor_vf": 0.3, "tie_tol": 0.02}
         for sweep in ({"points": [0.3]}, {"count": 3, "lo": 0.1, "hi": 0.9}):
             cfgfile = tmp_path / "cfg.json"
             cfgfile.write_text(json.dumps({**doc, "sweep": sweep}))
@@ -806,13 +783,14 @@ class TestConfigPrecedence:
     def test_bad_integer_exit_2(self, tmp_path, capsys, name, value, minimum):
         assert self._er_with_config(tmp_path, name, value) == 2
         got = json.loads(value)  # shown as Python shows it: true is True
-        assert (f"{name} must be an integer of at least {minimum}, got {got!r}"
-                in capsys.readouterr().err)
+        message = self.RETIRED.get(
+            name, f"{name} must be an integer of at least {minimum}, got {got!r}")
+        assert message in capsys.readouterr().err
 
     def test_integer_minimums_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"rounds": 0, "sweep": {"count": 1}}))
+        cfgfile.write_text(json.dumps({"sweep": {"count": 1}}))
         args = cli.build_parser().parse_args(
             ["--config", str(cfgfile), "pareto", *tiny()])
         cfg = cli._load_config(args)
-        assert cfg.rounds == 0 and cfg.vf_grid == [0.02]
+        assert cfg.vf_grid == [0.02]

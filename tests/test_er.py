@@ -79,7 +79,7 @@ class TestFilterEr:
         filt = filter_er(front)
         raw = compute_er(front)
         from topareto.pareto import smooth
-        direct = smooth(raw.vfs(), raw.values(), 0.04)
+        direct = smooth(raw.vfs(), raw.values())
         assert filt.values() == pytest.approx(direct, abs=1e-12)
 
     def test_bounds_violations_index(self):

@@ -1,5 +1,8 @@
 """Front construction: sweeps, significant points, refine, envelope, smooth."""
 
+import contextlib
+import types
+
 import numpy as np
 import pytest
 
@@ -99,7 +102,7 @@ class TestSmooth:
     def test_linear_series_interior_unchanged(self):
         vf = np.linspace(0.0, 1, 51)
         y = 2.0 * vf + 1.0
-        out = smooth(vf, y, sigma=0.04)
+        out = smooth(vf, y)
         inner = slice(8, -8)
         assert out[inner] == pytest.approx(y[inner], abs=1e-9)
 
@@ -107,13 +110,17 @@ class TestSmooth:
         rng = np.random.default_rng(42)
         vf = np.linspace(0.02, 1, 200)
         y = rng.standard_normal(200)
-        out = smooth(vf, y, sigma=0.04)
+        out = smooth(vf, y)
         assert np.var(out) < np.var(y)
+
+    def test_constants(self):
+        # the efficiency ratio's smoothing width and refine's most rounds
+        assert (par.SIGMA, par.REFINE_ROUNDS) == (0.04, 3)
 
     def test_truncation_at_three_sigma(self):
         vf = np.array([0.0, 0.5, 1.0])
         y = np.array([100.0, 1.0, 1.0])
-        out = smooth(vf, y, sigma=0.04)
+        out = smooth(vf, y)
         # neighbors are >3 sigma away: pure identity
         assert out == pytest.approx(y)
 
@@ -288,6 +295,7 @@ class TestSweeps:
             return real(max_workers=max_workers)
 
         monkeypatch.setattr(par, "ProcessPoolExecutor", counted)
+        monkeypatch.setattr(par.os, "cpu_count", lambda: 2)
         task = {"vf": 0.5, "init_kind": "uniform"}
         alone = par.run_optimizations(tiny_mbb, [task], cfg, workers=2)[0]
         assert pools == []  # one pending run runs in this process
@@ -295,6 +303,22 @@ class TestSweeps:
         # the uniform reference runs here, the eight raced starts in one pool
         front, _ = multistart_states(tiny_mbb, [0.5], cfg, workers=2)
         assert pools == [2]
+        assert front.to_csv() == multistart_states(tiny_mbb, [0.5], cfg)[0].to_csv()
+
+    @pytest.mark.parametrize("cpus, workers, want", [(2, 64, 2), (4, 3, 3), (None, 8, 1)])
+    def test_pool_capped_at_the_cpus(self, tiny_mbb, monkeypatch, cpus, workers, want):
+        # a fake pool that maps serially: a real one forks all its workers
+        pools = []
+
+        def serial(max_workers):
+            pools.append(max_workers)
+            return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", serial)
+        monkeypatch.setattr(par.os, "cpu_count", lambda: cpus)
+        cfg = OptimizerConfig(max_iters=5)
+        front, _ = multistart_states(tiny_mbb, [0.5], cfg, workers=workers)
+        assert pools == [want]
         assert front.to_csv() == multistart_states(tiny_mbb, [0.5], cfg)[0].to_csv()
 
     def test_parallel_equals_serial(self, tiny_mbb, cfg, tmp_path):
@@ -472,14 +496,14 @@ class TestRefine:
             return designs[i]
 
         monkeypatch.setattr(par, "optimize", stub)
-        out, _ = refine_states(tiny_mbb, front, designs, rounds=3, cfg=cfg)
+        out, _ = refine_states(tiny_mbb, front, designs, cfg)
         assert out.cs() == pytest.approx(front.cs())
 
     def test_refine_dominates_input(self, tiny_mbb, cfg, tmp_path):
         cache = RunCache(tmp_path)
         grid = [0.15, 0.3, 0.5, 0.75, 1.0]
         multi, states = multistart_states(tiny_mbb, grid, cfg, cache)
-        out, _ = refine_states(tiny_mbb, multi, states, 2, cfg, cache)
+        out, _ = refine_states(tiny_mbb, multi, states, cfg, cache)
         assert np.all(out.cs() <= multi.cs() + 1e-12)
 
     def test_rounds_skip_warm_starts_already_run(self, monkeypatch):
@@ -497,15 +521,16 @@ class TestRefine:
 
         monkeypatch.setattr(par, "optimize", spy)
         lines = []
-        out = refine_states(problem, front, states, 3, cfg, RunCache(None),
+        out = refine_states(problem, front, states, cfg, RunCache(None),
                             report=lines.append)
         skipping = starts[:]
         del starts[:]
         # one round per call: each call starts afresh and so runs every
         # warm start of its round, as rounds did before they skipped repeats
         again = (front, states)
+        monkeypatch.setattr(par, "REFINE_ROUNDS", 1)
         for _ in lines:
-            again = refine_states(problem, *again, 1, cfg, RunCache(None))
+            again = refine_states(problem, *again, cfg, RunCache(None))
         assert len(lines) == 3
         assert len(set(skipping)) == len(skipping) < len(starts)
         assert out[0] == again[0]
@@ -517,7 +542,7 @@ class TestRefine:
     def test_misaligned_designs_rejected(self, tiny_mbb, cfg):
         front = synth_front([0.5, 1.0], lambda v: 1 / v)
         with pytest.raises(InvalidArgumentError):
-            refine_states(tiny_mbb, front, [], 1, cfg)
+            refine_states(tiny_mbb, front, [], cfg)
 
 
 def _fake_result(problem, vf, c):

@@ -73,6 +73,18 @@ def test_result_attributes_the_benchmark_reads(tiny_mbb, tmp_path):
     assert fresh.summary() == hit.summary()
 
 
+def test_workload_config_and_filter_calls():
+    # every workload builds its config with no argument or with max_iters
+    # alone, and its set-up builds the filter of the grid it optimizes on
+    from topareto import fem2d, simp
+    grid = fem2d.preset("mbb", 60, 20).with_unit_load().grid
+    for cfg in (simp.OptimizerConfig(), simp.OptimizerConfig(max_iters=30)):
+        rmin = cfg.resolve_rmin(grid)
+        assert rmin == 1.2
+        assert simp.filter_build(grid, rmin).shape == (grid.nel, grid.nel)
+    assert simp.OptimizerConfig(max_iters=30).max_iters == 30
+
+
 def test_sweeps_called_by_name_exist():
     assert callable(pareto.baseline_states)
     assert callable(pareto.multistart_states)

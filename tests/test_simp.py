@@ -8,7 +8,7 @@ import topareto.simp as simp_mod
 from conftest import kernel_solve
 from topareto.errors import InvalidArgumentError
 from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel, csr_dot
-from topareto.simp import (CHANGE_TOL, ETA, INITIAL_DESIGN_KINDS, MOVE_LIMIT,
+from topareto.simp import (CHANGE_TOL, ETA, INITIAL_DESIGN_KINDS, MOVE_LIMIT, PENAL,
                            OptimizerConfig, _oc_update, evaluate_p1, filter_build,
                            initial_design, optimize, rescale_to_volume)
 
@@ -16,10 +16,9 @@ from topareto.simp import (CHANGE_TOL, ETA, INITIAL_DESIGN_KINDS, MOVE_LIMIT,
 class TestOptimizerConfig:
     def test_defaults_valid(self):
         cfg = OptimizerConfig()
-        assert cfg.penal == 3.0
         assert cfg.max_iters == 300
         # the constants of the 88-line code
-        assert (MOVE_LIMIT, ETA, CHANGE_TOL, E_MIN) == (0.2, 0.5, 0.01, 1e-9)
+        assert (MOVE_LIMIT, ETA, CHANGE_TOL, E_MIN, PENAL) == (0.2, 0.5, 0.01, 1e-9, 3.0)
 
     def test_rmin_scaling_rule(self):
         cfg = OptimizerConfig()
@@ -27,19 +26,15 @@ class TestOptimizerConfig:
         assert cfg.resolve_rmin(Grid(60, 20)) == pytest.approx(1.2)
         assert cfg.resolve_rmin(Grid(400, 100)) == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("bad", [
-        dict(penal=0.5), dict(rmin=0.8), dict(max_iters=0), dict(penal=np.nan),
-        dict(penal=np.inf), dict(rmin=np.nan), dict(rmin=np.inf),
-    ])
+    @pytest.mark.parametrize("bad", [dict(max_iters=0)])
     def test_invalid_configs(self, bad):
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(**bad)
 
     def test_digest_pinned(self):
         # cache keys: a change here orphans every cached run
-        assert OptimizerConfig().digest() == "d41224b290489eae"
-        assert OptimizerConfig(penal=1.0, rmin=2.5,
-                               max_iters=40).digest() == "005d5531a25390dd"
+        assert OptimizerConfig().digest() == "ce1736850d27ef5e"
+        assert OptimizerConfig(max_iters=40).digest() == "bd8e16a9a0d0d1fb"
 
 
 class TestFilterBuild:
