@@ -26,7 +26,9 @@ class TestOptimizerConfig:
         assert cfg.resolve_rmin(Grid(60, 20)) == pytest.approx(1.2)
         assert cfg.resolve_rmin(Grid(400, 100)) == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("bad", [dict(max_iters=0)])
+    @pytest.mark.parametrize("bad", [
+        dict(max_iters=-1), dict(max_iters=0.5), dict(max_iters=0),
+    ])
     def test_invalid_configs(self, bad):
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(**bad)
