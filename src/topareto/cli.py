@@ -1,10 +1,13 @@
 """Command-line pipeline: optimize | pareto | er | fit | select.
 
-Configuration comes from an optional JSON file plus flag overrides (flags
-win). All artifacts are plain CSV/JSON/SVG written under the output
-directory; sweep results are cached under the cache directory (or the
-``TOPARETO_CACHE`` environment variable) so repeated runs are no-ops on
-finished computations.
+Each setting has one source. Flags place the run: the preset and grid
+(``--preset``, ``--nelx``, ``--nely``), the output and cache directories
+(``--out``, ``--cache``) and ``--workers``. An optional JSON config file
+(``--config``) describes the experiment: a custom ``problem`` document,
+``optimizer.max_iters``, the ``sweep`` grid, ``anchor_vf`` and ``tie_tol``.
+All artifacts are plain CSV/JSON/SVG written under the output directory;
+sweep results are cached under the cache directory so repeated runs are
+no-ops on finished computations.
 
 Exit codes: 0 ok, 2 invalid input, 3 infeasible problem, 4 solver or
 internal failure.
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +36,6 @@ from .errors import (InfeasibleProblemError, InfeasibleStiffnessError,
 from .fem2d import ProblemSpec, _json_number, preset
 from .simp import OptimizerConfig
 
-CACHE_ENV = "TOPARETO_CACHE"
 # the real-valued numbers a config may set at its top level
 NUMBER_KEYS = ("anchor_vf", "tie_tol")
 
@@ -46,7 +47,7 @@ class RunConfig:
     vf_grid: list[float]
     out_dir: Path
     cache_dir: Path | None
-    workers: int = 1
+    workers: int
     anchor_vf: float = mm_mod.DEFAULT_ANCHOR_VF
     tie_tol: float = mat_mod.DEFAULT_TIE_TOL
 
@@ -58,22 +59,19 @@ def _load_config(args) -> RunConfig:
     doc = _read(args.config, "config", json.loads) if args.config else {}
     if not isinstance(doc, dict):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
-    _known_keys(doc, ("problem", "nelx", "nely", "optimizer", "sweep", "out_dir",
-                      "cache_dir", "workers", *NUMBER_KEYS), "config")
-    prob_spec = doc.get("problem", "mbb")
-    sizes = []
-    for name in ("nelx", "nely"):
-        size = getattr(args, name, None)
-        if size is None:
-            size = doc.get(name)
-        sizes.append(None if size is None else _integer(size, name, 1))
-    if getattr(args, "preset", None):
-        prob_spec = args.preset
-    if isinstance(prob_spec, str):
-        problem = preset(prob_spec, *sizes)
-    elif isinstance(prob_spec, dict):
+    _known_keys(doc, ("problem", "optimizer", "sweep", *NUMBER_KEYS), "config")
+    sizes = [None if size is None else _integer(size, name, 1)
+             for name, size in (("nelx", args.nelx), ("nely", args.nely))]
+    if "problem" not in doc:
+        problem = preset(args.preset or "mbb", *sizes)
+    elif not isinstance(doc["problem"], dict):
+        raise ParseError("problem must be a problem document (a JSON object), got "
+                         f"{type(doc['problem']).__name__}; a preset is named by --preset")
+    elif args.preset:
+        raise ParseError(f"--preset {args.preset} conflicts with the config's problem document")
+    else:
         try:
-            problem = ProblemSpec.from_json(json.dumps(prob_spec))
+            problem = ProblemSpec.from_json(json.dumps(doc["problem"]))
         except KeyError as exc:
             raise ParseError(f"problem config is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -83,17 +81,11 @@ def _load_config(args) -> RunConfig:
             if size is not None and size != have:
                 raise ParseError(f"{name} {size} conflicts with the problem "
                                  f"document's {grid[0]}x{grid[1]} grid")
-    else:
-        raise ParseError("problem must be a preset name or a JSON object, "
-                         f"got {type(prob_spec).__name__}")
 
-    opt_doc = dict(_section(doc, "optimizer"))
-    if "max_iters" in opt_doc:
-        opt_doc["max_iters"] = _integer(opt_doc["max_iters"], "optimizer.max_iters", 1)
-    try:
-        optimizer = OptimizerConfig(**opt_doc)
-    except TypeError as exc:
-        raise ParseError(f"bad optimizer config: {exc}") from exc
+    opt_doc = _section(doc, "optimizer")
+    _known_keys(opt_doc, ("max_iters",), "optimizer")
+    optimizer = OptimizerConfig(**{name: _integer(value, f"optimizer.{name}", 1)
+                                   for name, value in opt_doc.items()})
 
     sweep = _section(doc, "sweep")
     _known_keys(sweep, ("points", "count", "lo", "hi"), "sweep")
@@ -105,19 +97,12 @@ def _load_config(args) -> RunConfig:
             raise ParseError("sweep.points must be a JSON array, "
                              f"got {type(sweep['points']).__name__}")
         vf_grid = [_finite(v, "sweep.points") for v in sweep["points"]]
-    else:
-        vf_grid = pareto_mod.default_vf_grid(
-            _integer(sweep.get("count", 50), "sweep.count", 1),
-            _finite(sweep.get("lo", 0.02), "sweep.lo"),
-            _finite(sweep.get("hi", 1.0), "sweep.hi"))
+    else:  # default_vf_grid's signature holds the defaults of the keys not given
+        vf_grid = pareto_mod.default_vf_grid(**{
+            name: _integer(sweep[name], "sweep.count", 1) if name == "count"
+            else _finite(sweep[name], f"sweep.{name}")
+            for name in ("count", "lo", "hi") if name in sweep})
 
-    out_dir = _directory(getattr(args, "out", None) or doc.get("out_dir", "out"), "output")
-    cache_dir = getattr(args, "cache", None) or os.environ.get(CACHE_ENV) \
-        or doc.get("cache_dir")
-    cache_dir = _directory(cache_dir, "cache") if cache_dir else None
-    workers = getattr(args, "workers", None)
-    workers = _integer(doc.get("workers", 1) if workers is None else workers,
-                       "workers", 1)
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
                for name in NUMBER_KEYS}
     if numbers["tie_tol"] < 0:  # would silently turn the tie break off
@@ -126,9 +111,9 @@ def _load_config(args) -> RunConfig:
         problem=problem,
         optimizer=optimizer,
         vf_grid=vf_grid,
-        out_dir=out_dir,
-        cache_dir=cache_dir,
-        workers=workers,
+        out_dir=_directory(args.out, "output"),
+        cache_dir=_directory(args.cache, "cache") if args.cache else None,
+        workers=_integer(args.workers, "workers", 1),
         **numbers,
     )
 
@@ -150,8 +135,6 @@ def _known_keys(doc: dict, known, where: str) -> None:
 def _directory(path, what: str) -> Path:
     """A directory to write under: one that exists, or can be made because
     its nearest existing ancestor is a directory. Creates nothing."""
-    if not isinstance(path, str):  # a flag or variable is; a JSON value may not be
-        raise ParseError(f"{what} directory must be a string, got {path!r}")
     path = Path(path)
     for p in (path, *path.parents):
         if p.exists():
@@ -282,8 +265,8 @@ def cmd_fit(args) -> int:
                                cfg.cache(), cfg.workers, _census("fit anchor"))
     _write(out / "metamodel.json", model.to_json() + "\n")
 
-    series = [("model", np.linspace(0.02, 1.0, 200),
-               [mm_mod.eval_front(model, float(x)) for x in np.linspace(0.02, 1.0, 200)]),
+    xs = np.linspace(0.02, 1.0, 200)
+    series = [("model", xs, [mm_mod.eval_front(model, float(x)) for x in xs]),
               ("anchors", [p[0] for p in model.fit_points],
                [p[1] for p in model.fit_points])]
     if front is not None:
@@ -337,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--preset", help="problem preset: mbb, bridge, complex")
         sp.add_argument("--nelx", type=int)
         sp.add_argument("--nely", type=int)
-        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--cache", help="cache directory")
-        sp.add_argument("--workers", type=int)
+        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("optimize", help="one compliance minimization")
     common(sp)

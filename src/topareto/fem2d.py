@@ -283,8 +283,6 @@ def element_stiffness(nu: float) -> np.ndarray:
 
 def simp_modulus(values: np.ndarray, penal: float) -> np.ndarray:
     """Per-element modulus ``E_MIN + rho^p * (1 - E_MIN)`` (modified SIMP)."""
-    if not 1 <= penal < math.inf:
-        raise InvalidArgumentError("penal must be finite and >= 1")
     return E_MIN + np.asarray(values, dtype=float) ** penal * (1.0 - E_MIN)
 
 

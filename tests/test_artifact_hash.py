@@ -11,6 +11,8 @@ from pathlib import Path
 
 from topareto import cli
 from topareto.materials import load_materials
+from topareto.pareto import default_vf_grid
+from topareto.simp import OptimizerConfig
 
 ARTIFACT_HASH = Path(__file__).resolve().parent.parent / "tools" / "artifact_hash.py"
 
@@ -41,11 +43,18 @@ def test_stages_parse_without_running(tmp_path):
 
 
 def test_inputs_load_as_the_cli_reads_them(tmp_path):
+    # the flags place every stage and the config file sets its sweep and
+    # tie tolerance
     tool = _tool()
     tool.write_inputs(tmp_path, 6, 0.3)
-    argv = tool.stages(tmp_path, 18, 6, 1)[-1][1]
-    cfg = cli._load_config(cli.build_parser().parse_args(argv))
-    assert (len(cfg.vf_grid), cfg.tie_tol) == (6, 0.3)
+    for _name, argv in tool.stages(tmp_path, 18, 6, 2):
+        cfg = cli._load_config(cli.build_parser().parse_args(argv))
+        assert (cfg.problem.name, cfg.problem.grid.nelx, cfg.problem.grid.nely) == \
+            ("mbb", 18, 6)
+        assert (cfg.vf_grid, cfg.tie_tol) == (default_vf_grid(6), 0.3)
+        assert cfg.optimizer == OptimizerConfig()
+        assert (cfg.out_dir, cfg.cache_dir, cfg.workers) == \
+            (tmp_path / "out", tmp_path / "cache", 2)
     assert json.loads((tmp_path / "config.json").read_text())["sweep"] == {"count": 6}
     assert len(load_materials((tmp_path / "materials.csv").read_text())) == 4
 

@@ -140,14 +140,16 @@ class TestParetoCmd:
         assert warm < 5.0
 
     def test_cache_env_var(self, tmp_path, monkeypatch):
+        # the cache directory comes from --cache alone: the variable older
+        # versions read is ignored, and nothing is written there
         out = tmp_path / "o"
         cache = tmp_path / "envcache"
-        monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+        monkeypatch.setenv("TOPARETO_CACHE", str(cache))
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"sweep": {"points": [1.0]}}))
-        run(["--config", str(cfgfile), "pareto", *tiny("--out", str(out)),
-             "--strategy", "baseline"])
-        assert any(cache.iterdir())
+        assert run(["--config", str(cfgfile), "pareto", *tiny("--out", str(out)),
+                    "--strategy", "baseline"]) == 0
+        assert (out / "front_baseline.csv").exists() and not cache.exists()
 
 
 class TestErCmd:
@@ -481,23 +483,14 @@ class TestWarningsAndFailures:
 
 
 class TestConfigPrecedence:
-    def test_flags_override_config(self, tmp_path):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"nelx": 30, "nely": 10,
-                                       "sweep": {"points": [1.0]}}))
-        out = tmp_path / "o"
-        run(["--config", str(cfgfile), "optimize", "--preset", "mbb",
-             "--nelx", "8", "--nely", "4", "--out", str(out), "--vf", "1.0"])
-        dens = (out / "densities.csv").read_text().strip().splitlines()
-        assert len(dens) == 4  # rows = nely from the flag, not the file
-        assert len(dens[0].split(",")) == 8
-
     # the retired settings: a config that names one exits 2, whatever the
-    # value, as it does for any key the program does not read
+    # value, as it does for any key the program does not read; workers is
+    # set by its flag alone
     RETIRED = {"rounds": "unknown config key(s) ['rounds']",
                "sigma": "unknown config key(s) ['sigma']",
-               "optimizer.penal": "unexpected keyword argument 'penal'",
-               "optimizer.rmin": "unexpected keyword argument 'rmin'"}
+               "workers": "unknown config key(s) ['workers']",
+               "optimizer.penal": "unknown optimizer key(s) ['penal']",
+               "optimizer.rmin": "unknown optimizer key(s) ['rmin']"}
 
     @staticmethod
     def _er_with_config(tmp_path, name, value, *flags):
@@ -538,7 +531,8 @@ class TestConfigPrecedence:
                                              ("sweep.points", '"a"')])
     def test_non_numeric_number_exit_2(self, tmp_path, capsys, name, value):
         assert self._er_with_config(tmp_path, name, value) == 2
-        assert f"{name} must be a number" in capsys.readouterr().err
+        message = self.RETIRED.get(name, f"{name} must be a number")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["optimizer.penal", "optimizer.rmin", "sigma",
                                       "anchor_vf", "tie_tol", "sweep.lo", "sweep.hi",
@@ -565,12 +559,14 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("flags", [(), ("--workers", "-3"), ("--workers", "0")])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, flags):
-        # a flag wins over the config's 1; without one, the config's -3
-        value = "1" if flags else "-3"
-        assert self._er_with_config(tmp_path, "workers", value, *flags) == 2
-        got = flags[1] if flags else "-3"
-        assert (f"workers must be an integer of at least 1, got {got}"
-                in capsys.readouterr().err)
+        # the flag sets workers; the config's -3 is a retired key
+        if flags:
+            code = self._er_with_config(tmp_path, "tie_tol", "0", *flags)
+            message = f"workers must be an integer of at least 1, got {flags[1]}"
+        else:
+            code = self._er_with_config(tmp_path, "workers", "-3")
+            message = self.RETIRED["workers"]
+        assert code == 2 and message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, doc", [
         (("--nelx", "0", "--nely", "4"), {}),
@@ -588,8 +584,9 @@ class TestConfigPrecedence:
         code = run(["--config", str(cfgfile), "optimize", "--preset", "mbb",
                     *flags, "--out", str(out), "--vf", "1.0"])
         assert code == 2 and not out.exists()
-        # a string is not a number, whatever it spells
-        message = ("nelx must be a number, got '8'" if doc.get("nelx") == "8"
+        # the flags set the grid; the config's sizes are retired keys,
+        # whatever their values
+        message = ("unknown config key(s) ['nelx', 'nely']" if doc
                    else "must be an integer of at least 1")
         assert message in capsys.readouterr().err
 
@@ -599,7 +596,7 @@ class TestConfigPrecedence:
          "problem config is missing key 'fixed_dofs'"),
         ({"problem": {"nelx": 4, "nely": 2, "loads": 3, "fixed_dofs": []}},
          "bad problem config"),
-        ({"problem": [1, 2]}, "problem must be a preset name or a JSON object"),
+        ({"problem": [1, 2]}, "problem must be a problem document (a JSON object), got list"),
         ({"sweep": [1, 2]}, "sweep must be a JSON object"),
         ({"sweep": {"points": 0.5}}, "sweep.points must be a JSON array"),
         ({"optimizer": [1, 2]}, "optimizer must be a JSON object"),
@@ -612,7 +609,7 @@ class TestConfigPrecedence:
         ({"problem": {**SMALL_PROBLEM, "L": 2.0}}, "unknown problem key(s) ['L']"),
         ({"problem": {**SMALL_PROBLEM, "h": 1.0, "t": 1.0}},
          "unknown problem key(s) ['h', 't']"),
-        ({"cache_dir": 5}, "cache directory must be a string, got 5"),
+        ({"cache_dir": 5}, "unknown config key(s) ['cache_dir']"),
         # numbers of a custom problem: integral grid sizes and DOFs, finite
         # magnitudes and symmetry factor
         ({"problem": {**SMALL_PROBLEM, "nelx": 12.7}},
@@ -655,10 +652,20 @@ class TestConfigPrecedence:
          "sweep.points excludes sweep key(s) ['count', 'hi', 'lo']"),
         # the retired settings are constants: PENAL, the grid's filter
         # radius, SIGMA and REFINE_ROUNDS
-        ({"optimizer": {"penal": 3.0}}, "unexpected keyword argument 'penal'"),
-        ({"optimizer": {"rmin": None}}, "unexpected keyword argument 'rmin'"),
+        ({"optimizer": {"penal": 3.0}}, "unknown optimizer key(s) ['penal']"),
+        ({"optimizer": {"rmin": None}}, "unknown optimizer key(s) ['rmin']"),
         ({"sigma": 0.04}, "unknown config key(s) ['sigma']"),
         ({"rounds": 3}, "unknown config key(s) ['rounds']"),
+        # every unknown optimizer key is named, not only the first
+        ({"optimizer": {"penal": 3, "rmin": 2}}, "unknown optimizer key(s) ['penal', 'rmin']"),
+        # placement is set by flags alone: the preset, the grid, the
+        # directories and the workers are no config keys
+        ({"nelx": 12}, "unknown config key(s) ['nelx']"),
+        ({"nely": 6}, "unknown config key(s) ['nely']"),
+        ({"out_dir": "o"}, "unknown config key(s) ['out_dir']"),
+        ({"cache_dir": "c"}, "unknown config key(s) ['cache_dir']"),
+        ({"workers": 1}, "unknown config key(s) ['workers']"),
+        ({"problem": "mbb"}, "got str; a preset is named by --preset"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -674,11 +681,16 @@ class TestConfigPrecedence:
          "nelx 30 conflicts with the problem document's 6x3 grid"),
         (("--nely", "4"), {}, 2,
          "nely 4 conflicts with the problem document's 6x3 grid"),
-        ((), {"nelx": 7}, 2,
+        (("--nelx", "7"), {}, 2,
          "nelx 7 conflicts with the problem document's 6x3 grid"),
         (("--nelx", "6", "--nely", "3"), {}, 0, ""),
-        ((), {"nelx": 6}, 0, ""),
+        (("--nelx", "6"), {}, 0, ""),
         ((), {}, 0, ""),
+        # the document is the problem: no preset beside it, and no grid
+        # size in the file, even a matching one
+        (("--preset", "mbb"), {}, 2,
+         "--preset mbb conflicts with the config's problem document"),
+        ((), {"nelx": 6}, 2, "unknown config key(s) ['nelx']"),
     ])
     def test_custom_problem_grid_flags(self, tmp_path, capsys, flags, doc,
                                        code, message):
@@ -717,8 +729,7 @@ class TestConfigPrecedence:
             code = run(["--config", str(cfgfile), "optimize",
                         *tiny("--out", str(tmp_path / "o")), "--vf", "0.5"])
             assert code == 2
-            err = capsys.readouterr().err
-            assert "bad optimizer config" in err and key in err
+            assert f"unknown optimizer key(s) ['{key}']" in capsys.readouterr().err
 
     def test_filter_kind_flag_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -737,17 +748,20 @@ class TestConfigPrecedence:
 
     def test_every_config_key_accepted(self, tmp_path):
         # the keys of the benchmark pipeline's config, and all the others
-        doc = {"problem": "mbb", "nelx": 12, "nely": 6,
-               "optimizer": {"max_iters": 5}, "sweep": {"points": [0.3]},
-               "out_dir": str(tmp_path / "o"), "cache_dir": str(tmp_path / "c"),
-               "workers": 1, "anchor_vf": 0.3, "tie_tol": 0.02}
-        for sweep in ({"points": [0.3]}, {"count": 3, "lo": 0.1, "hi": 0.9}):
+        from topareto.fem2d import preset
+        problem = json.loads(preset("mbb", 6, 3).to_json())
+        doc = {"optimizer": {"max_iters": 5}, "anchor_vf": 0.3, "tie_tol": 0.02}
+        for extra in ({"sweep": {"points": [0.3]}},
+                      {"sweep": {"count": 3, "lo": 0.1, "hi": 0.9}, "problem": problem}):
             cfgfile = tmp_path / "cfg.json"
-            cfgfile.write_text(json.dumps({**doc, "sweep": sweep}))
+            cfgfile.write_text(json.dumps({**doc, **extra}))
             cfg = cli._load_config(cli.build_parser().parse_args(
                 ["--config", str(cfgfile), "pareto"]))
-            assert (cfg.anchor_vf, cfg.optimizer.max_iters) == (0.3, 5)
-            assert len(cfg.vf_grid) == len(sweep.get("points", [0] * 3))
+            assert (cfg.anchor_vf, cfg.tie_tol, cfg.optimizer.max_iters) == (0.3, 0.02, 5)
+            assert cfg.vf_grid == extra["sweep"].get("points", [0.1, 0.5, 0.9])
+            assert cfg.problem.grid.nelx == (6 if "problem" in extra else 60)
+            # no flag places the run: the defaults of --out, --cache, --workers
+            assert (cfg.out_dir, cfg.cache_dir, cfg.workers) == (Path("out"), None, 1)
 
     @pytest.mark.parametrize("command, flag", [
         (["pareto", "--strategy", "baseline"], "--out"),

@@ -8,23 +8,29 @@ surface only when the benchmark runs.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
-from topareto import materials, pareto
+from topareto import cli, materials, pareto
 from topareto.cache import RunCache
 from topareto.metamodel import MetaModel, eval_front
 from topareto.simp import OptimizerConfig
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _patch_table():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.patch_table()
+    return _module("tracing").patch_table()
 
 
 def test_every_traced_lookup_site_resolves():
@@ -83,6 +89,23 @@ def test_workload_config_and_filter_calls():
         assert rmin == 1.2
         assert simp.filter_build(grid, rmin).shape == (grid.nel, grid.nel)
     assert simp.OptimizerConfig(max_iters=30).max_iters == 30
+
+
+def test_pipeline_stages_load_as_the_cli_reads_them(tmp_path):
+    # mbb60-pipeline places each stage by flags and sets the experiment in
+    # its config file; every stage's argv must load to the run it times
+    wl = _module("workload").Pipeline60(random.Random(0))
+    wl.prepare(tmp_path / "work")
+    wl.cache = tmp_path / "work" / "cache0"
+    out = tmp_path / "work" / "cold0"
+    for stage in wl.stages:
+        cfg = cli._load_config(cli.build_parser().parse_args(wl.argv(stage, out, 2)))
+        assert (cfg.problem.name, cfg.problem.grid.nelx, cfg.problem.grid.nely) == \
+            ("mbb", *wl.grid)
+        assert (cfg.vf_grid, cfg.anchor_vf) == (wl.vfs, wl.anchor_vf)
+        assert cfg.optimizer == OptimizerConfig(max_iters=wl.max_iters)
+        assert (cfg.out_dir, cfg.cache_dir, cfg.workers) == (out, wl.cache, 2)
+        assert cfg.tie_tol == materials.DEFAULT_TIE_TOL
 
 
 def test_sweeps_called_by_name_exist():
