@@ -1,10 +1,11 @@
 """Command-line pipeline: optimize | pareto | er | fit | select.
 
-Each setting has one source. Flags place the run: the preset and grid
-(``--preset``, ``--nelx``, ``--nely``), the output and cache directories
-(``--out``, ``--cache``) and ``--workers``. An optional JSON config file
-(``--config``) describes the experiment: a custom ``problem`` document,
-``optimizer.max_iters``, the ``sweep`` grid, ``anchor_vf`` and ``tie_tol``.
+Each setting has one source and one form. Flags place the run: the preset
+and its grid (``--preset``, ``--nelx``, ``--nely``), the output and cache
+directories (``--out``, ``--cache``) and ``--workers``. An optional JSON
+config file (``--config``) describes the experiment: a custom ``problem``
+document, which sets its own grid, ``optimizer.max_iters``, the sweep's
+volume fractions ``sweep.points``, ``anchor_vf`` and ``tie_tol``.
 All artifacts are plain CSV/JSON/SVG written under the output directory;
 sweep results are cached under the cache directory so repeated runs are
 no-ops on finished computations.
@@ -21,8 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import er as er_mod
 from . import materials as mat_mod
@@ -52,7 +51,7 @@ class RunConfig:
     tie_tol: float = mat_mod.DEFAULT_TIE_TOL
 
     def cache(self) -> RunCache:
-        return RunCache(self.cache_dir)
+        return RunCache(self.cache_dir and _mkdir(self.cache_dir, "cache"))
 
 
 def _load_config(args) -> RunConfig:
@@ -60,10 +59,10 @@ def _load_config(args) -> RunConfig:
     if not isinstance(doc, dict):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
     _known_keys(doc, ("problem", "optimizer", "sweep", *NUMBER_KEYS), "config")
-    sizes = [None if size is None else _integer(size, name, 1)
-             for name, size in (("nelx", args.nelx), ("nely", args.nely))]
     if "problem" not in doc:
-        problem = preset(args.preset or "mbb", *sizes)
+        problem = preset(args.preset or "mbb", *[
+            None if size is None else _integer(size, name, 1)
+            for name, size in (("nelx", args.nelx), ("nely", args.nely))])
     elif not isinstance(doc["problem"], dict):
         raise ParseError("problem must be a problem document (a JSON object), got "
                          f"{type(doc['problem']).__name__}; a preset is named by --preset")
@@ -76,11 +75,10 @@ def _load_config(args) -> RunConfig:
             raise ParseError(f"problem config is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad problem config: {exc}") from exc
-        grid = (problem.grid.nelx, problem.grid.nely)
-        for name, size, have in zip(("nelx", "nely"), sizes, grid):
-            if size is not None and size != have:
-                raise ParseError(f"{name} {size} conflicts with the problem "
-                                 f"document's {grid[0]}x{grid[1]} grid")
+        for name in ("nelx", "nely"):  # the document sets its own grid
+            if getattr(args, name) is not None:
+                raise ParseError(f"--{name} {getattr(args, name)} conflicts with the problem "
+                                 f"document's {problem.grid.nelx}x{problem.grid.nely} grid")
 
     opt_doc = _section(doc, "optimizer")
     _known_keys(opt_doc, ("max_iters",), "optimizer")
@@ -88,20 +86,11 @@ def _load_config(args) -> RunConfig:
                                    for name, value in opt_doc.items()})
 
     sweep = _section(doc, "sweep")
-    _known_keys(sweep, ("points", "count", "lo", "hi"), "sweep")
-    if "points" in sweep:
-        if len(sweep) > 1:  # the grid is the points, or count, lo and hi
-            raise ParseError("sweep.points excludes sweep key(s) "
-                             f"{sorted(set(sweep) - {'points'})}")
-        if not isinstance(sweep["points"], list):
-            raise ParseError("sweep.points must be a JSON array, "
-                             f"got {type(sweep['points']).__name__}")
-        vf_grid = [_finite(v, "sweep.points") for v in sweep["points"]]
-    else:  # default_vf_grid's signature holds the defaults of the keys not given
-        vf_grid = pareto_mod.default_vf_grid(**{
-            name: _integer(sweep[name], "sweep.count", 1) if name == "count"
-            else _finite(sweep[name], f"sweep.{name}")
-            for name in ("count", "lo", "hi") if name in sweep})
+    _known_keys(sweep, ("points",), "sweep")
+    points = sweep.get("points", pareto_mod.default_vf_grid())
+    if not isinstance(points, list):
+        raise ParseError(f"sweep.points must be a JSON array, got {type(points).__name__}")
+    vf_grid = [_finite(v, "sweep.points") for v in points]
 
     numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
                for name in NUMBER_KEYS}
@@ -136,11 +125,12 @@ def _directory(path, what: str) -> Path:
     """A directory to write under: one that exists, or can be made because
     its nearest existing ancestor is a directory. Creates nothing."""
     path = Path(path)
-    for p in (path, *path.parents):
-        if p.exists():
-            if not p.is_dir():
-                raise ParseError(f"{what} directory {path}: {p} is not a directory")
-            break
+    try:  # the root or the working directory ends the search
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:  # a name too long, say
+        raise ParseError(f"cannot create {what} directory {path}: {exc}") from exc
+    if not nearest.is_dir():
+        raise ParseError(f"{what} directory {path}: {nearest} is not a directory")
     return path
 
 
@@ -174,8 +164,16 @@ def _read(path, what: str, parse):
                          line=getattr(exc, "line", None)) from exc
 
 
+def _mkdir(path: Path, what: str) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create {what} directory {path}: {exc}") from exc
+    return path
+
+
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _mkdir(path.parent, "output")
     path.write_text(text)
 
 
@@ -265,8 +263,8 @@ def cmd_fit(args) -> int:
                                cfg.cache(), cfg.workers, _census("fit anchor"))
     _write(out / "metamodel.json", model.to_json() + "\n")
 
-    xs = np.linspace(0.02, 1.0, 200)
-    series = [("model", xs, [mm_mod.eval_front(model, float(x)) for x in xs]),
+    xs = pareto_mod.default_vf_grid(200)
+    series = [("model", xs, [mm_mod.eval_front(model, x) for x in xs]),
               ("anchors", [p[0] for p in model.fit_points],
                [p[1] for p in model.fit_points])]
     if front is not None:

@@ -358,8 +358,9 @@ def check_vfs(vfs) -> list[float]:
     return vfs
 
 
-def default_vf_grid(count: int = 50, lo: float = 0.02, hi: float = 1.0) -> list[float]:
-    return [float(v) for v in np.linspace(lo, hi, count)]
+def default_vf_grid(count: int = 50) -> list[float]:
+    """``count`` evenly spaced volume fractions from 0.02 to 1.0."""
+    return [float(v) for v in np.linspace(0.02, 1.0, count)]
 
 
 def start_tasks(vfs, kinds) -> list[dict]:

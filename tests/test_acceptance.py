@@ -364,7 +364,7 @@ class TestCriterion10:
         root = tmp_path_factory.mktemp("determinism")
         cfgfile = root / "cfg.json"
         cfgfile.write_text(json.dumps(
-            {"sweep": {"count": 6, "lo": 0.1, "hi": 1.0}}))
+            {"sweep": {"points": [float(v) for v in np.linspace(0.1, 1.0, 6)]}}))
         artifacts = ("front_baseline.csv", "front_multistart.csv",
                      "front_refine.csv", "er_raw.csv", "er_filtered.csv",
                      "er.svg", "metamodel.json", "fit_overlay.svg",

@@ -55,7 +55,8 @@ def test_inputs_load_as_the_cli_reads_them(tmp_path):
         assert cfg.optimizer == OptimizerConfig()
         assert (cfg.out_dir, cfg.cache_dir, cfg.workers) == \
             (tmp_path / "out", tmp_path / "cache", 2)
-    assert json.loads((tmp_path / "config.json").read_text())["sweep"] == {"count": 6}
+    assert json.loads((tmp_path / "config.json").read_text())["sweep"] == \
+        {"points": default_vf_grid(6)}
     assert len(load_materials((tmp_path / "materials.csv").read_text())) == 4
 
 

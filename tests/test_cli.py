@@ -9,7 +9,7 @@ import pytest
 
 from topareto import cli
 from topareto.metamodel import MetaModel, eval_front
-from topareto.pareto import FrontPoint, ParetoFront
+from topareto.pareto import FrontPoint, ParetoFront, default_vf_grid
 
 
 SELECT_LOAD = ["--force", "20e3", "--delta-max", "5e-3", "--thickness", "5e-3",
@@ -94,7 +94,7 @@ class TestParetoCmd:
         cache = tmp_path / "c"
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
-            "sweep": {"count": 5, "lo": 0.2, "hi": 1.0}}))
+            "sweep": {"points": [float(v) for v in np.linspace(0.2, 1.0, 5)]}}))
         for strategy in ("baseline", "multistart", "refine"):
             code = run(["--config", str(cfgfile), "pareto",
                         *tiny("--out", str(out), "--cache", str(cache)),
@@ -126,7 +126,7 @@ class TestParetoCmd:
         cache = tmp_path / "c"
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
-            "sweep": {"count": 3, "lo": 0.3, "hi": 1.0}}))
+            "sweep": {"points": [float(v) for v in np.linspace(0.3, 1.0, 3)]}}))
         import time
         args = ["--config", str(cfgfile), "pareto"]
         run([*args, *tiny("--out", str(out1), "--cache", str(cache)),
@@ -346,29 +346,42 @@ class TestSelectCmd:
         ('{"a": 1.0', "bad meta-model: Expecting"),
         ('{"a": 1.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
          "meta-model is missing key 'b'"),
-        ('{"a": NaN, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+        # a document that reaches the model's own checks names its problem:
+        # a missing problem_name is a fault of its own, below
+        ('{"a": NaN, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]], '
+         '"problem_name": "mbb"}',
          "model constants must be positive and finite"),
-        ('{"a": 3.28, "b": Infinity, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+        ('{"a": 3.28, "b": Infinity, "fit_points": [[0.1, 36.0], [1.0, 9.84]], '
+         '"problem_name": "mbb"}',
          "model constants must be positive and finite"),
         ('{"a": 3.28, "b": 2.0, "fit_points": 7}', "bad meta-model"),
         ("[1, 2]", "bad meta-model"),
         (b"\xff\xfe\x00", "can't decode"),
         # fit points: exactly two finite pairs, c > 0, the low-vf anchor in
         # (0, 1) first and the full-density compliance at vf 1 second
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[1.0, 9.84]]}', "fit_points must be two"),
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84], [0.5, 20.0]]}',
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[1.0, 9.84]], '
+         '"problem_name": "mbb"}',
          "fit_points must be two"),
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[NaN, 36.0], [1.0, 9.84]]}',
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84], [0.5, 20.0]], '
+         '"problem_name": "mbb"}',
          "fit_points must be two"),
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, Infinity]]}',
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[NaN, 36.0], [1.0, 9.84]], '
+         '"problem_name": "mbb"}',
          "fit_points must be two"),
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 0.0]]}',
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, Infinity]], '
+         '"problem_name": "mbb"}',
          "fit_points must be two"),
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.5, 9.84]]}',
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 0.0]], '
+         '"problem_name": "mbb"}',
          "fit_points must be two"),
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[1.0, 9.84], [0.1, 36.0]]}',
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.5, 9.84]], '
+         '"problem_name": "mbb"}',
          "fit_points must be two"),
-        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [0.5, 9.84]]}',
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[1.0, 9.84], [0.1, 36.0]], '
+         '"problem_name": "mbb"}',
+         "fit_points must be two"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [0.5, 9.84]], '
+         '"problem_name": "mbb"}',
          "fit_points must be two"),
         # numbers: a bool or a string is not one
         ('{"a": true, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
@@ -379,6 +392,11 @@ class TestSelectCmd:
          "fit_points entry must be a number, got True"),
         ('{"a": "1.5", "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
          "a must be a number, got '1.5'"),
+        # the problem the model was fitted to: a JSON string, never absent
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]]}',
+         "meta-model is missing key 'problem_name'"),
+        ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]], '
+         '"problem_name": 5}', "problem_name must be a string, got 5"),
     ])
     def test_bad_metamodel_exit_2(self, tmp_path, table1_csv, capsys, text,
                                   message):
@@ -485,12 +503,15 @@ class TestWarningsAndFailures:
 class TestConfigPrecedence:
     # the retired settings: a config that names one exits 2, whatever the
     # value, as it does for any key the program does not read; workers is
-    # set by its flag alone
+    # set by its flag alone, and a sweep by its points alone
     RETIRED = {"rounds": "unknown config key(s) ['rounds']",
                "sigma": "unknown config key(s) ['sigma']",
                "workers": "unknown config key(s) ['workers']",
                "optimizer.penal": "unknown optimizer key(s) ['penal']",
-               "optimizer.rmin": "unknown optimizer key(s) ['rmin']"}
+               "optimizer.rmin": "unknown optimizer key(s) ['rmin']",
+               "sweep.count": "unknown sweep key(s) ['count']",
+               "sweep.lo": "unknown sweep key(s) ['lo']",
+               "sweep.hi": "unknown sweep key(s) ['hi']"}
 
     @staticmethod
     def _er_with_config(tmp_path, name, value, *flags):
@@ -643,13 +664,14 @@ class TestConfigPrecedence:
         # the retired refine thresholds are constants of pareto now
         ({"min_threshold": 0.002}, "unknown config key(s) ['min_threshold']"),
         ({"drop_threshold": 0.025}, "unknown config key(s) ['drop_threshold']"),
-        # the points are the whole grid: the count and range keys would be ignored
+        # the points are the whole sweep: the retired count and range keys
+        # are unknown, each named, beside the points or not
         ({"sweep": {"points": [0.3], "lo": float("nan")}},
-         "sweep.points excludes sweep key(s) ['lo']"),
+         "unknown sweep key(s) ['lo']"),
         ({"sweep": {"points": [0.3], "count": "x"}},
-         "sweep.points excludes sweep key(s) ['count']"),
+         "unknown sweep key(s) ['count']"),
         ({"sweep": {"points": [0.3], "count": 3, "lo": 0.1, "hi": 0.9}},
-         "sweep.points excludes sweep key(s) ['count', 'hi', 'lo']"),
+         "unknown sweep key(s) ['count', 'hi', 'lo']"),
         # the retired settings are constants: PENAL, the grid's filter
         # radius, SIGMA and REFINE_ROUNDS
         ({"optimizer": {"penal": 3.0}}, "unknown optimizer key(s) ['penal']"),
@@ -666,6 +688,7 @@ class TestConfigPrecedence:
         ({"cache_dir": "c"}, "unknown config key(s) ['cache_dir']"),
         ({"workers": 1}, "unknown config key(s) ['workers']"),
         ({"problem": "mbb"}, "got str; a preset is named by --preset"),
+        ({"sweep": {"count": 6}}, "unknown sweep key(s) ['count']"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -683,14 +706,20 @@ class TestConfigPrecedence:
          "nely 4 conflicts with the problem document's 6x3 grid"),
         (("--nelx", "7"), {}, 2,
          "nelx 7 conflicts with the problem document's 6x3 grid"),
-        (("--nelx", "6", "--nely", "3"), {}, 0, ""),
-        (("--nelx", "6"), {}, 0, ""),
+        # the document sets its own grid: no grid flag beside it, even a
+        # matching one
+        (("--nelx", "6", "--nely", "3"), {}, 2,
+         "--nelx 6 conflicts with the problem document's 6x3 grid"),
+        (("--nelx", "6"), {}, 2,
+         "--nelx 6 conflicts with the problem document's 6x3 grid"),
         ((), {}, 0, ""),
         # the document is the problem: no preset beside it, and no grid
         # size in the file, even a matching one
         (("--preset", "mbb"), {}, 2,
          "--preset mbb conflicts with the config's problem document"),
         ((), {"nelx": 6}, 2, "unknown config key(s) ['nelx']"),
+        (("--nely", "3"), {}, 2,
+         "--nely 3 conflicts with the problem document's 6x3 grid"),
     ])
     def test_custom_problem_grid_flags(self, tmp_path, capsys, flags, doc,
                                        code, message):
@@ -751,14 +780,15 @@ class TestConfigPrecedence:
         from topareto.fem2d import preset
         problem = json.loads(preset("mbb", 6, 3).to_json())
         doc = {"optimizer": {"max_iters": 5}, "anchor_vf": 0.3, "tie_tol": 0.02}
-        for extra in ({"sweep": {"points": [0.3]}},
-                      {"sweep": {"count": 3, "lo": 0.1, "hi": 0.9}, "problem": problem}):
+        for extra in ({"sweep": {"points": [0.3]}}, {"problem": problem}):
             cfgfile = tmp_path / "cfg.json"
             cfgfile.write_text(json.dumps({**doc, **extra}))
             cfg = cli._load_config(cli.build_parser().parse_args(
                 ["--config", str(cfgfile), "pareto"]))
             assert (cfg.anchor_vf, cfg.tie_tol, cfg.optimizer.max_iters) == (0.3, 0.02, 5)
-            assert cfg.vf_grid == extra["sweep"].get("points", [0.1, 0.5, 0.9])
+            # without a sweep, the default grid
+            assert cfg.vf_grid == (extra["sweep"]["points"] if "sweep" in extra
+                                   else default_vf_grid())
             assert cfg.problem.grid.nelx == (6 if "problem" in extra else 60)
             # no flag places the run: the defaults of --out, --cache, --workers
             assert (cfg.out_dir, cfg.cache_dir, cfg.workers) == (Path("out"), None, 1)
@@ -787,6 +817,39 @@ class TestConfigPrecedence:
         assert f"directory {path}: {blocker} is not a directory" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
+    @pytest.mark.parametrize("flag, what", [("--out", "output"), ("--cache", "cache")])
+    def test_name_too_long_exit_2(self, tmp_path, capsys, monkeypatch, flag, what):
+        # no file system takes a 300-character name: refused before any run
+        from topareto import pareto
+        monkeypatch.setattr(pareto, "run_optimizations",
+                            lambda *a, **k: pytest.fail("optimization ran"))
+        path = tmp_path / ("x" * 300)
+        other = "--cache" if flag == "--out" else "--out"
+        code = run(["optimize", *tiny(flag, str(path), other, str(tmp_path / "o")),
+                    "--vf", "0.5"])
+        assert code == 2
+        assert f"cannot create {what} directory {path}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs a Linux /proc")
+    @pytest.mark.parametrize("flag, what", [("--out", "output"), ("--cache", "cache")])
+    def test_uncreatable_directory_exit_2(self, tmp_path, capsys, monkeypatch, flag,
+                                          what):
+        # /proc is a directory that takes no new one: only creating it fails,
+        # for the output when the first artifact is written, for the cache
+        # before any optimization runs
+        if flag == "--cache":
+            from topareto import pareto
+            monkeypatch.setattr(pareto, "run_optimizations",
+                                lambda *a, **k: pytest.fail("optimization ran"))
+        path = "/proc/topareto-absent"
+        other = "--cache" if flag == "--out" else "--out"
+        code = run(["optimize", *tiny(flag, path, other, str(tmp_path / "o")),
+                    "--vf", "0.5"])
+        assert code == 2
+        assert f"cannot create {what} directory {path}: " in capsys.readouterr().err
+        assert not os.path.exists(path)
+
     @pytest.mark.parametrize("name, value, minimum", [
         ("rounds", "2.7", 0), ("rounds", "-1", 0),
         ("sweep.count", "3.9", 1), ("sweep.count", "0", 1),
@@ -803,8 +866,8 @@ class TestConfigPrecedence:
 
     def test_integer_minimums_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"sweep": {"count": 1}}))
+        cfgfile.write_text(json.dumps({"optimizer": {"max_iters": 1}}))
         args = cli.build_parser().parse_args(
-            ["--config", str(cfgfile), "pareto", *tiny()])
+            ["--config", str(cfgfile), "pareto", *tiny("--workers", "1")])
         cfg = cli._load_config(args)
-        assert cfg.vf_grid == [0.02]
+        assert (cfg.optimizer.max_iters, cfg.workers) == (1, 1)

@@ -511,7 +511,7 @@ class TestRefine:
         # three rounds
         problem = preset("mbb", 30, 10)
         cfg = OptimizerConfig(max_iters=40)
-        front, states = baseline_states(problem, default_vf_grid(25, 0.02), cfg)
+        front, states = baseline_states(problem, default_vf_grid(25), cfg)
         starts = []
         orig = par.optimize
 

@@ -8,11 +8,12 @@ temporary directory it runs ``pareto`` with the ``baseline``, ``multistart``
 and ``refine`` strategies, ``er`` on the refined front, ``fit``, and
 ``select`` with the four-alloy table under a 20 kN load (5 mm deflection
 limit, 5 mm thickness, a 2.0 m x 0.5 m part), all on the ``mbb`` preset with
-``--vfs`` evenly spaced volume fractions and a fresh cache. It prints a sha256
-per artifact, one over the census lines the stages print, and one over the
-names and bytes of the cache files. ``--tie-tol 0.3`` makes ``select``
-re-score a near-tie, so the re-anchored model is hashed too. Outputs repeat
-only at a fixed BLAS thread count.
+a fresh cache. The config's ``sweep.points`` are ``--vfs`` evenly spaced
+volume fractions from 0.02 to 1.0. It prints a sha256 per artifact, one over
+the census lines the stages print, and one over the names and bytes of the
+cache files. ``--tie-tol 0.3`` makes ``select`` re-score a near-tie, so the
+re-anchored model is hashed too. Outputs repeat only at a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from topareto import cli  # noqa: E402
 from topareto.materials import DEFAULT_TIE_TOL  # noqa: E402
+from topareto.pareto import default_vf_grid  # noqa: E402
 
 MATERIALS = ("name,E_GPa,rho_kgm3\n"
              "Aluminum alloy (7475),70.8,2795\n"
@@ -64,8 +66,8 @@ def stages(work: Path, nelx: int, nely: int, workers: int) -> list[tuple[str, li
 
 
 def write_inputs(work: Path, vfs: int, tie_tol: float) -> None:
-    (work / "config.json").write_text(json.dumps({"sweep": {"count": vfs},
-                                                  "tie_tol": tie_tol}))
+    (work / "config.json").write_text(json.dumps(
+        {"sweep": {"points": default_vf_grid(vfs)}, "tie_tol": tie_tol}))
     (work / "materials.csv").write_text(MATERIALS)
 
 
