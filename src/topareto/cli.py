@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,11 +124,14 @@ def _known_keys(doc: dict, known, where: str) -> None:
 
 def _directory(path, what: str) -> Path:
     """A directory to write under: one that exists, or can be made because
-    its nearest existing ancestor is a directory. Creates nothing."""
+    a directory can be made in its nearest existing ancestor, as a probe
+    made and removed at once shows. Leaves nothing behind."""
     path = Path(path)
     try:  # the root or the working directory ends the search
         nearest = next(p for p in (path, *path.parents) if p.exists())
-    except OSError as exc:  # a name too long, say
+        if nearest.is_dir():
+            Path(tempfile.mkdtemp(dir=nearest)).rmdir()
+    except OSError as exc:  # a name too long, a file system that takes none
         raise ParseError(f"cannot create {what} directory {path}: {exc}") from exc
     if not nearest.is_dir():
         raise ParseError(f"{what} directory {path}: {nearest} is not a directory")

@@ -16,9 +16,9 @@ Conventions (fixed, used everywhere):
   a unit diagonal; solved displacements are exactly zero there.
 * The one linear solver is a banded Cholesky factorization (LAPACK
   ``pbtrf``/``pbtrs``, called directly) of the constrained stiffness in
-  Fortran-ordered lower-band storage. The band is assembled as one
-  precomputed sparse product, ``P @ emod``, mapping element moduli to band
-  entries (the precomputed-index assembly of Ferrari & Sigmund 2020).
+  Fortran-ordered lower-band storage. The band is assembled from the
+  grid's node stencil: the moduli of the four elements around each node
+  times a fixed table of element-stiffness coefficients.
 * The package calls two compiled scipy modules and none of scipy's Python
   functions: ``dpbtrf``/``dpbtrs`` of ``scipy.linalg._flapack`` and
   ``csr_matvec`` of ``scipy.sparse._sparsetools``. :func:`_scipy_extension`
@@ -125,6 +125,8 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "loads", tuple((int(d), float(m)) for d, m in self.loads))
         object.__setattr__(self, "fixed_dofs", frozenset(int(d) for d in self.fixed_dofs))
+        if not isinstance(self.name, str):  # a JSON number or null, say
+            raise InvalidArgumentError(f"name must be a string, got {self.name!r}")
         if not self.loads:
             raise InvalidArgumentError("loads must be nonempty")
         ndof = self.grid.ndof
@@ -189,7 +191,7 @@ class ProblemSpec:
             loads=tuple((_json_int(d, "loads DOF"), _json_number(m, "loads magnitude"))
                         for d, m in doc["loads"]),
             fixed_dofs=frozenset(_json_int(d, "fixed_dofs entry") for d in doc["fixed_dofs"]),
-            name=str(doc.get("name", "problem")),
+            name=doc.get("name", "problem"),
             symmetry_factor=_json_number(doc.get("symmetry_factor", 1.0), "symmetry_factor"),
         )
 
@@ -289,52 +291,52 @@ def simp_modulus(values: np.ndarray, penal: float) -> np.ndarray:
 class GridKernel:
     """Precomputed index machinery for one (grid, fixed_dofs) pair.
 
-    Carries the element DOF table, the banded assembly operator (a
-    :class:`Csr` from element moduli to the Fortran-ordered constrained
-    lower band) and the fixed DOFs. Its
+    Carries the element DOF table, the node stencil of the banded assembly
+    (the moduli of the four elements around each node and their
+    coefficients in the node's band columns) and the fixed DOFs. Its
     :meth:`solve`, a banded Cholesky factorization with iterative
     refinement, is the one linear solver of the package.
     """
 
     def __init__(self, grid: Grid, fixed_dofs: frozenset[int]):
         self.ke = element_stiffness(NU)
-        ndof = grid.ndof
-        self.ndof = ndof
+        self.ndof = grid.ndof
 
         # the eight DOFs of each element in local corner order, the 88-line
         # code's ``edofMat``: offsets from the x DOF of its bottom-left node
         ny = grid.nely
+        corner = np.array([0, ny + 1, ny, -1])  # node offsets of the corners
         bottom_left = np.arange(grid.nelx)[:, None] * (ny + 1) + np.arange(1, ny + 1)
-        self.edof = edof = 2 * bottom_left.reshape(-1, 1) + np.array(
-            [0, 1, 2 * ny + 2, 2 * ny + 3, 2 * ny, 2 * ny + 1, -2, -1])
-        self._edof_t = np.ascontiguousarray(edof.T)
+        self.edof = 2 * bottom_left.reshape(-1, 1) + np.repeat(2 * corner, 2) + [0, 1] * 4
+        self.bandwidth = bw = 2 * ny + 5  # from the x DOF of a bottom-left corner
+        self._fixed_at = np.array(sorted(fixed_dofs), dtype=int)
 
-        fixed = np.zeros(ndof, dtype=bool)
-        fixed[list(fixed_dofs)] = True
-        self._fixed_at = np.flatnonzero(fixed)  # indexes faster than a mask
-
-        # global (row, column) of each element-matrix entry, element-major
-        i_idx = np.repeat(edof, 8, axis=1).ravel()
-        j_idx = np.tile(edof, (1, 8)).ravel()
-
-        # banded assembly operator: the constrained lower band, stored
-        # Fortran-order as LAPACK reads it (entry (i, j) of the matrix at
-        # j*(bw+1) + i-j), is ``P @ emod``. Entries in fixed rows/cols are
-        # dropped; every band entry gets at most one term per element, and
-        # each row keeps the element order, so ``csr_matvec`` sums them as
-        # a scatter would.
-        # Most band entries are structurally zero (four in five at 60x20),
-        # so ``P`` keeps only its non-empty rows, ``_band_rows``, and the
-        # product is scattered into a zeroed band.
-        bw = int(np.max(edof.max(axis=1) - edof.min(axis=1)))
-        self.bandwidth = bw
-        keep = (i_idx >= j_idx) & ~fixed[i_idx] & ~fixed[j_idx]
-        self._band_rows, rows = np.unique(
-            (j_idx * (bw + 1) + i_idx - j_idx)[keep], return_inverse=True)
-        cols = np.repeat(np.arange(grid.nel), 64)[keep]
-        data = np.tile(self.ke.ravel(), grid.nel)[keep]
-        self._band_op = csr_from_entries(rows, cols, data,
-                                         (self._band_rows.size, grid.nel))
+        # the band, stored Fortran-order as LAPACK reads it (entry (i, j) at
+        # j*(bw+1) + i-j), is an (nnodes, 2(bw+1)) array whose row n holds
+        # node n's two columns. They couple n to itself and to later nodes
+        # through the four elements around n: ``_around`` gathers their
+        # moduli (slot 2*dx + dy is element (ix-1+dx, iy-1+dy), of which n is
+        # corner ``at``; one off the grid reads a 0 appended at index nel)
+        # for a product with a coefficient table taken from ``ke``
+        ix, iy = np.divmod(np.arange(grid.nnodes), ny + 1)
+        ex, ey = ix[:, None] + [-1, -1, 0, 0], iy[:, None] + [-1, 0, -1, 0]
+        self._around = np.where((ex >= 0) & (ex < grid.nelx) & (ey >= 0) & (ey < ny),
+                                ex * ny + ey, grid.nel)
+        at, col, row = np.array([1, 2, 0, 3])[:, None, None], np.arange(2)[:, None], np.arange(8)
+        d = 2 * (corner[row // 2] - corner[at]) + row % 2 - col  # row - column DOF
+        slot, lower = np.nonzero(d >= 0)[0], d >= 0
+        table = np.zeros((4, 2 * (bw + 1)))
+        table[slot, (col * (bw + 1) + d)[lower]] = self.ke[row, 2 * at + col][lower]
+        # the product fills only the entries that are not structurally zero:
+        # 19 of 2(bw+1) per node once nely >= 2, in three runs once nely >= 3
+        filled = table.any(axis=0)
+        cols = np.flatnonzero(filled)
+        self._runs = [(slice(run[0], run[-1] + 1), table[:, run]) for run in
+                      np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1)]
+        # then fixed rows and columns are zeroed and given a unit diagonal
+        f, k = self._fixed_at[:, None], np.arange(bw + 1)
+        zero = np.concatenate(((f * (bw + 1) + k).ravel(), (f * (bw + 1) - k * bw)[f >= k]))
+        self._zero_at = zero[filled[zero % (2 * (bw + 1))]]
 
     def assemble_banded(self, emod: np.ndarray) -> np.ndarray:
         """Constrained stiffness in lower-banded storage, Fortran-ordered.
@@ -343,11 +345,15 @@ class GridKernel:
         subdiagonal, as in :func:`scipy.linalg.cholesky_banded`; the array
         is F-contiguous, so LAPACK factors it without a copy.
         """
-        ab = np.zeros(self.ndof * (self.bandwidth + 1))
-        ab[self._band_rows] = csr_dot(self._band_op, emod)
-        ab = ab.reshape(self.ndof, self.bandwidth + 1).T
-        ab[0, self._fixed_at] = 1.0
-        return ab
+        bw = self.bandwidth
+        ab = np.zeros((self.ndof // 2, 2 * (bw + 1)))
+        around = np.append(emod, 0.0)[self._around]
+        for cols, coef in self._runs:
+            np.matmul(around, coef, out=ab[:, cols])
+        ab = ab.reshape(-1)
+        ab[self._zero_at] = 0.0
+        ab[self._fixed_at * (bw + 1)] = 1.0
+        return ab.reshape(self.ndof, bw + 1).T
 
     def apply_constrained(self, emod: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Matrix-free product of the constrained stiffness with ``u``."""
@@ -359,17 +365,13 @@ class GridKernel:
         return out
 
     def element_energies(self, u: np.ndarray) -> np.ndarray:
-        """Per-element ``u_e^T KE u_e`` at unit modulus.
-
-        ``ut[j]``, gathered through the transposed DOF table, holds local DOF
-        ``j`` of every element, so ``"ji,jk,ki->i"`` adds the terms of
-        ``"ij,jk,ik->i"`` on ``u[edof]`` in the same j-major order, to the
-        same bits, along rows of ``nel`` entries instead of 8. Clamped at
-        zero: the form is positive semi-definite, but float cancellation at
-        extreme displacement scales (disconnected regions) can leave noise.
+        """Per-element ``u_e^T KE u_e`` at unit modulus, as one ``(nel, 8)``
+        by 8x8 product. Clamped at zero: the form is positive semi-definite,
+        but float cancellation at extreme displacement scales (disconnected
+        regions) can leave noise.
         """
-        ut = u[self._edof_t]
-        return np.maximum(np.einsum("ji,jk,ki->i", ut, self.ke, ut), 0.0)
+        ue = u[self.edof]
+        return np.maximum(np.einsum("ij,ij->i", ue @ self.ke, ue), 0.0)
 
     def constrained_rhs(self, f: np.ndarray) -> np.ndarray:
         out = f.copy()

@@ -689,6 +689,12 @@ class TestConfigPrecedence:
         ({"workers": 1}, "unknown config key(s) ['workers']"),
         ({"problem": "mbb"}, "got str; a preset is named by --preset"),
         ({"sweep": {"count": 6}}, "unknown sweep key(s) ['count']"),
+        # a problem's name is a JSON string, as metamodel.json's
+        # problem_name that select compares with it
+        ({"problem": {**SMALL_PROBLEM, "name": 5}},
+         "bad problem config: name must be a string, got 5"),
+        ({"problem": {**SMALL_PROBLEM, "name": None}},
+         "bad problem config: name must be a string, got None"),
     ])
     def test_bad_config_shape_exit_2(self, tmp_path, capsys, doc, message):
         cfgfile = tmp_path / "cfg.json"
@@ -835,13 +841,11 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("flag, what", [("--out", "output"), ("--cache", "cache")])
     def test_uncreatable_directory_exit_2(self, tmp_path, capsys, monkeypatch, flag,
                                           what):
-        # /proc is a directory that takes no new one: only creating it fails,
-        # for the output when the first artifact is written, for the cache
-        # before any optimization runs
-        if flag == "--cache":
-            from topareto import pareto
-            monkeypatch.setattr(pareto, "run_optimizations",
-                                lambda *a, **k: pytest.fail("optimization ran"))
+        # /proc is a directory that takes no new one: a probe directory
+        # made there fails, before any optimization runs
+        from topareto import pareto
+        monkeypatch.setattr(pareto, "run_optimizations",
+                            lambda *a, **k: pytest.fail("optimization ran"))
         path = "/proc/topareto-absent"
         other = "--cache" if flag == "--out" else "--out"
         code = run(["optimize", *tiny(flag, path, other, str(tmp_path / "o")),
@@ -849,6 +853,24 @@ class TestConfigPrecedence:
         assert code == 2
         assert f"cannot create {what} directory {path}: " in capsys.readouterr().err
         assert not os.path.exists(path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs a Linux /proc")
+    def test_uncreatable_out_refused_before_the_sweep(self, capsys, monkeypatch):
+        from topareto import pareto
+        monkeypatch.setattr(pareto, "run_optimizations",
+                            lambda *a, **k: pytest.fail("optimization ran"))
+        path = "/proc/topareto-absent/front"
+        assert run(["pareto", *tiny("--out", path), "--strategy", "baseline"]) == 2
+        assert (f"cannot create output directory {path}: "
+                in capsys.readouterr().err)
+        assert not os.path.exists("/proc/topareto-absent")
+
+    def test_directory_probe_leaves_nothing_behind(self, tmp_path):
+        # the probe is made and removed in tmp_path, the nearest that exists
+        out = tmp_path / "a" / "b"
+        assert run(["optimize", *tiny("--out", str(out)), "--vf", "1.0"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
     @pytest.mark.parametrize("name, value, minimum", [
         ("rounds", "2.7", 0), ("rounds", "-1", 0),

@@ -1,5 +1,7 @@
 """FEM core: element stiffness, assembly, solves, compliance."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -138,16 +140,17 @@ class TestAssemble:
         assert not np.any(np.tril(k, -ab.shape[0]))
 
 
-def _bincount_band(kern, emod):
+def _bincount_band(kern, emod, ke=None):
     """Lower band of the constrained stiffness by a scatter-add over the
-    element matrices in element order (the assembly before the CSR
-    operator), C-ordered."""
+    element matrices ``ke`` (the kernel's by default) in element order,
+    C-ordered: the oracle of the stencil product."""
+    ke = kern.ke if ke is None else ke
     i = np.repeat(kern.edof, 8, axis=1).ravel()
     j = np.tile(kern.edof, (1, 8)).ravel()
     fixed = np.zeros(kern.ndof, dtype=bool)
     fixed[kern._fixed_at] = True
     keep = (i >= j) & ~fixed[i] & ~fixed[j]
-    vals = (emod[:, None] * kern.ke.ravel()[None, :])[keep.reshape(-1, 64)]
+    vals = (emod[:, None] * ke.ravel()[None, :])[keep.reshape(-1, 64)]
     shape = (kern.bandwidth + 1, kern.ndof)
     ab = np.bincount(((i - j) * kern.ndof + j)[keep], weights=vals,
                      minlength=shape[0] * shape[1]).reshape(shape)
@@ -155,13 +158,51 @@ def _bincount_band(kern, emod):
     return ab
 
 
+def _in_ulps(got, want, scale):
+    """``|got - want|`` in units of ``eps * scale``; infinite where the
+    scale is 0 and the values differ."""
+    diff = np.abs(got - want)
+    return np.divide(diff, np.finfo(float).eps * scale, where=scale > 0,
+                     out=np.where(diff > 0, np.inf, 0.0))
+
+
+def _band_error(kern, emod):
+    """Each band entry's distance from the scatter oracle, in units of the
+    oracle's rounding scale: ``eps`` times the sum of the absolute values
+    of its terms, which is the scatter of ``|ke|`` with the same moduli."""
+    return _in_ulps(kern.assemble_banded(emod), _bincount_band(kern, emod),
+                    _bincount_band(kern, emod, np.abs(kern.ke)))
+
+
+def _energy_error(kern, u):
+    """Each element energy's distance from the element-major einsum with a
+    freshly built ``ke``, in units of ``eps`` times the sum of the absolute
+    values of its 64 terms ``u_j ke_jk u_k``."""
+    ke = element_stiffness(fem2d.NU)
+    ue = u[kern.edof]
+    return _in_ulps(kern.element_energies(u),
+                    np.maximum(np.einsum("ij,jk,ik->i", ue, ke, ue), 0.0),
+                    np.einsum("ij,jk,ik->i", np.abs(ue), np.abs(ke), np.abs(ue)))
+
+
 def _preset_kernel(name, shape):
-    """``kernel_for`` of a preset at ``shape``. The 1x1 bridge's two loads
-    sit on its supports, which makes it no valid problem, so its kernel is
-    built from those supports (pin at node 1, roller at node 3) directly."""
-    if (name, shape) == ("bridge", (1, 1)):
-        return fem2d.GridKernel(Grid(1, 1), frozenset({2, 3, 7}))
+    """``kernel_for`` of a preset at ``shape``. A one-column bridge's loads
+    all sit on its supports, which makes it no valid problem, so its kernel
+    is built from those supports (a pin at the bottom-left node, a roller
+    under the bottom-right one) directly."""
+    if name == "bridge" and shape[0] == 1:
+        ny = shape[1]
+        return fem2d.GridKernel(Grid(1, ny), frozenset({2 * ny, 2 * ny + 1, 4 * ny + 3}))
     return kernel_for(preset(name, *shape))
+
+
+def _odd_supports():
+    """A 7x3 problem with fixed DOFs in the interior and in the last node
+    column, besides the first."""
+    g = Grid(7, 3)
+    fixed = {2 * g.node_id(0, 3), 2 * g.node_id(0, 3) + 1, 2 * g.node_id(3, 1),
+             2 * g.node_id(3, 1) + 1, 2 * g.node_id(7, 1), 2 * g.node_id(7, 3) + 1}
+    return ProblemSpec(g, ((2 * g.node_id(5, 0) + 1, -1.0),), frozenset(fixed), "odd")
 
 
 def _random_emod(problem, seed, void_solid=False):
@@ -173,18 +214,44 @@ def _random_emod(problem, seed, void_solid=False):
 
 
 class TestBitIdentity:
-    """The band assembly and the direct LAPACK calls reproduce the scatter
-    assembly and scipy's banded Cholesky to the bit."""
+    """The stencil assembly and the 8x8 energy product agree with the
+    scatter assembly and the element-major einsum to rounding, and the
+    stencil's coefficients are exactly those of scipy's build of the band
+    operator. The direct LAPACK calls reproduce scipy's banded Cholesky to
+    the bit."""
 
-    @pytest.mark.parametrize("shape", [(30, 10), (60, 20), (120, 40)])
+    @pytest.mark.parametrize("shape", [(30, 10), (60, 20), (120, 40), (1, 1), (1, 5), (5, 1),
+                                       (7, 3)])
     def test_band_equals_scatter_and_is_fortran_ordered(self, shape):
-        problem = preset("mbb", *shape)
+        for name in sorted(fem2d.PRESET_SIZES):
+            kern = _preset_kernel(name, shape)
+            emod = simp_modulus(np.random.default_rng(11).random(kern.edof.shape[0]), 3.0)
+            # each of at most four terms per entry is rounded once in each
+            # sum: 4 eps bounds the gap between two summation orders
+            assert np.max(_band_error(kern, emod)) <= 4.0, name
+            # LAPACK reads the band in place, without a transposing copy
+            assert kern.assemble_banded(emod).flags.f_contiguous
+
+    def test_band_with_interior_and_last_column_fixed_dofs(self):
+        problem = _odd_supports()
         kern = kernel_for(problem)
-        emod = _random_emod(problem, 11)
+        dens = np.random.default_rng(11).random(problem.grid.nel)
+        emod = simp_modulus(dens, 3.0)
+        assert np.max(_band_error(kern, emod)) <= 4.0
+        # and against the loop-assembled matrix, whose fixed rows and
+        # columns hold the unit diagonal and nothing else
+        k = _constrained(ref.loop_stiffness(7, 3, dens, 3.0), problem.fixed_dofs)
         ab = kern.assemble_banded(emod)
-        assert np.array_equal(ab, _bincount_band(kern, emod))
-        # LAPACK reads the band in place, without a transposing copy
-        assert ab.flags.f_contiguous
+        assert np.max(np.abs(ab - _lower_band(k, ab.shape[0]))) <= 1e-13 * np.max(np.abs(k))
+
+    def test_band_bound_catches_a_coefficient_off_by_1e_12(self):
+        problem = preset("mbb", 30, 10)
+        kern = fem2d.GridKernel(problem.grid, problem.fixed_dofs)
+        emod = _random_emod(problem, 11)
+        assert np.max(_band_error(kern, emod)) <= 4.0
+        cols, coef = kern._runs[1]
+        coef[np.unravel_index(np.argmax(np.abs(coef)), coef.shape)] *= 1 + 1e-12
+        assert np.max(_band_error(kern, emod)) > 4.0
 
     @pytest.mark.parametrize("void_solid", [False, True])
     @pytest.mark.parametrize("shape", [(30, 10), (60, 20)])
@@ -193,7 +260,7 @@ class TestBitIdentity:
         kern = kernel_for(problem)
         emod = _random_emod(problem, 12, void_solid)
         f = problem.load_vector()
-        cb = scipy.linalg.cholesky_banded(_bincount_band(kern, emod), lower=True)
+        cb = scipy.linalg.cholesky_banded(kern.assemble_banded(emod), lower=True)
         fc = kern.constrained_rhs(f)
         fnorm = np.linalg.norm(fc)
         u = scipy.linalg.cho_solve_banded((cb, True), fc)
@@ -215,19 +282,30 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (60, 20), (120, 40)])
     def test_band_operator_equals_scipy_build(self, name, shape):
+        """The band as a linear map of the moduli is the operator scipy
+        builds from the DOF table, ``ke`` and the fixed DOFs, to the bit.
+        Elements of one parity class ``(ex % 2, ey % 2)`` share no node, so
+        on moduli that are 1 on one class and 0 elsewhere every entry is one
+        term in both assemblies, with no rounding."""
         kern = _preset_kernel(name, shape)
-        band_rows, want = ref.scipy_band_operator(kern.edof, kern.ke,
-                                                  set(kern._fixed_at), kern.ndof)
-        assert np.array_equal(kern._band_rows, band_rows)
-        op = kern._band_op
-        assert op.shape == want.shape
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(op, field), getattr(want, field)), field
+        band_rows, op = ref.scipy_band_operator(kern.edof, kern.ke,
+                                                set(kern._fixed_at), kern.ndof)
+        ex, ey = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+        for parity in range(4):
+            emod = (2 * (ex % 2) + ey % 2 == parity).astype(float)
+            want = np.zeros(kern.ndof * (kern.bandwidth + 1))
+            want[band_rows] = op @ emod
+            want[kern._fixed_at * (kern.bandwidth + 1)] = 1.0
+            assert np.array_equal(kern.assemble_banded(emod).ravel(order="F"), want), parity
 
     @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
     def test_csr_dot_equals_matmul_on_band_operator(self, name, shape):
-        op = _preset_kernel(name, shape)._band_op
+        """``csr_dot`` on scipy's band operator, the one rectangular matrix
+        with empty rows it is checked on (the filters are square)."""
+        kern = _preset_kernel(name, shape)
+        op = ref.scipy_band_operator(kern.edof, kern.ke, set(kern._fixed_at), kern.ndof)[1]
+        op = fem2d.Csr(op.indptr, op.indices, op.data, op.shape)
         rng = np.random.default_rng(15)
         for scale in (1e-9, 1.0, 1e9):
             x = rng.random(op.shape[1]) * scale
@@ -240,7 +318,8 @@ class TestBitIdentity:
             fem2d.csr_dot(op, np.ones(op.shape[1] - 1))
 
     @pytest.mark.parametrize("name", sorted(fem2d.PRESET_SIZES))
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40)])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 10), (120, 40), (1, 5), (5, 1),
+                                       (60, 20)])
     def test_element_energies_equal_element_major_einsum(self, name, shape):
         kern = _preset_kernel(name, shape)
         rng = np.random.default_rng(14)
@@ -250,9 +329,16 @@ class TestBitIdentity:
             u[rng.random(kern.ndof) < 0.25] = 0.0  # exact zeros
             fields.append(u)
         for u in fields:
-            ue = u[kern.edof]
-            want = np.maximum(np.einsum("ij,jk,ik->i", ue, kern.ke, ue), 0.0)
-            assert np.array_equal(kern.element_energies(u), want)
+            assert np.max(_energy_error(kern, u)) <= 64.0
+
+    def test_energy_bound_catches_a_coefficient_off_by_1e_12(self):
+        problem = preset("mbb", 30, 10)
+        kern = fem2d.GridKernel(problem.grid, problem.fixed_dofs)
+        u = np.random.default_rng(14).standard_normal(kern.ndof)
+        assert np.max(_energy_error(kern, u)) <= 64.0
+        kern.ke = kern.ke.copy()
+        kern.ke[0, 0] *= 1 + 1e-12
+        assert np.max(_energy_error(kern, u)) > 64.0
 
 
 class TestSolve:
@@ -435,6 +521,12 @@ class TestProblemSpec:
     def test_json_round_trip(self, desk_mbb):
         back = ProblemSpec.from_json(desk_mbb.to_json())
         assert back == desk_mbb
+
+    @pytest.mark.parametrize("name", [5, None])
+    def test_json_name_must_be_a_string(self, tiny_mbb, name):
+        doc = {**json.loads(tiny_mbb.to_json()), "name": name}
+        with pytest.raises(InvalidArgumentError, match=f"name must be a string, got {name}"):
+            ProblemSpec.from_json(json.dumps(doc))
 
     def test_load_dof_bounds_checked(self):
         g = Grid(2, 2)

@@ -1,6 +1,6 @@
 """Hash the designs of whole sweeps, to show whether a change keeps the bits.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/design_hash.py
+    OPENBLAS_NUM_THREADS=1 python3 tools/design_hash.py [--save PATH] [--against PATH]
 
 Run it from anywhere; it imports the package from the ``src/`` tree beside
 this script, so running it in two checkouts compares them. Every group runs
@@ -10,6 +10,11 @@ fraction, the iteration count, the converged flag and the history. A last
 line hashes the group hashes. Equal hashes mean the same designs, fronts and
 cache entries, bit for bit; a kernel rewrite that keeps its summation order
 keeps them. Outputs repeat only at a fixed BLAS thread count.
+
+When the bits move, ``--save PATH`` in one checkout writes each group's
+penalization-1 compliances and iteration counts as JSON, and ``--against
+PATH`` in the other prints, per group, the largest relative change of
+``compliance_p1`` and the number of runs whose iteration count changed.
 
 Groups:
 
@@ -26,7 +31,9 @@ Groups:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -74,21 +81,51 @@ def digest_results(h, results) -> None:
         h.update(f"|{res.iterations}|{bool(res.converged)}|{len(res.history)}|".encode())
 
 
-def main() -> int:
+def summary(results) -> dict:
+    """What ``--save`` keeps of a group's results, in task order."""
+    return {"compliance_p1": [res.compliance_p1 for res in results],
+            "iterations": [res.iterations for res in results]}
+
+
+def compare(before: dict, after: dict) -> tuple[float, int]:
+    """The largest relative ``compliance_p1`` change and the number of runs
+    whose iteration count changed, between two summaries of one group."""
+    if len(before["iterations"]) != len(after["iterations"]):
+        raise ValueError(f"{len(before['iterations'])} saved runs against "
+                         f"{len(after['iterations'])}")
+    c0, c1 = np.array(before["compliance_p1"]), np.array(after["compliance_p1"])
+    rel = float(np.max(np.abs(c1 - c0) / np.abs(c0), initial=0.0))
+    return rel, sum(a != b for a, b in zip(before["iterations"], after["iterations"]))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--save", metavar="PATH", help="write the groups' compliances and iterations")
+    p.add_argument("--against", metavar="PATH", help="compare with a file of --save")
+    args = p.parse_args(argv)
+    saved = json.loads(Path(args.against).read_text()) if args.against else None
     overall = hashlib.sha256()
+    summaries = {}
     for name, problem, batches in groups():
         h = hashlib.sha256()
         start = time.perf_counter()
-        n_results = n_iters = 0
+        results = []
         for tasks, cfg in batches:
-            results = pareto.run_optimizations(problem, tasks, cfg)
-            digest_results(h, results)
-            n_results += len(results)
-            n_iters += sum(r.iterations for r in results)
+            batch = pareto.run_optimizations(problem, tasks, cfg)
+            digest_results(h, batch)
+            results += batch
         overall.update(f"{name}={h.hexdigest()};".encode())
-        print(f"{name:28s} {h.hexdigest()}  {n_results} results, "
-              f"{n_iters} iterations, {time.perf_counter() - start:.1f} s", flush=True)
+        summaries[name] = summary(results)
+        print(f"{name:28s} {h.hexdigest()}  {len(results)} results, "
+              f"{sum(summaries[name]['iterations'])} iterations, "
+              f"{time.perf_counter() - start:.1f} s", flush=True)
+        if saved is not None:
+            rel, changed = compare(saved[name], summaries[name])
+            print(f"{'':28s} against {args.against}: compliance_p1 within {rel:.2e} "
+                  f"relative, {changed} of {len(results)} runs changed iterations", flush=True)
     print(f"{'overall':28s} {overall.hexdigest()}")
+    if args.save:
+        Path(args.save).write_text(json.dumps(summaries))
     return 0
 
 
