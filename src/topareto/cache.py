@@ -23,7 +23,7 @@ from .simp import DesignResult, OptimizerConfig
 
 # enters every result key: bump it whenever a change to the optimizer can
 # change a stored result, so that caches written before are never served
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 # a sweep's tasks share the problem and the config: serialize them once
 _key_parts = lru_cache(maxsize=64)(lambda problem, cfg: (problem.to_json(), cfg.digest()))
 

@@ -24,8 +24,8 @@ Conventions (fixed, used everywhere):
   ``csr_matvec`` of ``scipy.sparse._sparsetools``. :func:`_scipy_extension`
   loads each from scipy's directory, so neither ``scipy.linalg`` nor
   ``scipy.sparse`` is imported (their ``__init__`` takes about half of a
-  command's start-up). Sparse operators are :class:`Csr` records built
-  with numpy.
+  command's start-up). The one sparse operator, the density filter, is a
+  :class:`Csr` record that ``simp`` reads off the grid's element stencil.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class ProblemSpec:
 
 
 def _json_int(value, name: str) -> int:
-    """An integer of a problem document; a bool or a float is invalid."""
+    """An integer of a problem or an optimizer config; a bool or a float is invalid."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     return value
@@ -244,16 +244,6 @@ class Csr(NamedTuple):
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-
-
-def csr_from_entries(rows, cols, data, shape) -> Csr:
-    """The :class:`Csr` of entries ``(rows[k], cols[k], data[k])``, none
-    repeated, keeping their given order within each row."""
-    order = np.argsort(rows, kind="stable")
-    idx = np.int32 if max(len(order), *shape) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(shape[0] + 1, dtype=idx)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return Csr(indptr, cols[order].astype(idx), data[order], shape)
 
 
 def csr_dot(a: Csr, x: np.ndarray) -> np.ndarray:

@@ -128,8 +128,11 @@ def inverse(m: MetaModel, c_req: float) -> float:
     """Volume fraction whose model compliance equals ``c_req``.
 
     Bisection on the strictly decreasing model to an absolute x-tolerance
-    of 1e-10. Requirements stiffer than the full design are infeasible.
+    of 1e-10. Requirements stiffer than the full design are infeasible; an
+    overflowed one, ``t E delta / F`` at a tiny force, is invalid.
     """
+    if not np.isfinite(c_req):
+        raise InvalidArgumentError(f"required compliance {c_req!r} is not finite")
     c_min = eval_front(m, 1.0)
     if c_req < c_min * (1.0 - 1e-12):
         raise InfeasibleStiffnessError(

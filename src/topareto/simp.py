@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverError
-from .fem2d import (E_MIN, Csr, DensityField, Grid, ProblemSpec, csr_dot, csr_from_entries,
+from .fem2d import (E_MIN, Csr, DensityField, Grid, ProblemSpec, _json_int, csr_dot,
                     kernel_for, simp_modulus)
 
 INITIAL_DESIGN_KINDS = (
@@ -57,7 +57,7 @@ class OptimizerConfig:
     max_iters: int = 300
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _json_int(self.max_iters, "max_iters") < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
 
     @staticmethod
@@ -116,48 +116,37 @@ def filter_build(grid: Grid, rmin: float) -> Csr:
 @lru_cache(maxsize=64)
 def _filter_cached(grid: Grid, rmin: float):
     """The filter ``w`` of :func:`filter_build`, and the read-only arrays
-    every ``optimize`` run on ``(grid, rmin)`` shares: ``w.T``, the volume
-    weights (``weights @ x`` is the mean of ``w @ x``) and the filtered
-    volume sensitivity ``w.T @ dv`` of the uniform ``dv = 1 / nel``.
+    every ``optimize`` run on ``(grid, rmin)`` shares: ``w.T`` and the
+    filtered volume sensitivity ``dv = w.T @ (1 / nel)``, which is also the
+    vector of volume weights: ``dv @ x`` is the mean of ``w @ x``.
 
-    The arrays are those of the scipy build of the 88-line code, ``h =
-    coo_matrix(...).tocsr()`` and ``w = diags(1 / h.sum(axis=1)) @ h``, bit
-    for bit: the row sums are the same ``np.add.reduceat`` over ascending
-    columns, and ``w`` lists each row's columns in descending order, as
-    ``csr_matmat`` emits them.
+    The cone ``h`` is symmetric, so ``w = diags(1 / h.sum(axis=1)) @ h``
+    and ``w.T`` share one pattern: the element stencil's offsets in
+    ``(dx, dy)`` order, masked where they leave the grid, which lists each
+    row's columns in ascending order. The arrays equal those of the scipy
+    build of the 88-line code after ``sort_indices()``, bit for bit.
     """
     nelx, nely, nel = grid.nelx, grid.nely, grid.nel
     reach = int(np.ceil(rmin)) - 1
-    ex = np.arange(nelx)
-    ey = np.arange(nely)
-    exg, eyg = np.meshgrid(ex, ey, indexing="ij")
-    ids = (exg * nely + eyg).ravel()
-    # offsets in (dx, dy) order: ascending columns within each row
-    rows, cols, vals = [], [], []
-    for dx in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
-            w = rmin - np.hypot(dx, dy)
-            if w <= 0:
-                continue
-            src_x = exg + dx
-            src_y = eyg + dy
-            ok = ((src_x >= 0) & (src_x < nelx) & (src_y >= 0) & (src_y < nely)).ravel()
-            rows.append(ids[ok])
-            cols.append((src_x * nely + src_y).ravel()[ok])
-            vals.append(np.full(ok.sum(), w))
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    h = csr_from_entries(rows, cols, vals, (nel, nel))
-    inv_rowsum = 1.0 / np.add.reduceat(h.data, h.indptr[:-1])
-    # reversed entries: descending columns within each row
-    rows, cols, vals = rows[::-1], cols[::-1], vals[::-1]
-    w = csr_from_entries(rows, cols, inv_rowsum[rows] * vals, (nel, nel))
-    w_rows = np.repeat(np.arange(nel), np.diff(w.indptr))
-    w_t = csr_from_entries(w.indices, w_rows, w.data, (nel, nel))
-    weights = np.bincount(w.indices, weights=w.data, minlength=nel) / nel
-    out = (w, w_t, weights, csr_dot(w_t, np.full(nel, 1.0 / nel)))
-    for a in (*w[:3], *w_t[:3], *out[2:]):
+    d = np.arange(-reach, reach + 1)
+    dx, dy = np.repeat(d, d.size), np.tile(d, d.size)
+    cone = rmin - np.hypot(dx, dy)
+    dx, dy, cone = dx[cone > 0], dy[cone > 0], cone[cone > 0]
+    ex, ey = np.divmod(np.arange(nel)[:, None], nely)
+    src_x, src_y = ex + dx, ey + dy
+    ok = (src_x >= 0) & (src_x < nelx) & (src_y >= 0) & (src_y < nely)
+    idx = np.int32 if ok.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(nel + 1, dtype=idx)
+    np.cumsum(ok.sum(axis=1), out=indptr[1:])
+    indices = (src_x * nely + src_y)[ok].astype(idx)
+    h = np.broadcast_to(cone, ok.shape)[ok]
+    inv_rowsum = 1.0 / np.add.reduceat(h, indptr[:-1])
+    w = Csr(indptr, indices, (inv_rowsum[:, None] * cone)[ok], (nel, nel))
+    w_t = Csr(indptr, indices, h * inv_rowsum[indices], (nel, nel))
+    dv = csr_dot(w_t, np.full(nel, 1.0 / nel))
+    for a in (indptr, indices, w.data, w_t.data, dv):
         a.flags.writeable = False
-    return out
+    return w, w_t, dv
 
 
 def initial_design(kind: str, target_vf: float, grid: Grid) -> DensityField:
@@ -261,7 +250,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
 
     kern = kernel_for(problem)
     f = problem.load_vector()
-    w, w_t, weights, dv_t = _filter_cached(grid, cfg.resolve_rmin(grid))
+    w, w_t, dv = _filter_cached(grid, cfg.resolve_rmin(grid))
 
     x = init.values.copy()
     x_phys = csr_dot(w, x)
@@ -286,7 +275,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
 
         dc = -PENAL * (1.0 - E_MIN) * x_phys ** (PENAL - 1.0) * ce
         dc = csr_dot(w_t, dc)
-        x_new, lm = _oc_update(x, dc, dv_t, target_vf, weights, lm)
+        x_new, lm = _oc_update(x, dc, dv, target_vf, lm)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         x_phys = csr_dot(w, x)
@@ -303,7 +292,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         # design back onto the constraint; a projection that does not
         # converge is reported by the volume check below.
         try:
-            x = rescale_to_volume(x, target_vf, weights)
+            x = rescale_to_volume(x, target_vf, dv)
         except InvalidArgumentError:
             pass
         x_phys = np.clip(csr_dot(w, x), 0.0, 1.0)
@@ -323,17 +312,16 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     return DesignResult(densities, compliance_p, compliance_p1, converged, tuple(history))
 
 
-def _oc_update(x, dc, dv, target_vf, weights, lm_hint=None):
+def _oc_update(x, dc, dv, target_vf, lm_hint=None):
     """Optimality-criteria step; returns the new design and its multiplier.
 
-    The volume multiplier is bisected as in the 88-line code (see
+    ``dv`` is the filtered volume sensitivity and the volume weights at
+    once: the mean of the filtered update is ``dv @ x_new``. The volume
+    multiplier is bisected as in the 88-line code (see
     :class:`_MultiplierSearch`), after probes started from ``lm_hint``, the
     previous update's multiplier, when there is one.
     """
-    lower = np.maximum(0.0, x - MOVE_LIMIT)
-    upper = np.minimum(1.0, x + MOVE_LIMIT)
-    search = _MultiplierSearch(x, np.maximum(0.0, -dc / dv), lower, upper,
-                               target_vf, weights)
+    search = _MultiplierSearch(x, dc, dv, target_vf)
     search.probe(lm_hint)
     return search.bisect()
 
@@ -352,8 +340,8 @@ class _MultiplierSearch:
     just outside the tolerance band first; it chooses which points are
     evaluated, never the result.
 
-    ``weights`` lets ``step`` evaluate the mean of the filtered field as a
-    dot product instead of a filter apply. The clamp to the move limits is
+    ``dv`` lets ``step`` evaluate the mean of the filtered field as a dot
+    product instead of a filter apply. The clamp to the move limits is
     ``minimum(maximum(...))``: the same values as ``np.clip``, which costs
     about three times as much per call.
     """
@@ -371,9 +359,10 @@ class _MultiplierSearch:
     PROBE_AIM = 1.2e-6
     PROBE_CAP = 4e-6
 
-    def __init__(self, x, ratio, lower, upper, target, weights):
-        self.x, self.ratio, self.lower, self.upper = x, ratio, lower, upper
-        self.target, self.weights = target, weights
+    def __init__(self, x, dc, dv, target):
+        self.x, self.dv, self.target = x, dv, target
+        self.ratio = np.maximum(0.0, -dc / dv)
+        self.lower, self.upper = np.maximum(0.0, x - MOVE_LIMIT), np.minimum(1.0, x + MOVE_LIMIT)
         # a mean above ``hi`` (below ``lo``) decides its side; the largest
         # multiplier seen above the band and the smallest seen below it,
         # with their means
@@ -383,14 +372,14 @@ class _MultiplierSearch:
         self.below = (np.inf, np.nan)
         # below ``lm_safe``, ``ratio / lm`` may overflow and turn a zero
         # density into NaN, so "above" is not decided there
-        self.lm_safe = float(ratio.max()) * 1e-300
+        self.lm_safe = float(self.ratio.max()) * 1e-300
 
     def step(self, lm):
         """The update at ``lm`` and its mean; records ``lm`` when the mean
         decides a side."""
         x_new = np.minimum(np.maximum(self.x * (self.ratio / lm) ** ETA,
                                       self.lower), self.upper)
-        mean = _mean(x_new, self.weights)
+        mean = _mean(x_new, self.dv)
         if mean > self.hi and lm > self.above[0]:
             self.above = (lm, mean)
         elif mean < self.lo and lm < self.below[0]:
@@ -417,7 +406,7 @@ class _MultiplierSearch:
         """
         target = self.target
         if lm_hint is None:
-            m0 = _mean(self.x * self.ratio ** ETA, self.weights)
+            m0 = _mean(self.x * self.ratio ** ETA, self.dv)
             if not 0 < m0 < np.inf:
                 return
             s = (math.log(m0) - math.log(target)) / ETA

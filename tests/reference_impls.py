@@ -118,14 +118,13 @@ def build_filter(nelx, nely, rmin):
 
 def scipy_filter(nelx, nely, rmin):
     """The density filter's shared arrays as scipy builds them: ``w =
-    diags(1 / hs) @ h`` (CSR, each row's columns in the descending order
-    ``csr_matmat`` emits), ``w.T`` as CSR, the column means of ``w``, and
-    ``w.T @ dv`` for the volume sensitivity ``dv = 1 / nel``."""
+    diags(1 / hs) @ h`` as CSR with each row's columns sorted, ``w.T`` as
+    CSR, and ``w.T @ dv`` for the volume sensitivity ``dv = 1 / nel``."""
     h, hs = build_filter(nelx, nely, rmin)
     w = (scipy.sparse.diags(1.0 / hs) @ h).tocsr()
+    w.sort_indices()
     w_t = w.T.tocsr()
-    dv = np.full(nelx * nely, 1.0 / (nelx * nely))
-    return w, w_t, np.asarray(w.sum(axis=0)).ravel() / (nelx * nely), w_t.dot(dv)
+    return w, w_t, w_t.dot(np.full(nelx * nely, 1.0 / (nelx * nely)))
 
 
 def scipy_band_operator(edof, ke, fixed_dofs, ndof):

@@ -427,6 +427,19 @@ class TestSelectCmd:
         assert (out / "ashby.svg").read_text().startswith("<svg")
         assert "winner" in capsys.readouterr().out
 
+    def test_overflowing_required_compliance_exit_2(self, tmp_path, table1_csv, capsys):
+        # t E delta / F overflows at a tiny force: no winner may be reported
+        out = tmp_path / "o"
+        out.mkdir(parents=True)
+        m = MetaModel(3.28, 2.0, ((0.1, 36.0), (1.0, 9.84)), "mbb")
+        (out / "metamodel.json").write_text(m.to_json())
+        load = ["--force", "1e-310", *SELECT_LOAD[2:]]
+        code = run(["select", *tiny("--out", str(out)),
+                    "--materials", str(table1_csv), *load])
+        assert code == 2
+        assert "required compliance inf is not finite" in capsys.readouterr().err
+        assert not (out / "selection.json").exists()
+
     def test_all_infeasible_exit_3(self, tmp_path):
         out = tmp_path / "o"
         out.mkdir(parents=True)
