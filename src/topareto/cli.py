@@ -256,13 +256,18 @@ def cmd_er(args) -> int:
     return 0
 
 
+def _refined_front(out: Path):
+    """The front ``pareto --strategy refine`` wrote under ``out``, or None;
+    commands read it before any work or write, so a bad one fails fast."""
+    path = out / "front_refine.csv"
+    return (_read(path, "refined front", pareto_mod.ParetoFront.from_csv)
+            if path.exists() else None)
+
+
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     out = cfg.out_dir
-    # the refined front is read before the anchor runs, so a bad one fails fast
-    refined_path = out / "front_refine.csv"
-    front = (_read(refined_path, "refined front", pareto_mod.ParetoFront.from_csv)
-             if refined_path.exists() else None)
+    front = _refined_front(out)  # before the anchor runs
     model = mm_mod.fit_problem(cfg.problem, cfg.optimizer, cfg.anchor_vf,
                                cfg.cache(), cfg.workers, _census("fit anchor"))
     _write(out / "metamodel.json", model.to_json() + "\n")
@@ -278,7 +283,7 @@ def cmd_fit(args) -> int:
             ("vf", "front", "model", "rel_error"),
             ((p.vf, p.c, mv, (mv - p.c) / p.c) for p, mv in zip(front.points, model_cs))))
     else:
-        print(f"notice: no refined front at {refined_path}, error profile skipped")
+        print(f"notice: no refined front at {out / 'front_refine.csv'}, error profile skipped")
     _write(out / "fit_overlay.svg", svgplot.chart(
         series, xlabel="volume fraction", ylabel="normalized compliance",
         title=f"{cfg.problem.name} meta-model", logy=True))
@@ -302,7 +307,7 @@ def cmd_select(args) -> int:
                                    f"{model.problem_name!r}, not {cfg.problem.name!r}")
 
     report = mat_mod.select(mats, model, lc, cfg.tie_tol, problem=cfg.problem,
-                            cfg=cfg.optimizer, cache=cfg.cache(), workers=cfg.workers)
+                            front=_refined_front(out))
     _write(out / "selection.json", report.to_json() + "\n")
     kept1 = [m for m in mats if m.name in report.kept_after_pareto]
     kept2 = [m for m in mats if m.name in report.kept_after_density]

@@ -5,9 +5,9 @@ materials at least as dense as the one with the best rho/E ratio (denser
 front materials are stiffer, run at lower volume fractions, and use
 material more efficiently there). The survivors are ranked by the index
 ``rho * f_inv(t E delta_max / F)``: the density of a fictitious material
-that would fill the whole design space at equal part mass. Near-ties can
-be re-scored by re-anchoring the front model at the candidate's own
-operating volume fraction.
+that would fill the whole design space at equal part mass. Near-ties are
+re-scored on the refined front itself: each tied candidate's mass at the
+volume fraction where the front meets its required compliance.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .cache import RunCache
-from .errors import (FitInfeasibleError, InfeasibleProblemError,
-                     InfeasibleStiffnessError, InvalidArgumentError)
+from .errors import (InfeasibleProblemError, InfeasibleStiffnessError,
+                     InvalidArgumentError)
 from .fem2d import ProblemSpec
-from .metamodel import MetaModel, fit, inverse
-from .pareto import finite_cell, read_table, run_optimizations
-from .simp import OptimizerConfig
+from .metamodel import MetaModel, inverse
+from .pareto import ParetoFront, envelope, finite_cell, read_table
+# unused here: perfbench's checks wrap run_optimizations in every module
+# that imports it, and read the name here before any workload starts
+from .pareto import run_optimizations  # noqa: F401
 
 DEFAULT_TIE_TOL = 0.02
 # relative difference of aspect ratios L/h above which select warns
@@ -164,43 +165,40 @@ def ashby_index(mat: Material, m: MetaModel, lc: LoadCase) -> tuple[float, float
     return vf * mat.rho, vf
 
 
-def refine_vf(mat: Material, problem: ProblemSpec, lc: LoadCase, m0: MetaModel,
-              cfg: OptimizerConfig | None = None,
-              cache: RunCache | None = None, workers: int = 1
-              ) -> tuple[float, float, MetaModel]:
-    """Re-anchor the model at the material's own operating point.
+def refine_vf(mat: Material, front: ParetoFront, lc: LoadCase
+              ) -> tuple[float, float] | None:
+    """``(vf, mass)`` at which the front meets the material's required
+    compliance, or None when no two front points bracket it.
 
-    Runs one optimization at the first-guess volume fraction (a
-    :func:`run_optimizations` task, which rescales the load to unit norm),
-    refits with that anchor in place of the default one, and inverts again.
-    Falls back to the original model when the refit anchor ratio leaves the
-    feasible band.
+    Reads :func:`pareto.envelope`: its lightest point whose compliance meets
+    the requirement, interpolated log-log toward that point's left
+    neighbour. A requirement equal to a point's compliance gives that
+    point's vf, so a flat stretch of the envelope gives its lightest point.
     """
-    cfg = cfg or OptimizerConfig()
     x_req = lc.required_compliance(mat)
-    vf0 = inverse(m0, x_req)
-    c_full = m0.fit_points[1][1]
-    m1 = m0
-    if vf0 < 1.0 - 1e-9:
-        c0 = run_optimizations(problem, [{"vf": vf0, "init_kind": "uniform"}],
-                               cfg, cache, workers)[0].compliance_p1
-        try:
-            m1 = fit((vf0, c0), c_full, m0.problem_name)
-        except FitInfeasibleError:
-            m1 = m0
-    vf1 = inverse(m1, x_req)
-    return vf1, lc.mass(mat, vf1), m1
+    pts = envelope(front).points
+    i = next((k for k, p in enumerate(pts) if p.c <= x_req), None)
+    if i is None or (i == 0 and pts[0].c < x_req):
+        return None
+    hi = pts[i]
+    vf = hi.vf
+    if hi.c < x_req:
+        lo = pts[i - 1]
+        t = math.log(x_req / lo.c) / math.log(hi.c / lo.c)
+        vf = lo.vf * (hi.vf / lo.vf) ** t
+    return vf, lc.mass(mat, vf)
 
 
 def select(mats: list[Material], m: MetaModel, lc: LoadCase,
            tie_tol: float = DEFAULT_TIE_TOL, problem: ProblemSpec | None = None,
-           cfg: OptimizerConfig | None = None,
-           cache: RunCache | None = None, workers: int = 1) -> SelectionReport:
+           front: ParetoFront | None = None) -> SelectionReport:
     """Screen, rank by index, and pick the minimum-mass material.
 
     When the runner-up index is within ``tie_tol`` relative of the best and
-    a problem is supplied, the tied candidates are re-scored by
-    :func:`refine_vf` and the lower final mass wins. With a problem, the
+    a front is supplied, the tied candidates are re-scored by
+    :func:`refine_vf` and the lowest front mass wins. Without a front, or
+    when a tied candidate is out of its reach, the raw index decides and the
+    trail says which. Runs no optimization. With a problem, the
     trail warns when the load case's aspect ``L/h`` differs by more than
     ``ASPECT_TOL`` from the physical part the problem models (its grid's
     ``nelx/nely``, as the elements are unit squares, times
@@ -250,24 +248,26 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
     winner_mass = lc.mass(winner, winner_vf)
 
     if near:
-        trail.append(f"near-tie within {tie_tol:.0%}: "
+        # tie_tol * 100 printed with :g reads back as given: 0.5%, 2%, 30%
+        trail.append(f"near-tie within {tie_tol * 100:g}%: "
                      f"{', '.join(mt.name for mt in near)}")
-        if problem is not None:
-            rescored = []
-            for mt in [best] + near:
-                vf1, mass1, m1 = refine_vf(mt, problem, lc, m, cfg, cache,
-                                           workers)
-                if m1 is m:
-                    trail.append(f"{mt.name}: refit anchor ratio out of band, "
-                                 f"kept original model")
-                rescored.append((mass1, mt.name, mt, vf1))
-                trail.append(f"{mt.name}: re-scored mass {mass1:.6g} kg "
-                             f"at vf {vf1:.6g}")
-            rescored.sort(key=lambda t: (t[0], t[1]))
-            winner_mass, _, winner, winner_vf = rescored[0]
-            trail.append(f"tie resolved by re-scored mass: {winner.name}")
+        if front is None:
+            trail.append("no refined front; tie left to the raw index")
         else:
-            trail.append("no problem supplied; tie left to the raw index")
+            tied, rescored = [best] + near, []
+            for mt in tied:
+                hit = refine_vf(mt, front, lc)
+                if hit is None:
+                    trail.append(f"{mt.name}: out of the refined front's reach")
+                    continue
+                vf1, mass1 = hit
+                rescored.append((mass1, mt.name, mt, vf1))
+                trail.append(f"{mt.name}: front mass {mass1:.6g} kg at vf {vf1:.6g}")
+            if len(rescored) < len(tied):
+                trail.append("tie left to the raw index")
+            else:
+                winner_mass, _, winner, winner_vf = min(rescored, key=lambda t: t[:2])
+                trail.append(f"tie resolved by front mass: {winner.name}")
 
     return SelectionReport(
         kept_after_pareto=[mt.name for mt in kept1],

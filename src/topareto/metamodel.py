@@ -43,7 +43,7 @@ class MetaModel:
             raise InvalidArgumentError(f"problem_name must be a string, got {self.problem_name!r}")
         fp = tuple((float(x), float(c)) for x, c in self.fit_points)
         object.__setattr__(self, "fit_points", fp)
-        # fit's order: the low-vf anchor, then vf 1, whose c refine_vf reads
+        # fit's order: the low-vf anchor, then the full-density solve at vf 1
         if len(fp) != 2 or not (0 < fp[0][0] < 1 and fp[1][0] == 1.0
                                 and all(0 < c < np.inf for _, c in fp)):
             raise InvalidArgumentError("fit_points must be two (vf, c) pairs, vf in (0, 1) "

@@ -335,28 +335,28 @@ class TestFrontProperties:
     def test_er_warnings_absent_on_refined_front(self, desk_pipeline):
         assert desk_pipeline["er_filtered"].bounds_violations() == []
 
-    def test_reanchored_estimate_near_exhaustive_lookup(self, desk_pipeline):
-        # re-anchoring the model at a candidate's own operating point keeps
-        # the volume-fraction estimate close to the full-front inverse; a
-        # fresh anchor sits slightly above the warm-start-refined front, so
-        # the bound is loose rather than a strict error halving
-        from topareto.cache import RunCache
-        from topareto.materials import refine_vf
-
+    def test_rescored_vf_equals_front_inverse(self, desk_pipeline):
+        # a near-tie is re-scored on the refined front: the winner's vf is
+        # the log-log inverse of the front's envelope at its requirement
         model = desk_pipeline["model"]
-        refined = pareto.envelope(desk_pipeline["refined"])
+        refined = desk_pipeline["refined"]
+        env = pareto.envelope(refined)
         lc = LoadCase(force=20e3, delta_max=5e-3, thickness=5e-3,
                       length=2.0, height=0.5)
-        winner = Material("Inconel 713", 205e9, 7900)
-        x_req = lc.required_compliance(winner)
-        v, c = refined.vfs(), refined.cs()
-        vf_exh = float(np.exp(np.interp(np.log(x_req), np.log(c[::-1]),
-                                        np.log(v[::-1]))))
-        problem = fem2d.preset("mbb")
-        vf1, _, _ = refine_vf(winner, problem, lc, model,
-                              simp.OptimizerConfig(),
-                              cache=RunCache(desk_pipeline["cache"]))
-        assert abs(vf1 - vf_exh) <= 0.03
+        mats = [Material("Titanium alloy (Ti-6Al-4V)", 116e9, 4400),
+                Material("Inconel 713", 205e9, 7900)]
+        report = select(mats, model, lc, tie_tol=0.3, front=refined)
+        assert report.near_ties
+        v, c = env.vfs(), env.cs()
+        exhaustive = []
+        for mat in mats:
+            vf_exh = float(np.exp(np.interp(np.log(lc.required_compliance(mat)),
+                                            np.log(c[::-1]), np.log(v[::-1]))))
+            exhaustive.append((lc.mass(mat, vf_exh), vf_exh, mat.name))
+        mass, vf_exh, name = min(exhaustive)
+        assert report.winner.name == name
+        assert report.winner_vf == pytest.approx(vf_exh, rel=1e-12)
+        assert report.winner_mass == pytest.approx(mass, rel=1e-12)
 
 
 class TestCriterion10:

@@ -234,35 +234,43 @@ class TestFitCmd:
         assert (out / "fit_overlay.svg").exists()
 
 
-    def test_non_utf8_refined_front_exit_2(self, tmp_path, capsys, monkeypatch):
-        # the front is read before any anchor optimization runs
+class TestRefinedFront:
+    """``fit`` and ``select`` read ``front_refine.csv`` under ``--out``
+    through one reader, before their work starts or any artifact is written."""
+
+    @pytest.fixture(params=["fit", "select"])
+    def command(self, request, tmp_path, table1_csv, monkeypatch):
+        """``(out, argv, artifact)`` of a run whose work fails if it starts."""
         out = tmp_path / "o"
         out.mkdir()
+
+        def too_early(*args, **kwargs):
+            raise AssertionError("work started before the front was read")
+        if request.param == "fit":
+            monkeypatch.setattr(cli.mm_mod, "fit_problem", too_early)
+            return out, ["fit", *tiny("--out", str(out))], "metamodel.json"
+        model = MetaModel(3.28, 2.0, ((0.1, 36.0), (1.0, 9.84)), "mbb")
+        (out / "metamodel.json").write_text(model.to_json())
+        monkeypatch.setattr(cli.mat_mod, "select", too_early)
+        return out, ["select", *tiny("--out", str(out)), "--materials",
+                     str(table1_csv), *SELECT_LOAD], "selection.json"
+
+    def test_non_utf8_refined_front_exit_2(self, command, capsys):
+        out, argv, artifact = command
         path = out / "front_refine.csv"
         path.write_bytes(NOT_UTF8)
-        import topareto.cli as cli_mod
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("anchors ran before the front was read")
-        monkeypatch.setattr(cli_mod.mm_mod, "fit_problem", no_fit)
-        assert run(["fit", *tiny("--out", str(out))]) == 2
+        assert run(argv) == 2
         assert f"cannot read refined front {path}" in capsys.readouterr().err
-        assert not (out / "metamodel.json").exists()
+        assert not (out / artifact).exists()
 
-    def test_bad_refined_front_row_names_file(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "o"
-        out.mkdir()
+    def test_bad_refined_front_row_names_file(self, command, capsys):
+        out, argv, artifact = command
         path = out / "front_refine.csv"
         path.write_text("vf,c,provenance\n0.2,5.0,x\n0.5,nan,x\n1.0,1.0,x\n")
-        import topareto.cli as cli_mod
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("anchors ran before the front was read")
-        monkeypatch.setattr(cli_mod.mm_mod, "fit_problem", no_fit)
-        assert run(["fit", *tiny("--out", str(out))]) == 2
+        assert run(argv) == 2
         err = capsys.readouterr().err
         assert "(line 3)" in err and f"cannot read refined front {path}" in err
-        assert not (out / "metamodel.json").exists()
+        assert not (out / artifact).exists()
 
 
 class TestSelectCmd:
@@ -426,6 +434,27 @@ class TestSelectCmd:
         assert doc["winner"]["name"] == "Titanium alloy (Ti-6Al-4V)"
         assert (out / "ashby.svg").read_text().startswith("<svg")
         assert "winner" in capsys.readouterr().out
+
+    def test_select_rescores_a_tie_on_the_refined_front(self, tmp_path, table1_csv):
+        # a front shallower than the model puts Inconel 713 below the
+        # titanium alloy in mass; the model's index ranks them the other way
+        out = tmp_path / "o"
+        out.mkdir(parents=True)
+        m = MetaModel(3.28, 2.0, ((0.1, 36.0), (1.0, 9.84)), "mbb")
+        (out / "metamodel.json").write_text(m.to_json())
+        vfs = np.geomspace(0.02, 1.0, 30)
+        (out / "front_refine.csv").write_text(ParetoFront(tuple(
+            FrontPoint(float(v), float(60.0 / np.sqrt(v))) for v in vfs)).to_csv())
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"tie_tol": 0.3}))
+        code = run(["--config", str(cfgfile), "select", *tiny("--out", str(out)),
+                    "--materials", str(table1_csv), *SELECT_LOAD])
+        assert code == 0
+        doc = json.loads((out / "selection.json").read_text())
+        assert doc["near_ties"] == ["Inconel 713"]
+        assert doc["winner"]["name"] == "Inconel 713"
+        assert doc["winner_vf"] == pytest.approx((60.0 / 256.25) ** 2)
+        assert doc["trail"][-1] == "tie resolved by front mass: Inconel 713"
 
     def test_overflowing_required_compliance_exit_2(self, tmp_path, table1_csv, capsys):
         # t E delta / F overflows at a tiny force: no winner may be reported

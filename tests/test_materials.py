@@ -1,17 +1,15 @@
 """Material ingestion, screening, indices, and the selection pipeline."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from topareto import materials
 from topareto.errors import (InfeasibleProblemError, InfeasibleStiffnessError,
                              InvalidArgumentError, ParseError)
 from topareto.materials import (LoadCase, Material, ashby_index,
                                 load_materials, refine_vf, screen_density,
                                 screen_pareto, select)
-from topareto.metamodel import MetaModel, eval_front, fit, inverse
+from topareto.metamodel import MetaModel, eval_front, inverse
+from topareto.pareto import FrontPoint, ParetoFront, envelope
 
 TABLE_MATS = [
     Material("Aluminum alloy (7475)", 70.8e9, 2795),
@@ -308,65 +306,128 @@ class TestLoadCase:
             LoadCase(**args)
 
 
-def _front_runs(monkeypatch, c_of_vf):
-    """Stands ``c_of_vf`` in for the optimization runs behind ``refine_vf``;
-    returns the list of volume fractions it is asked for."""
-    calls = []
+def _front(vfs, cs):
+    return ParetoFront(tuple(FrontPoint(float(v), float(c)) for v, c in zip(vfs, cs)))
 
-    def fake(problem, tasks, *args):
-        calls.extend(t["vf"] for t in tasks)
-        return [SimpleNamespace(compliance_p1=c_of_vf(t["vf"])) for t in tasks]
 
-    monkeypatch.setattr(materials, "run_optimizations", fake)
-    return calls
+# unit load case: a material's required compliance is its modulus
+UNIT_CASE = LoadCase(1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def _probe(c_req):
+    return Material("probe", c_req, 1000.0)
+
+
+# c = 60 / sqrt(vf): shallower than the worked example's model, so the front
+# puts Inconel 713 (vf 0.0548) below the titanium alloy (vf 0.171) in mass
+SHALLOW_VFS = np.geomspace(0.02, 1.0, 30)
+SHALLOW = _front(SHALLOW_VFS, 60.0 / np.sqrt(SHALLOW_VFS))
 
 
 class TestRefineVf:
-    def test_fixed_point_with_exact_front(self, worked_example_model, tiny_mbb,
-                                          monkeypatch):
+    def test_fixed_point_with_exact_front(self, worked_example_model):
         m0 = worked_example_model
-        mat = TABLE_MATS[2]
-        _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
-        vf1, mass, m1 = refine_vf(mat, tiny_mbb, MBB_CASE, m0)
-        vf0 = inverse(m0, MBB_CASE.required_compliance(mat))
-        assert vf1 == pytest.approx(vf0, abs=1e-6)
-        assert m1.a == pytest.approx(m0.a, rel=1e-4)
+        vfs = np.geomspace(0.005, 1.0, 400)
+        front = _front(vfs, [eval_front(m0, v) for v in vfs])
+        for mat in TABLE_MATS[2:]:
+            vf1, _ = refine_vf(mat, front, MBB_CASE)
+            vf0 = inverse(m0, MBB_CASE.required_compliance(mat))
+            assert vf1 == pytest.approx(vf0, rel=1e-4)
 
-    def test_fallback_when_anchor_ratio_violated(self, worked_example_model,
-                                                 tiny_mbb, monkeypatch):
-        m0 = worked_example_model
-        mat = TABLE_MATS[2]
-        # below the full-density value
-        _front_runs(monkeypatch, lambda vf: eval_front(m0, 1.0) * 0.5)
-        vf1, mass, m1 = refine_vf(mat, tiny_mbb, MBB_CASE, m0)
-        assert m1 is m0
-        assert vf1 == pytest.approx(inverse(m0, MBB_CASE.required_compliance(mat)),
-                                    abs=1e-9)
-
-    def test_mass_formula(self, worked_example_model, tiny_mbb, monkeypatch):
-        m0 = worked_example_model
+    def test_mass_formula(self):
         mat = TABLE_MATS[3]
-        _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
-        vf1, mass, _ = refine_vf(mat, tiny_mbb, MBB_CASE, m0)
+        vf1, mass = refine_vf(mat, SHALLOW, MBB_CASE)
+        assert vf1 == pytest.approx((60.0 / MBB_CASE.required_compliance(mat)) ** 2)
         assert mass == pytest.approx(
             MBB_CASE.length * MBB_CASE.height * MBB_CASE.thickness
             * vf1 * mat.rho)
 
+    def test_requirement_at_a_point_gives_its_vf(self):
+        # exact, where interpolating up to the point would give 0.44999999999999996
+        front = _front([0.1, 0.3, 0.45, 0.9], [40.0, 20.0, 12.5, 9.0])
+        for vf, c in [(0.1, 40.0), (0.45, 12.5), (0.9, 9.0)]:
+            assert refine_vf(_probe(c), front, UNIT_CASE) == (vf, 1000.0 * vf)
+
+    def test_between_points_log_log(self):
+        front = _front([0.1, 0.2, 0.4], [40.0, 10.0, 2.5])
+        # c = 0.4 / vf^2 on both stretches
+        vf, _ = refine_vf(_probe(0.4 / 0.3 ** 2), front, UNIT_CASE)
+        assert vf == pytest.approx(0.3, rel=1e-12)
+
+    def test_flat_stretch_gives_its_lightest_point(self):
+        front = _front([0.1, 0.2, 0.3, 0.4], [40.0, 10.0, 10.0, 10.0])
+        assert refine_vf(_probe(10.0), front, UNIT_CASE)[0] == 0.2
+        vf, _ = refine_vf(_probe(20.0), front, UNIT_CASE)
+        assert vf == pytest.approx(0.1 * 2.0 ** 0.5)
+
+    def test_non_monotone_front_read_through_envelope(self):
+        # the raw point at vf 0.3 rises above vf 0.2; the envelope holds 30
+        front = _front([0.1, 0.2, 0.3, 0.4], [40.0, 30.0, 35.0, 10.0])
+        vf, _ = refine_vf(_probe(20.0), front, UNIT_CASE)
+        t = np.log(20.0 / 30.0) / np.log(10.0 / 30.0)
+        assert vf == pytest.approx(0.3 * (0.4 / 0.3) ** t, rel=1e-12)
+        assert refine_vf(_probe(20.0), envelope(front), UNIT_CASE) == (vf, 1000.0 * vf)
+
+    @pytest.mark.parametrize("c_req", [8.9, 40.1])
+    def test_unbracketed_requirement_is_none(self, c_req):
+        # stiffer than the heaviest point, or met already by the lightest
+        front = _front([0.1, 0.2, 0.4], [40.0, 20.0, 9.0])
+        assert refine_vf(_probe(c_req), front, UNIT_CASE) is None
+
+
+TI, INCONEL = TABLE_MATS[2], TABLE_MATS[3]
+
 
 class TestNearTie:
-    def test_tie_triggers_rescoring(self, worked_example_model, tiny_mbb,
-                                    monkeypatch):
+    # the worked example's two indices differ by 1.3 percent
+    def test_tie_triggers_rescoring(self, worked_example_model):
         m0 = worked_example_model
-        calls = _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
-        report = select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.02, problem=tiny_mbb)
-        # indices differ by 1.3 percent: both candidates re-scored
-        assert len(calls) == 2
+        plain = select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.02)
+        report = select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.02, front=SHALLOW)
         assert report.near_ties == ["Inconel 713"]
-        assert report.winner.name == "Titanium alloy (Ti-6Al-4V)"
+        assert plain.winner == TI
+        # the front's lowest mass wins over the index's pick
+        assert report.winner == INCONEL
+        assert (report.winner_vf, report.winner_mass) == refine_vf(INCONEL, SHALLOW,
+                                                                   MBB_CASE)
+        ti_vf, ti_mass = refine_vf(TI, SHALLOW, MBB_CASE)
+        assert report.winner_mass < ti_mass
+        assert f"{TI.name}: front mass {ti_mass:.6g} kg at vf {ti_vf:.6g}" in report.trail
+        assert report.trail[-1] == "tie resolved by front mass: Inconel 713"
 
-    def test_no_tie_no_rescoring(self, worked_example_model, tiny_mbb,
-                                 monkeypatch):
+    def test_out_of_reach_candidate_leaves_the_raw_index(self, worked_example_model):
+        # from vf 0.1 the front starts at c 190: the titanium alloy's 145 is
+        # bracketed, Inconel's 256 is not
         m0 = worked_example_model
-        calls = _front_runs(monkeypatch, lambda vf: eval_front(m0, vf))
-        select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.001, problem=tiny_mbb)
-        assert calls == []
+        short = _front(SHALLOW_VFS[SHALLOW_VFS >= 0.1],
+                       60.0 / np.sqrt(SHALLOW_VFS[SHALLOW_VFS >= 0.1]))
+        plain = select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.02)
+        report = select(TABLE_MATS, m0, MBB_CASE, tie_tol=0.02, front=short)
+        assert (report.winner, report.winner_vf, report.winner_mass) == \
+            (plain.winner, plain.winner_vf, plain.winner_mass)
+        assert "Inconel 713: out of the refined front's reach" in report.trail
+        assert report.trail[-1] == "tie left to the raw index"
+
+    def test_no_front_says_so(self, worked_example_model):
+        report = select(TABLE_MATS, worked_example_model, MBB_CASE, tie_tol=0.02)
+        assert report.winner == TI
+        assert report.trail[-1] == "no refined front; tie left to the raw index"
+
+    def test_no_tie_no_rescoring(self, worked_example_model):
+        report = select(TABLE_MATS, worked_example_model, MBB_CASE, tie_tol=0.001,
+                        front=SHALLOW)
+        assert report.near_ties == [] and report.winner == TI
+        assert not any("near-tie" in line or "front mass" in line
+                       for line in report.trail)
+
+    @pytest.mark.parametrize("tie_tol, shown", [(0.005, "0.5%"), (0.015, "1.5%"),
+                                                (0.02, "2%"), (0.3, "30%")])
+    def test_trail_states_the_tolerance_as_given(self, worked_example_model,
+                                                 tie_tol, shown):
+        # a second titanium lot 0.1% stiffer and denser ties within 0.5%
+        lot_b = Material("Titanium lot B", TI.e * 1.001, TI.rho * 1.001 * 1.0001)
+        report = select([*TABLE_MATS, lot_b], worked_example_model, MBB_CASE,
+                        tie_tol=tie_tol)
+        assert "Titanium lot B" in report.near_ties
+        assert any(line.startswith(f"near-tie within {shown}: ")
+                   for line in report.trail)

@@ -11,9 +11,9 @@ limit, 5 mm thickness, a 2.0 m x 0.5 m part), all on the ``mbb`` preset with
 a fresh cache. The config's ``sweep.points`` are ``--vfs`` evenly spaced
 volume fractions from 0.02 to 1.0. It prints a sha256 per artifact, one over
 the census lines the stages print, and one over the names and bytes of the
-cache files. ``--tie-tol 0.3`` makes ``select`` re-score a near-tie, so the
-re-anchored model is hashed too. Outputs repeat only at a fixed BLAS thread
-count.
+cache files. ``--tie-tol 0.3`` makes ``select`` re-score a near-tie on the
+refined front, so ``selection.json`` carries the front's masses. Outputs
+repeat only at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
