@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -30,9 +29,7 @@ from . import metamodel as mm_mod
 from . import pareto as pareto_mod
 from . import svgplot
 from .cache import RunCache
-from .errors import (InfeasibleProblemError, InfeasibleStiffnessError,
-                     InvalidArgumentError, ParseError, SolverError,
-                     SweepFailureError, ToparetoError)
+from .errors import InfeasibleError, InvalidArgumentError, SolverError, ToparetoError
 from .fem2d import ProblemSpec, _json_number, preset
 from .simp import OptimizerConfig
 
@@ -58,52 +55,56 @@ class RunConfig:
 def _load_config(args) -> RunConfig:
     doc = _read(args.config, "config", json.loads) if args.config else {}
     if not isinstance(doc, dict):
-        raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
+        raise InvalidArgumentError(f"config must be a JSON object, got {type(doc).__name__}")
     _known_keys(doc, ("problem", "optimizer", "sweep", *NUMBER_KEYS), "config")
     if "problem" not in doc:
-        problem = preset(args.preset or "mbb", *[
-            None if size is None else _integer(size, name, 1)
-            for name, size in (("nelx", args.nelx), ("nely", args.nely))])
+        problem = preset(args.preset or "mbb", args.nelx, args.nely)
     elif not isinstance(doc["problem"], dict):
-        raise ParseError("problem must be a problem document (a JSON object), got "
-                         f"{type(doc['problem']).__name__}; a preset is named by --preset")
+        raise InvalidArgumentError("problem must be a problem document (a JSON object), got "
+                                   f"{type(doc['problem']).__name__}; a preset is named by "
+                                   "--preset")
     elif args.preset:
-        raise ParseError(f"--preset {args.preset} conflicts with the config's problem document")
+        raise InvalidArgumentError(f"--preset {args.preset} conflicts with the config's "
+                                   "problem document")
     else:
         try:
             problem = ProblemSpec.from_json(json.dumps(doc["problem"]))
         except KeyError as exc:
-            raise ParseError(f"problem config is missing key {exc}") from exc
+            raise InvalidArgumentError(f"problem config is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad problem config: {exc}") from exc
+            raise InvalidArgumentError(f"bad problem config: {exc}") from exc
         for name in ("nelx", "nely"):  # the document sets its own grid
             if getattr(args, name) is not None:
-                raise ParseError(f"--{name} {getattr(args, name)} conflicts with the problem "
-                                 f"document's {problem.grid.nelx}x{problem.grid.nely} grid")
+                raise InvalidArgumentError(
+                    f"--{name} {getattr(args, name)} conflicts with the problem "
+                    f"document's {problem.grid.nelx}x{problem.grid.nely} grid")
 
     opt_doc = _section(doc, "optimizer")
     _known_keys(opt_doc, ("max_iters",), "optimizer")
-    optimizer = OptimizerConfig(**{name: _integer(value, f"optimizer.{name}", 1)
-                                   for name, value in opt_doc.items()})
+    optimizer = OptimizerConfig(**opt_doc)
 
     sweep = _section(doc, "sweep")
     _known_keys(sweep, ("points",), "sweep")
     points = sweep.get("points", pareto_mod.default_vf_grid())
     if not isinstance(points, list):
-        raise ParseError(f"sweep.points must be a JSON array, got {type(points).__name__}")
-    vf_grid = [_finite(v, "sweep.points") for v in points]
+        raise InvalidArgumentError("sweep.points must be a JSON array, "
+                                   f"got {type(points).__name__}")
+    vf_grid = [_json_number(v, "sweep.points") for v in points]
 
-    numbers = {name: _finite(doc.get(name, getattr(RunConfig, name)), name)
+    numbers = {name: _json_number(doc.get(name, getattr(RunConfig, name)), name)
                for name in NUMBER_KEYS}
     if numbers["tie_tol"] < 0:  # would silently turn the tie break off
-        raise ParseError(f"tie_tol must be at least 0, got {numbers['tie_tol']}")
+        raise InvalidArgumentError(f"tie_tol must be at least 0, got {numbers['tie_tol']}")
+    if args.workers < 1:
+        raise InvalidArgumentError("workers must be an integer of at least 1, "
+                                   f"got {args.workers}")
     return RunConfig(
         problem=problem,
         optimizer=optimizer,
         vf_grid=vf_grid,
         out_dir=_directory(args.out, "output"),
         cache_dir=_directory(args.cache, "cache") if args.cache else None,
-        workers=_integer(args.workers, "workers", 1),
+        workers=args.workers,
         **numbers,
     )
 
@@ -112,14 +113,14 @@ def _section(doc: dict, name: str) -> dict:
     """A config section: a JSON object, empty when absent."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise ParseError(f"{name} must be a JSON object, got {type(section).__name__}")
+        raise InvalidArgumentError(f"{name} must be a JSON object, got {type(section).__name__}")
     return section
 
 
 def _known_keys(doc: dict, known, where: str) -> None:
     unknown = sorted(set(doc) - set(known))
     if unknown:
-        raise ParseError(f"unknown {where} key(s) {unknown}")
+        raise InvalidArgumentError(f"unknown {where} key(s) {unknown}")
 
 
 def _directory(path, what: str) -> Path:
@@ -132,47 +133,27 @@ def _directory(path, what: str) -> Path:
         if nearest.is_dir():
             Path(tempfile.mkdtemp(dir=nearest)).rmdir()
     except OSError as exc:  # a name too long, a file system that takes none
-        raise ParseError(f"cannot create {what} directory {path}: {exc}") from exc
+        raise InvalidArgumentError(f"cannot create {what} directory {path}: {exc}") from exc
     if not nearest.is_dir():
-        raise ParseError(f"{what} directory {path}: {nearest} is not a directory")
+        raise InvalidArgumentError(f"{what} directory {path}: {nearest} is not a directory")
     return path
-
-
-def _integer(value, name: str, minimum: int) -> int:
-    """A count from a flag or the config: an integer of at least ``minimum``;
-    a value that is not a finite number fails as in :func:`_finite`."""
-    if not isinstance(value, int):
-        _finite(value, name)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ParseError(f"{name} must be an integer of at least {minimum}, "
-                         f"got {value!r}")
-    return value
-
-
-def _finite(value, name: str) -> float:
-    """A config number; a string, a bool and JSON's ``NaN`` and ``Infinity``
-    are invalid input."""
-    value = _json_number(value, name)
-    if not math.isfinite(value):
-        raise ParseError(f"{name} must be finite, got {value}")
-    return value
 
 
 def _read(path, what: str, parse):
     """``parse`` of a user file's text. A file that cannot be read, is not
-    UTF-8 or fails to parse is a ParseError naming it, and any line."""
+    UTF-8 or fails to parse is an InvalidArgumentError naming it, and any line."""
     try:
         return parse(Path(path).read_text())
-    except (OSError, ValueError, ParseError) as exc:
-        raise ParseError(f"cannot read {what} {path}: {exc}",
-                         line=getattr(exc, "line", None)) from exc
+    except (OSError, ValueError) as exc:
+        raise InvalidArgumentError(f"cannot read {what} {path}: {exc}",
+                                   line=getattr(exc, "line", None)) from exc
 
 
 def _mkdir(path: Path, what: str) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ParseError(f"cannot create {what} directory {path}: {exc}") from exc
+        raise InvalidArgumentError(f"cannot create {what} directory {path}: {exc}") from exc
     return path
 
 
@@ -369,14 +350,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, ParseError) as exc:
-        line = f" (line {exc.line})" if isinstance(exc, ParseError) and exc.line else ""
+    except InvalidArgumentError as exc:
+        line = f" (line {exc.line})" if exc.line else ""
         print(f"error: invalid input{line}: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleStiffnessError, InfeasibleProblemError) as exc:
+    except InfeasibleError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return 3
-    except (SolverError, SweepFailureError) as exc:
+    except SolverError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 4
     except ToparetoError as exc:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pareto import (ParetoFront, check_vfs, envelope, finite_cell, read_table,
-                     smooth, write_table)
+from .pareto import ParetoFront, check_vfs, envelope, smooth, write_table
 
 ER_LOWER_BOUND = -0.02
 ER_UPPER_BOUND = 1.02
@@ -47,11 +46,6 @@ class ErSeries:
 
     def to_csv(self) -> str:
         return write_table(ER_HEADER, self.points)
-
-    @staticmethod
-    def from_csv(text: str) -> "ErSeries":
-        return ErSeries(tuple((finite_cell(v, line), finite_cell(n, line))
-                              for line, (v, n) in read_table(text, ER_HEADER)))
 
 
 def compute_er(front: ParetoFront) -> ErSeries:

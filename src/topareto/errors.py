@@ -1,50 +1,33 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per exit code of the CLI."""
 
 
 class ToparetoError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the CLI exits 4 on one it does
+    not map to another code."""
 
 
 class InvalidArgumentError(ToparetoError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument, a config value or an input file violates a documented
+    precondition; carries the offending line of a file, if any (exit 2)."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
+
+
+class InfeasibleError(ToparetoError):
+    """The stiffness requirement cannot be met: not by the full-density
+    design of one material, or not by any candidate (exit 3)."""
 
 
 class SolverError(ToparetoError):
-    """Linear solve failed to converge or the system is singular."""
+    """A linear solve or an optimization failed, or the system is singular
+    (exit 4)."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
 
 
-class FitInfeasibleError(ToparetoError):
-    """Anchor ratio outside the range the meta-model family can represent."""
-
-
-class FitFailureError(ToparetoError):
-    """Root bracketing for the meta-model exponent failed."""
-
-
-class InfeasibleStiffnessError(ToparetoError):
-    """Even the full-density design is too compliant for the requirement."""
-
-
-class InfeasibleProblemError(ToparetoError):
-    """No candidate material can satisfy the stiffness constraint."""
-
-
-class SweepFailureError(ToparetoError):
-    """One or more sweep points failed; carries (label, message) pairs."""
-
-    def __init__(self, failures):
-        self.failures = list(failures)
-        detail = "; ".join(f"{lbl}: {msg}" for lbl, msg in self.failures)
-        super().__init__(f"{len(self.failures)} sweep point(s) failed: {detail}")
-
-
-class ParseError(ToparetoError):
-    """Malformed input file; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+class FitError(ToparetoError):
+    """The meta-model cannot be fitted to its two anchors (exit 4)."""

@@ -85,8 +85,8 @@ class Grid:
     nely: int
 
     def __post_init__(self):
-        if self.nelx < 1 or self.nely < 1:
-            raise InvalidArgumentError("grid needs nelx >= 1 and nely >= 1")
+        _json_int(self.nelx, "nelx", 1)
+        _json_int(self.nely, "nely", 1)
 
     @property
     def nel(self) -> int:
@@ -187,7 +187,7 @@ class ProblemSpec:
         if unknown:
             raise InvalidArgumentError(f"unknown problem key(s) {sorted(unknown)}")
         return ProblemSpec(
-            grid=Grid(_json_int(doc["nelx"], "nelx"), _json_int(doc["nely"], "nely")),
+            grid=Grid(doc["nelx"], doc["nely"]),
             loads=tuple((_json_int(d, "loads DOF"), _json_number(m, "loads magnitude"))
                         for d, m in doc["loads"]),
             fixed_dofs=frozenset(_json_int(d, "fixed_dofs entry") for d in doc["fixed_dofs"]),
@@ -196,17 +196,24 @@ class ProblemSpec:
         )
 
 
-def _json_int(value, name: str) -> int:
-    """An integer of a problem or an optimizer config; a bool or a float is invalid."""
+def _json_int(value, name: str, minimum: float = -math.inf) -> int:
+    """An integer of a grid, a problem or an optimizer config, at least
+    ``minimum``; a bool or a float is invalid."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidArgumentError(f"{name} must be an integer of at least {minimum}, "
+                                   f"got {value}")
     return value
 
 
 def _json_number(value, name: str) -> float:
-    """A number of a problem document; a bool or a string is invalid."""
+    """A finite number of a config, a problem document or a meta-model; a
+    bool, a string and JSON's ``NaN`` and ``Infinity`` are invalid."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, an int past float range
+        raise InvalidArgumentError(f"{name} must be finite, got {value}")
     return float(value)
 
 

@@ -16,8 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import (InfeasibleProblemError, InfeasibleStiffnessError,
-                     InvalidArgumentError)
+from .errors import InfeasibleError, InvalidArgumentError
 from .fem2d import ProblemSpec
 from .metamodel import MetaModel, inverse
 from .pareto import ParetoFront, envelope, finite_cell, read_table
@@ -109,13 +108,13 @@ def load_materials(text: str) -> list[Material]:
     :class:`Material` rejects and a repeated name are errors naming the line."""
     mats: list[Material] = []
     for line, (name, e_gpa, rho) in read_table(text, ("name", "E_GPa", "rho_kgm3")):
+        e, rho = finite_cell(e_gpa, line) * 1e9, finite_cell(rho, line)
         try:
-            mat = Material(name.strip(), finite_cell(e_gpa, line) * 1e9,
-                           finite_cell(rho, line))
+            mat = Material(name.strip(), e, rho)
         except InvalidArgumentError as exc:
-            raise InvalidArgumentError(f"line {line}: {exc}") from exc
+            raise InvalidArgumentError(str(exc), line=line) from exc
         if any(m.name == mat.name for m in mats):
-            raise InvalidArgumentError(f"line {line}: duplicate material {mat.name!r}")
+            raise InvalidArgumentError(f"duplicate material {mat.name!r}", line=line)
         mats.append(mat)
     return mats
 
@@ -160,8 +159,8 @@ def ashby_index(mat: Material, m: MetaModel, lc: LoadCase) -> tuple[float, float
     x_req = lc.required_compliance(mat)
     try:
         vf = inverse(m, x_req)
-    except InfeasibleStiffnessError as exc:
-        raise InfeasibleStiffnessError(f"{mat.name}: {exc}") from exc
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"{mat.name}: {exc}") from exc
     return vf * mat.rho, vf
 
 
@@ -232,13 +231,13 @@ def select(mats: list[Material], m: MetaModel, lc: LoadCase,
     for mt in kept2:
         try:
             f4, vf = ashby_index(mt, m, lc)
-        except InfeasibleStiffnessError:
+        except InfeasibleError:
             trail.append(f"{mt.name}: infeasible (full design too compliant)")
             continue
         scored.append((mt, f4, vf))
         trail.append(f"{mt.name}: index {f4:.6g} kg/m^3 at vf {vf:.6g}")
     if not scored:
-        raise InfeasibleProblemError(
+        raise InfeasibleError(
             "no screened material can satisfy the stiffness constraint")
 
     ranked = sorted(scored, key=lambda t: (t[1], t[0].name))

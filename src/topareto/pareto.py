@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import RunCache, field_descriptor, result_key
-from .errors import (InvalidArgumentError, ParseError, SolverError,
-                     SweepFailureError)
+from .errors import InvalidArgumentError, SolverError
 from .fem2d import DensityField, ProblemSpec
 from .simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
                    initial_design, optimize, rescale_to_volume)
@@ -100,35 +99,36 @@ class ParetoFront:
         pts = tuple(FrontPoint(finite_cell(vf, line), finite_cell(c, line), provenance)
                     for line, (vf, c, provenance) in read_table(text, FRONT_HEADER))
         if not pts:
-            raise ParseError("front file has no data rows", line=1)
+            raise InvalidArgumentError("front file has no data rows", line=1)
         return ParetoFront(pts)
 
 
 def read_table(text: str, header) -> Iterator[tuple[int, list[str]]]:
     """``(line, cells)`` of each data row of CSV ``text``: after a first row of
     ``header`` (stripped), each row not all blank has one cell per column. A
-    blank text has no rows; a failure is a ParseError naming the line."""
+    blank text has no rows; a failure is an InvalidArgumentError naming the line."""
     if not text.strip():
         return
     rows = csv.reader(io.StringIO(text))
     if [h.strip() for h in next(rows)] != list(header):
-        raise ParseError(f"expected header {','.join(header)}", line=1)
+        raise InvalidArgumentError(f"expected header {','.join(header)}", line=1)
     for line, cells in enumerate(rows, start=2):
         if not any(c.strip() for c in cells):
             continue
         if len(cells) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(cells)}", line=line)
+            raise InvalidArgumentError(f"expected {len(header)} columns, got {len(cells)}",
+                                       line=line)
         yield line, cells
 
 
 def finite_cell(cell: str, line: int) -> float:
-    """A table cell as a finite float; anything else is a ParseError naming the line."""
+    """A table cell as a finite float; anything else is an InvalidArgumentError naming the line."""
     try:
         value = float(cell)
     except ValueError:
         value = np.nan
     if not np.isfinite(value):
-        raise ParseError(f"expected a finite number, got {cell!r}", line=line)
+        raise InvalidArgumentError(f"expected a finite number, got {cell!r}", line=line)
     return value
 
 
@@ -335,12 +335,12 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
             for payload, (res, err) in zip(pending, done):
                 if err is not None:
                     kind = payload["init_kind"] or "warm"
-                    failures.append((f"vf={payload['vf']:.6g} init={kind}", err))
+                    failures.append(f"vf={payload['vf']:.6g} init={kind}: {err}")
                     continue
                 found[payload["key"]] = res
                 cache.put(payload["key"], res)
     if failures:
-        raise SweepFailureError(failures)
+        raise SolverError(f"{len(failures)} sweep point(s) failed: {'; '.join(failures)}")
     if report is not None:
         report(census(found.values(), cfg, len(tasks), cached))
     return [found[key] for key in keys]  # type: ignore[index]

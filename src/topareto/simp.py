@@ -57,8 +57,7 @@ class OptimizerConfig:
     max_iters: int = 300
 
     def __post_init__(self):
-        if _json_int(self.max_iters, "max_iters") < 1:
-            raise InvalidArgumentError("max_iters must be >= 1")
+        _json_int(self.max_iters, "max_iters", 1)
 
     @staticmethod
     def resolve_rmin(grid: Grid) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from topareto import fem2d, simp
+from topareto import er, fem2d, pareto, simp
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -63,6 +63,14 @@ def kernel_solve(problem, values, penal):
     for per-element densities under penalized SIMP moduli."""
     emod = fem2d.simp_modulus(values, penal)
     return fem2d.kernel_for(problem).solve(emod, problem.load_vector())
+
+
+def read_er(text):
+    """An ``er_raw.csv`` or ``er_filtered.csv`` text as an ``ErSeries``, read
+    back through the package's one table reader and cell parser."""
+    return er.ErSeries(tuple(
+        (pareto.finite_cell(v, line), pareto.finite_cell(n, line))
+        for line, (v, n) in pareto.read_table(text, er.ER_HEADER)))
 
 
 def rel_err(a, b):

@@ -24,9 +24,9 @@ import numpy as np
 import pytest
 
 import reference_impls as ref_impl
-from conftest import kernel_solve, record_criterion
+from conftest import kernel_solve, read_er, record_criterion
 from topareto import cli, er, fem2d, metamodel, pareto, simp
-from topareto.errors import InfeasibleProblemError
+from topareto.errors import InfeasibleError
 from topareto.materials import LoadCase, Material, ashby_index, select
 from topareto.metamodel import MetaModel, eval_front, inverse
 
@@ -78,7 +78,7 @@ def desk_pipeline(tmp_path_factory):
             (out / "front_multistart.csv").read_text()),
         "refined": pareto.ParetoFront.from_csv(
             (out / "front_refine.csv").read_text()),
-        "er_filtered": er.ErSeries.from_csv((out / "er_filtered.csv").read_text()),
+        "er_filtered": read_er((out / "er_filtered.csv").read_text()),
         "model": MetaModel.from_json((out / "metamodel.json").read_text()),
     }
 
@@ -242,7 +242,7 @@ class TestCriterion8:
             heavy = LoadCase(force=20e3 * 20, delta_max=5e-3, thickness=5e-3,
                              length=2.0, height=0.5)
             flip = select(mats, model, heavy).winner.name
-        except InfeasibleProblemError:
+        except InfeasibleError:
             flip = "all infeasible"
 
         ok = (screening_ok and runtime_ok

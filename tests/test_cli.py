@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_er
 from topareto import cli
 from topareto.metamodel import MetaModel, eval_front
 from topareto.pareto import FrontPoint, ParetoFront, default_vf_grid
@@ -161,8 +162,7 @@ class TestErCmd:
         out = tmp_path / "o"
         code = run(["er", *tiny("--out", str(out)), "--front", str(path)])
         assert code == 0
-        from topareto.er import ErSeries
-        filt = ErSeries.from_csv((out / "er_filtered.csv").read_text())
+        filt = read_er((out / "er_filtered.csv").read_text())
         assert np.max(np.abs(filt.values() - 1.0)) <= 0.03
 
     def test_missing_front_exit_2(self, tmp_path):
@@ -293,13 +293,15 @@ class TestSelectCmd:
         assert code == 2
         assert f"cannot read materials file {path}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row, line", [("bad,ten,100", "(line 3)"),
-                                           ("bad,10,inf", "(line 3)"),
-                                           ("bad,10,100,1", "(line 3)"),
-                                           ("bad,0,100", "line 3: bad:"),
-                                           ("bad,10,-5", "line 3: bad:"),
-                                           ("Inconel 713,10,100", "line 3: duplicate")])
-    def test_bad_materials_row_names_file(self, tmp_path, capsys, row, line):
+    @pytest.mark.parametrize("row, message", [
+        ("bad,ten,100", "(line 3)"),
+        ("bad,10,inf", "(line 3)"),
+        ("bad,10,100,1", "(line 3)"),
+        ("bad,0,100", ": bad: modulus and density must be positive and finite"),
+        ("bad,10,-5", ": bad: modulus and density must be positive and finite"),
+        ("Inconel 713,10,100", ": duplicate material 'Inconel 713'")])
+    def test_bad_materials_row_names_file(self, tmp_path, capsys, row, message):
+        # a bad cell, a bad row and a repeated name all name the line alike
         path = tmp_path / "mats.csv"
         path.write_text(f"name,E_GPa,rho_kgm3\nInconel 713,205,7900\n{row}\n")
         out = tmp_path / "o"
@@ -307,8 +309,25 @@ class TestSelectCmd:
                     "--materials", str(path), *SELECT_LOAD])
         assert code == 2
         err = capsys.readouterr().err
-        assert line in err and f"cannot read materials file {path}" in err
+        assert f"invalid input (line 3): cannot read materials file {path}" in err
+        assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["bad,10,-5", "bad,x,100"])
+    def test_bad_material_and_bad_cell_name_line_alike(self, tmp_path, capsys, row):
+        # a value Material rejects and a cell that is no number: one error
+        # class, one line attribute, one printed form
+        from topareto.errors import InvalidArgumentError
+        from topareto.materials import load_materials
+        text = f"name,E_GPa,rho_kgm3\nInconel 713,205,7900\n{row}\n"
+        with pytest.raises(InvalidArgumentError) as exc:
+            load_materials(text)
+        assert exc.value.line == 3
+        path = tmp_path / "mats.csv"
+        path.write_text(text)
+        assert run(["select", *tiny("--out", str(tmp_path / "o")),
+                    "--materials", str(path), *SELECT_LOAD]) == 2
+        assert "error: invalid input (line 3): " in capsys.readouterr().err
 
     def test_missing_metamodel_exit_2(self, tmp_path, table1_csv, capsys, monkeypatch):
         # select reads the model that fit wrote; it never fits one itself
@@ -358,10 +377,10 @@ class TestSelectCmd:
         # a missing problem_name is a fault of its own, below
         ('{"a": NaN, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 9.84]], '
          '"problem_name": "mbb"}',
-         "model constants must be positive and finite"),
+         "bad meta-model: a must be finite, got nan"),
         ('{"a": 3.28, "b": Infinity, "fit_points": [[0.1, 36.0], [1.0, 9.84]], '
          '"problem_name": "mbb"}',
-         "model constants must be positive and finite"),
+         "bad meta-model: b must be finite, got inf"),
         ('{"a": 3.28, "b": 2.0, "fit_points": 7}', "bad meta-model"),
         ("[1, 2]", "bad meta-model"),
         (b"\xff\xfe\x00", "can't decode"),
@@ -375,10 +394,10 @@ class TestSelectCmd:
          "fit_points must be two"),
         ('{"a": 3.28, "b": 2.0, "fit_points": [[NaN, 36.0], [1.0, 9.84]], '
          '"problem_name": "mbb"}',
-         "fit_points must be two"),
+         "bad meta-model: fit_points entry must be finite, got nan"),
         ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, Infinity]], '
          '"problem_name": "mbb"}',
-         "fit_points must be two"),
+         "bad meta-model: fit_points entry must be finite, got inf"),
         ('{"a": 3.28, "b": 2.0, "fit_points": [[0.1, 36.0], [1.0, 0.0]], '
          '"problem_name": "mbb"}',
          "fit_points must be two"),
@@ -483,6 +502,43 @@ class TestSelectCmd:
         assert code == 3
 
 
+class TestExitCodes:
+    """Every class of ``topareto.errors`` raised by a command, through
+    ``cli.main``: its exit code and the first words of its stderr line."""
+
+    TABLE = [("ToparetoError", 4, "error: boom\n"),
+             ("InvalidArgumentError", 2, "error: invalid input: boom\n"),
+             ("InfeasibleError", 3, "error: infeasible: boom\n"),
+             ("SolverError", 4, "error: solver failure: boom\n"),
+             ("FitError", 4, "error: boom\n")]
+
+    def test_table_names_every_class(self):
+        from topareto import errors
+        classes = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, errors.ToparetoError)}
+        assert classes == {name for name, _, _ in self.TABLE}
+
+    @pytest.mark.parametrize("name, code, stderr", TABLE)
+    def test_exit_code_and_prefix(self, tmp_path, capsys, monkeypatch, name, code,
+                                  stderr):
+        from topareto import errors
+
+        def stub(args):
+            raise getattr(errors, name)("boom")
+        monkeypatch.setattr(cli, "cmd_fit", stub)
+        assert run(["fit", *tiny("--out", str(tmp_path / "o"))]) == code
+        assert capsys.readouterr().err == stderr
+
+    def test_invalid_input_names_its_line(self, capsys, monkeypatch):
+        from topareto.errors import InvalidArgumentError
+
+        def stub(args):
+            raise InvalidArgumentError("boom", line=7)
+        monkeypatch.setattr(cli, "cmd_fit", stub)
+        assert run(["fit", *tiny()]) == 2
+        assert capsys.readouterr().err == "error: invalid input (line 7): boom\n"
+
+
 class TestWarningsAndFailures:
     def test_er_warning_printed_for_out_of_band_ratio(self, tmp_path, capsys):
         # one huge isolated product drop pushes the filtered ratio over 1.02
@@ -584,10 +640,18 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         if name in self.RETIRED:
             assert self.RETIRED[name] in err
+        elif name == "optimizer.max_iters":  # checked by OptimizerConfig
+            assert f"max_iters must be an integer, got {json.loads(value)!r}" in err
         elif value in ("true", "false"):  # a JSON bool is not a number
             assert f"{name} must be" in err and f"got {value.title()}" in err
         else:
             assert f"{name} must be finite" in err
+
+    @pytest.mark.parametrize("name", ["anchor_vf", "tie_tol", "sweep.points"])
+    def test_integer_past_float_range_exit_2(self, tmp_path, capsys, name):
+        # a JSON integer no float can hold is not a finite number either
+        assert self._er_with_config(tmp_path, name, "1" + "0" * 400) == 2
+        assert f"{name} must be finite, got 1000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [("workers", '"two"'),
                                              ("sweep.count", '"x"'),
@@ -684,13 +748,13 @@ class TestConfigPrecedence:
         ({"problem": {**SMALL_PROBLEM, "fixed_dofs": [0, 1, 2.5]}},
          "bad problem config: fixed_dofs entry must be an integer, got 2.5"),
         ({"problem": {**SMALL_PROBLEM, "loads": [[29, float("nan")]]}},
-         "bad problem config: loads magnitude nan at DOF 29 is not finite"),
+         "bad problem config: loads magnitude must be finite, got nan"),
         ({"problem": {**SMALL_PROBLEM, "loads": [[29, float("-inf")]]}},
-         "bad problem config: loads magnitude -inf at DOF 29 is not finite"),
+         "bad problem config: loads magnitude must be finite, got -inf"),
         ({"problem": {**SMALL_PROBLEM, "symmetry_factor": float("nan")}},
-         "bad problem config: symmetry_factor must be positive and finite"),
+         "bad problem config: symmetry_factor must be finite, got nan"),
         ({"problem": {**SMALL_PROBLEM, "symmetry_factor": float("inf")}},
-         "bad problem config: symmetry_factor must be positive and finite"),
+         "bad problem config: symmetry_factor must be finite, got inf"),
         # a JSON bool or string is not a number
         ({"problem": {**SMALL_PROBLEM, "loads": [[29, True]]}},
          "bad problem config: loads magnitude must be a number, got True"),
@@ -924,9 +988,13 @@ class TestConfigPrecedence:
     def test_bad_integer_exit_2(self, tmp_path, capsys, name, value, minimum):
         assert self._er_with_config(tmp_path, name, value) == 2
         got = json.loads(value)  # shown as Python shows it: true is True
-        message = self.RETIRED.get(
-            name, f"{name} must be an integer of at least {minimum}, got {got!r}")
-        assert message in capsys.readouterr().err
+        # OptimizerConfig checks its own field: an integer, then its minimum
+        key = name.removeprefix("optimizer.")
+        if isinstance(got, (bool, float)):
+            expected = f"{key} must be an integer, got {got!r}"
+        else:
+            expected = f"{key} must be an integer of at least {minimum}, got {got!r}"
+        assert self.RETIRED.get(name, expected) in capsys.readouterr().err
 
     def test_integer_minimums_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -7,8 +7,9 @@ import pytest
 
 import reference_impls as ref
 from reference_impls import AnalyticComponent, analytic_er, analytic_stiffness
+from conftest import read_er
 from topareto.er import ErSeries, compute_er, filter_er
-from topareto.errors import InvalidArgumentError, ParseError
+from topareto.errors import InvalidArgumentError
 from topareto.pareto import FrontPoint, ParetoFront
 
 
@@ -125,20 +126,22 @@ class TestAnalytic:
 
 class TestErSeries:
     def test_csv_round_trip(self):
-        s = ErSeries(((0.1, 0.9), (0.5, 0.4), (1.0, 0.02)))
-        back = ErSeries.from_csv(s.to_csv())
+        # to_csv writes each float as its repr: it reads back exactly
+        s = ErSeries(((0.1, 0.9), (1 / 3 + 0.1, 2 / 3), (0.5, 0.4), (1.0, 0.02)))
+        back = read_er(s.to_csv())
         assert back == s
 
     def test_csv_errors(self):
-        with pytest.raises(ParseError):
-            ErSeries.from_csv("wrong,header\n")
+        with pytest.raises(InvalidArgumentError) as exc:
+            read_er("wrong,header\n")
+        assert exc.value.line == 1
 
     @pytest.mark.parametrize("row", ["0.5,0.4,x", "0.5,nan", "0.5,inf", "nan,0.4",
                                      "0.5,-inf"])
     def test_csv_bad_row_names_line(self, row):
         # one column too many, or a ratio or vf that is not a finite number
-        with pytest.raises(ParseError) as exc:
-            ErSeries.from_csv(f"vf,n\n0.1,0.9\n{row}\n1.0,0.02\n")
+        with pytest.raises(InvalidArgumentError) as exc:
+            read_er(f"vf,n\n0.1,0.9\n{row}\n1.0,0.02\n")
         assert exc.value.line == 3
 
     def test_ordering_enforced(self):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from topareto.errors import (InfeasibleProblemError, InfeasibleStiffnessError,
-                             InvalidArgumentError, ParseError)
+from topareto.errors import InfeasibleError, InvalidArgumentError
 from topareto.materials import (LoadCase, Material, ashby_index,
                                 load_materials, refine_vf, screen_density,
                                 screen_pareto, select)
@@ -80,7 +79,7 @@ class TestLoadMaterials:
         # the cell parser of every table, pareto.finite_cell, names the line
         path = tmp_path / "m.csv"
         path.write_text(f"name,E_GPa,rho_kgm3\nok,10,100\n{row}\n")
-        with pytest.raises(ParseError, match="expected a finite number") as exc:
+        with pytest.raises(InvalidArgumentError, match="expected a finite number") as exc:
             load_materials(path.read_text())
         assert exc.value.line == 3
 
@@ -93,7 +92,7 @@ class TestLoadMaterials:
     def test_malformed_row_carries_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("name,E_GPa,rho_kgm3\nok,10,100\nbad,ten,100\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             load_materials(path.read_text())
         assert exc.value.line == 3
 
@@ -106,7 +105,7 @@ class TestLoadMaterials:
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("material,E,rho\nfoo,10,100\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidArgumentError):
             load_materials(path.read_text())
 
 
@@ -185,7 +184,7 @@ class TestAshbyIndex:
 
     def test_infeasible_names_material(self, worked_example_model):
         soft = Material("rubber", 0.01e9, 1200)
-        with pytest.raises(InfeasibleStiffnessError) as exc:
+        with pytest.raises(InfeasibleError) as exc:
             ashby_index(soft, worked_example_model, MBB_CASE)
         assert "rubber" in str(exc.value)
 
@@ -193,7 +192,7 @@ class TestAshbyIndex:
         for mat in TABLE_MATS:
             try:
                 f4, vf = ashby_index(mat, worked_example_model, MBB_CASE)
-            except InfeasibleStiffnessError:
+            except InfeasibleError:
                 continue
             assert f4 <= mat.rho
             assert 0 < vf <= 1
@@ -226,7 +225,7 @@ class TestSelect:
 
     def test_all_infeasible_raises(self, worked_example_model):
         soft = [Material("jelly", 0.001e9, 500)]
-        with pytest.raises(InfeasibleProblemError):
+        with pytest.raises(InfeasibleError):
             select(soft, worked_example_model, MBB_CASE)
 
     def test_empty_rejected(self, worked_example_model):
@@ -282,12 +281,12 @@ class TestSelect:
             for mat in mats:
                 try:
                     f4, _ = ashby_index(mat, m, MBB_CASE)
-                except InfeasibleStiffnessError:
+                except InfeasibleError:
                     continue
                 if best_f4 is None or f4 < best_f4:
                     best, best_f4 = mat, f4
             if best is None:
-                with pytest.raises(InfeasibleProblemError):
+                with pytest.raises(InfeasibleError):
                     select(mats, m, MBB_CASE, tie_tol=0.0)
                 continue
             report = select(mats, m, MBB_CASE, tie_tol=0.0)

@@ -8,7 +8,7 @@ import pytest
 
 from topareto import pareto as par
 from topareto.cache import RunCache, field_descriptor, result_key
-from topareto.errors import InvalidArgumentError, ParseError
+from topareto.errors import InvalidArgumentError
 from topareto.fem2d import DensityField, ProblemSpec, preset
 from topareto.pareto import (DROP_THRESHOLD, MIN_THRESHOLD, FrontPoint,
                              ParetoFront, SignificantPoints, baseline_states,
@@ -51,7 +51,7 @@ class TestParetoFront:
         assert list(par.read_table(" \n", par.FRONT_HEADER)) == []
         for text, line in (("vf,c\n", 1), ("vf,c,provenance\n0.1,2\n", 2),
                            ("vf,c,provenance\n0.1,2,a\n\n0.2,1,a,b\n", 4)):
-            with pytest.raises(ParseError) as exc:
+            with pytest.raises(InvalidArgumentError) as exc:
                 list(par.read_table(text, par.FRONT_HEADER))
             assert exc.value.line == line
 
@@ -60,14 +60,14 @@ class TestParetoFront:
         assert text == 'a,b,c\n0.1,0.3333333333333333,"x,y"\n'
 
     def test_csv_parse_errors(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidArgumentError):
             ParetoFront.from_csv("nope\n1,2,3\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             ParetoFront.from_csv("vf,c,provenance\n0.1,zzz,tag\n")
         assert exc.value.line == 2
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidArgumentError):
             ParetoFront.from_csv("vf,c,provenance\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             ParetoFront.from_csv("vf,c,provenance\n0.1,2,a\n0.2,nan,b\n")
         assert exc.value.line == 3
 
@@ -460,7 +460,7 @@ class TestRace:
             sorted(p.name for p in (tmp_path / "2").iterdir())
 
     def test_failed_reference_runs_no_bounded_start(self, tiny_mbb, cfg, monkeypatch):
-        from topareto.errors import SolverError, SweepFailureError
+        from topareto.errors import SolverError
         calls = []
 
         def fake(problem, vf, cfg_, init=None, **race):
@@ -468,9 +468,9 @@ class TestRace:
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr(par, "optimize", fake)
-        with pytest.raises(SweepFailureError) as exc:
+        with pytest.raises(SolverError) as exc:
             multistart_states(tiny_mbb, [0.5], cfg)
-        assert exc.value.failures == [("vf=0.5 init=uniform", "synthetic failure")]
+        assert str(exc.value) == "1 sweep point(s) failed: vf=0.5 init=uniform: synthetic failure"
         assert calls == [{}]  # the uniform run only: no start ran bounded
 
     @pytest.mark.parametrize("bound_by", [1, 5, -1])
