@@ -95,6 +95,8 @@ def _load_config(args) -> RunConfig:
                for name in NUMBER_KEYS}
     if numbers["tie_tol"] < 0:  # would silently turn the tie break off
         raise InvalidArgumentError(f"tie_tol must be at least 0, got {numbers['tie_tol']}")
+    if not 0 < numbers["anchor_vf"] < 1:  # held for every command, read by fit alone
+        raise InvalidArgumentError(f"anchor_vf must lie in (0, 1), got {numbers['anchor_vf']}")
     if args.workers < 1:
         raise InvalidArgumentError("workers must be an integer of at least 1, "
                                    f"got {args.workers}")

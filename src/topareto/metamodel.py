@@ -126,9 +126,11 @@ def fit(point_low: tuple[float, float], c_full: float,
 def inverse(m: MetaModel, c_req: float) -> float:
     """Volume fraction whose model compliance equals ``c_req``.
 
-    Bisection on the strictly decreasing model to an absolute x-tolerance
-    of 1e-10. Requirements stiffer than the full design are infeasible; an
-    overflowed one, ``t E delta / F`` at a tiny force, is invalid.
+    Bisection on the strictly decreasing model to a width of 1e-10, or of
+    1e-9 of the answer below a volume fraction of 0.1, so the answer keeps
+    its relative precision however small it is. Requirements stiffer than
+    the full design are infeasible; an overflowed one, ``t E delta / F`` at
+    a tiny force, is invalid.
     """
     if not np.isfinite(c_req):
         raise InvalidArgumentError(f"required compliance {c_req!r} is not finite")
@@ -144,8 +146,7 @@ def inverse(m: MetaModel, c_req: float) -> float:
     while eval_front(m, lo) < c_req:
         lo *= 0.5
     hi = 1.0
-    # absolute 1e-10 plus relative refinement so eval round-trips at tiny x
-    while hi - lo > max(1e-15, min(1e-10, 1e-9 * lo)):
+    while hi - lo > min(1e-10, 1e-9 * lo):
         mid = 0.5 * (lo + hi)
         if eval_front(m, mid) > c_req:
             lo = mid

@@ -65,3 +65,24 @@ def test_artifacts_are_the_six_stages_outputs():
     assert len(tool.ARTIFACTS) == len(set(tool.ARTIFACTS)) == 14
     assert tool.CENSUS.match("fit anchor: 9 tasks, 9 distinct, 0 cached, ")
     assert not tool.CENSUS.match("pareto mbb strategy=refine: 6 points -> out")
+
+
+def test_prints_the_census_lines_it_hashes(capsys):
+    tool = _tool()
+    assert tool.main(["--nelx", "6", "--nely", "2", "--vfs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    row = next(i for i, line in enumerate(out) if line.startswith("census "))
+    digest, count = out[row].split()[1], int(out[row].split()[2])
+    lines = out[row + 1:row + 1 + count]
+    # indented under the census row, and the next row is the cache's
+    assert all(line.startswith("    ") for line in lines)
+    assert out[row + 1 + count].startswith("cache ")
+    census = [line[4:] for line in lines]
+    assert all(tool.CENSUS.match(line) for line in census)
+    assert digest == tool.sha("\n".join(census).encode())
+    # the baseline, the multistart sweep and the refine stage's cached
+    # rerun of it, and the fit anchor; no refine round runs on this grid
+    assert [line.split(":")[0] for line in census] == [
+        "baseline", "multistart", "multistart", "fit anchor"]
+    assert [line.split(", ")[0].split(": ")[1] for line in census] == [
+        "3 tasks", "27 tasks", "27 tasks", "9 tasks"]

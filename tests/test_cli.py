@@ -677,6 +677,22 @@ class TestConfigPrecedence:
         message = self.RETIRED.get(name, f"{name} must be at least 0, got -2.0")
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["er", "pareto"])
+    @pytest.mark.parametrize("value", ["1.5", "0"])
+    def test_anchor_vf_outside_unit_interval_exit_2(self, tmp_path, capsys, command, value):
+        # checked where the config holds it, not only by fit, which reads it
+        if command == "er":
+            code = self._er_with_config(tmp_path, "anchor_vf", value)
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(f'{{"anchor_vf": {value}, "sweep": {{"points": [0.5]}}}}')
+            out = tmp_path / "o"
+            code = run(["--config", str(cfgfile), "pareto", *tiny("--out", str(out))])
+            assert not out.exists()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"anchor_vf must lie in (0, 1), got {float(value)}" in err
+
     def test_zero_thresholds_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"tie_tol": 0}))

@@ -110,6 +110,13 @@ class TestInverse:
             x = inverse(m, float(c_req))
             assert eval_front(m, x) == pytest.approx(float(c_req), rel=1e-8)
 
+    @pytest.mark.parametrize("c_req", [20.0, 150.0, 1e16, 1e20, 1e300])
+    def test_answer_keeps_relative_precision(self, c_req):
+        # an answer far below 1e-15 is bisected to a width relative to it,
+        # not stopped at an absolute floor orders of magnitude above it
+        m = MetaModel(3.28, 2.0, ((0.1, 40.0), (1.0, 9.84)))
+        assert eval_front(m, inverse(m, c_req)) == pytest.approx(c_req, rel=1e-9)
+
     def test_infeasible(self):
         m = fit((0.1, 40.0), 9.0)
         with pytest.raises(InfeasibleError):

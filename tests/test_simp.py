@@ -318,6 +318,21 @@ class TestOptimize:
             res = optimize(small_mbb, vf, cfg)
             assert res.descent_violations <= max(1, 0.05 * res.iterations)
 
+    @pytest.mark.parametrize("kind", ["vstripes2", "ring"])
+    def test_one_residual_per_solve(self, small_mbb, monkeypatch, kind):
+        # the striped and ring starts at vf 0.1 leave disconnected regions,
+        # whose solves sit above RESID_TOL at the backward-error floor
+        calls = {"solve": 0, "apply_constrained": 0}
+        for name in calls:
+            def counting(kern, *args, _name=name, _orig=getattr(GridKernel, name)):
+                calls[_name] += 1
+                return _orig(kern, *args)
+            monkeypatch.setattr(GridKernel, name, counting)
+        res = optimize(small_mbb, 0.1, OptimizerConfig(max_iters=5),
+                       initial_design(kind, 0.1, small_mbb.grid))
+        assert calls["solve"] >= res.iterations
+        assert calls["apply_constrained"] == calls["solve"]
+
     def test_bad_target_rejected(self, small_mbb, cfg):
         with pytest.raises(InvalidArgumentError):
             optimize(small_mbb, 1.5, cfg)

@@ -10,7 +10,8 @@ and ``refine`` strategies, ``er`` on the refined front, ``fit``, and
 limit, 5 mm thickness, a 2.0 m x 0.5 m part), all on the ``mbb`` preset with
 a fresh cache. The config's ``sweep.points`` are ``--vfs`` evenly spaced
 volume fractions from 0.02 to 1.0. It prints a sha256 per artifact, one over
-the census lines the stages print, and one over the names and bytes of the
+the census lines the stages print, followed by those lines, indented, so a
+census diff can be read off two runs, and one over the names and bytes of the
 cache files. ``--tie-tol 0.3`` makes ``select`` re-score a near-tie on the
 refined front, so ``selection.json`` carries the front's masses. Outputs
 repeat only at a fixed BLAS thread count.
@@ -99,6 +100,8 @@ def main(argv=None) -> int:
         for name in ARTIFACTS:
             print(f"{name:20s} {sha((work / 'out' / name).read_bytes())}")
         print(f"{'census':20s} {sha(chr(10).join(census).encode())}  {len(census)} lines")
+        for line in census:
+            print(f"    {line}")
         cache = sorted(p for p in (work / "cache").rglob("*") if p.is_file())
         h = hashlib.sha256()
         for path in cache:
