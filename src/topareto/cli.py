@@ -89,7 +89,7 @@ def _load_config(args) -> RunConfig:
     if not isinstance(points, list):
         raise InvalidArgumentError("sweep.points must be a JSON array, "
                                    f"got {type(points).__name__}")
-    vf_grid = [_json_number(v, "sweep.points") for v in points]
+    vf_grid = pareto_mod.check_vfs(_json_number(v, "sweep.points") for v in points)
 
     numbers = {name: _json_number(doc.get(name, getattr(RunConfig, name)), name)
                for name in NUMBER_KEYS}
@@ -176,6 +176,7 @@ def _front_svg(front, title: str) -> str:
 
 
 def cmd_optimize(args) -> int:
+    pareto_mod.check_vfs([args.vf])  # before the cache directory is made
     cfg = _load_config(args)
     res = pareto_mod.run_optimizations(
         cfg.problem, [{"vf": args.vf, "init_kind": "uniform"}],
@@ -221,19 +222,16 @@ def cmd_pareto(args) -> int:
 def cmd_er(args) -> int:
     cfg = _load_config(args)
     front = _read(args.front, "front file", pareto_mod.ParetoFront.from_csv)
-    raw = er_mod.compute_er(front)
-    filt = er_mod.filter_er(front)
+    vfs, raw, filt = front.vfs(), er_mod.compute_er(front), er_mod.filter_er(front)
     out = cfg.out_dir
-    _write(out / "er_raw.csv", raw.to_csv())
-    _write(out / "er_filtered.csv", filt.to_csv())
+    for name, n in (("er_raw.csv", raw), ("er_filtered.csv", filt)):
+        _write(out / name, pareto_mod.write_table(er_mod.ER_HEADER, zip(vfs, n)))
     _write(out / "er.svg", svgplot.chart(
-        [("raw", raw.vfs(), raw.values()),
-         ("filtered", filt.vfs(), filt.values())],
+        [("raw", vfs, raw), ("filtered", vfs, filt)],
         xlabel="volume fraction", ylabel="efficiency ratio",
         title=f"{cfg.problem.name} efficiency ratio"))
-    for i in filt.bounds_violations():
-        vf, n = filt.points[i]
-        print(f"warning: filtered ratio {n:.4f} at vf={vf:.4g} outside "
+    for i in er_mod.bounds_violations(filt):
+        print(f"warning: filtered ratio {filt[i]:.4f} at vf={vfs[i]:.4g} outside "
               f"[{er_mod.ER_LOWER_BOUND}, {er_mod.ER_UPPER_BOUND}]")
     print(f"er: wrote {out / 'er_raw.csv'} and {out / 'er_filtered.csv'}")
     return 0

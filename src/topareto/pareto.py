@@ -47,10 +47,8 @@ from .simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
 # leave the filtered efficiency ratio above its theoretical band
 MIN_THRESHOLD = 0.002
 DROP_THRESHOLD = 0.025
-IMPROVE_TOL = 5e-4
-# refine's most rounds, and the efficiency ratio's smoothing width in vf
+# refine's most rounds
 REFINE_ROUNDS = 3
-SIGMA = 0.04
 # a multi-start run is abandoned when its penalized compliance exceeds this
 # multiple of the uniform start's at the same iteration and vf. Measured on
 # unraced runs (all 50 desk vfs of the 60x20 half-MBB; bridge and complex
@@ -165,27 +163,6 @@ def envelope(front: ParetoFront) -> ParetoFront:
             best_prov = p.provenance
         pts.append(FrontPoint(p.vf, best, best_prov))
     return ParetoFront(tuple(pts))
-
-
-def smooth(vf: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gaussian-kernel weighted average of a series over the vf axis.
-
-    The kernel has standard deviation ``SIGMA``; it is truncated at three
-    standard deviations and renormalized, so boundary points average over
-    their one-sided neighborhoods.
-    """
-    vf = np.asarray(vf, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if vf.ndim != 1 or vf.shape != y.shape:
-        raise InvalidArgumentError("series arrays must be 1-d and equal length")
-    if np.any(np.diff(vf) <= 0):
-        raise InvalidArgumentError("vf must be strictly increasing")
-    d = vf[:, None] - vf[None, :]
-    w = np.exp(-0.5 * (d / SIGMA) ** 2)
-    # small tolerance keeps the cutoff symmetric when the grid spacing
-    # divides 3*SIGMA exactly
-    w[np.abs(d) > 3 * SIGMA * (1 + 1e-9)] = 0.0
-    return (w @ y) / w.sum(axis=1)
 
 
 def detect_significant(front: ParetoFront) -> SignificantPoints:
@@ -428,8 +405,7 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs,
     pointwise best result. A warm start already run (same volume fraction,
     same seed field) is not run again: its result competed for that point
     once, and a point only improves. It runs at most ``REFINE_ROUNDS``
-    rounds, and stops early once no point improves by more than
-    ``IMPROVE_TOL``.
+    rounds, and stops at a round with no new start.
     """
     states = list(designs)
     if len(states) != len(front):
@@ -456,14 +432,9 @@ def refine_states(problem: ProblemSpec, front: ParetoFront, designs,
         if not tasks:
             break
         results = run_optimizations(problem, tasks, cfg, cache, workers, report)
-        best_gain = 0.0
         for (j, src), res in zip(owners, results):
-            old = points[j].c
-            if res.compliance_p1 < old:
-                best_gain = max(best_gain, (old - res.compliance_p1) / old)
+            if res.compliance_p1 < points[j].c:
                 points[j] = FrontPoint(points[j].vf, res.compliance_p1,
                                        f"warm:{front.points[src].vf:.6g}")
                 states[j] = res
-        if best_gain <= IMPROVE_TOL:
-            break
     return ParetoFront(tuple(points)), states

@@ -66,11 +66,12 @@ def kernel_solve(problem, values, penal):
 
 
 def read_er(text):
-    """An ``er_raw.csv`` or ``er_filtered.csv`` text as an ``ErSeries``, read
-    back through the package's one table reader and cell parser."""
-    return er.ErSeries(tuple(
-        (pareto.finite_cell(v, line), pareto.finite_cell(n, line))
-        for line, (v, n) in pareto.read_table(text, er.ER_HEADER)))
+    """An ``er_raw.csv`` or ``er_filtered.csv`` text as ``(vfs, n)`` arrays,
+    read back through the package's one table reader and cell parser."""
+    rows = [(pareto.finite_cell(v, line), pareto.finite_cell(n, line))
+            for line, (v, n) in pareto.read_table(text, er.ER_HEADER)]
+    vfs, n = np.array(rows).reshape(-1, 2).T
+    return vfs, n
 
 
 def rel_err(a, b):

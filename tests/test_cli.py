@@ -61,10 +61,14 @@ class TestOptimizeCmd:
         assert summary["vf"] != 0.3
 
     def test_invalid_vf_exit_2(self, tmp_path, capsys):
-        code = run(["optimize", *tiny("--out", str(tmp_path / "o")),
-                    "--vf", "1.5"])
-        assert code == 2
-        assert "(0, 1]" in capsys.readouterr().err
+        # checked before the cache directory is made: nothing is left behind
+        out, cache = tmp_path / "o", tmp_path / "c"
+        for vf in ("1.5", "nan"):
+            code = run(["optimize", *tiny("--out", str(out), "--cache", str(cache)),
+                        "--vf", vf])
+            assert code == 2
+            assert "(0, 1]" in capsys.readouterr().err
+            assert not out.exists() and not cache.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -162,8 +166,8 @@ class TestErCmd:
         out = tmp_path / "o"
         code = run(["er", *tiny("--out", str(out)), "--front", str(path)])
         assert code == 0
-        filt = read_er((out / "er_filtered.csv").read_text())
-        assert np.max(np.abs(filt.values() - 1.0)) <= 0.03
+        _, filt = read_er((out / "er_filtered.csv").read_text())
+        assert np.max(np.abs(filt - 1.0)) <= 0.03
 
     def test_missing_front_exit_2(self, tmp_path):
         assert run(["er", *tiny("--out", str(tmp_path / "o")),
@@ -692,6 +696,27 @@ class TestConfigPrecedence:
         assert code == 2
         err = capsys.readouterr().err
         assert f"anchor_vf must lie in (0, 1), got {float(value)}" in err
+
+    @pytest.mark.parametrize("command", ["er", "optimize", "pareto", "fit", "select"])
+    @pytest.mark.parametrize("points, message", [
+        ([0.5, 0.3], "strictly increasing"), ([], "at least one volume fraction"),
+        ([1.5], "(0, 1]"), ([0.3, 0.3], "strictly increasing")])
+    def test_bad_sweep_points_exit_2(self, tmp_path, capsys, table1_csv, command,
+                                     points, message):
+        # checked where the config holds it, for every command, before any write
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"sweep": {"points": points}}))
+        front = tmp_path / "front.csv"
+        front.write_text("vf,c,provenance\n0.2,5.0,x\n0.5,2.0,x\n1.0,1.0,x\n")
+        extra = {"er": ["--front", str(front)], "optimize": ["--vf", "0.5"],
+                 "select": ["--materials", str(table1_csv), *SELECT_LOAD]}
+        out, cache = tmp_path / "o", tmp_path / "c"
+        code = run(["--config", str(cfgfile), command,
+                    *tiny("--out", str(out), "--cache", str(cache)),
+                    *extra.get(command, [])])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
 
     def test_zero_thresholds_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

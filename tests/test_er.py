@@ -8,9 +8,9 @@ import pytest
 import reference_impls as ref
 from reference_impls import AnalyticComponent, analytic_er, analytic_stiffness
 from conftest import read_er
-from topareto.er import ErSeries, compute_er, filter_er
+from topareto.er import ER_HEADER, bounds_violations, compute_er, filter_er, smooth
 from topareto.errors import InvalidArgumentError
-from topareto.pareto import FrontPoint, ParetoFront
+from topareto.pareto import FrontPoint, ParetoFront, write_table
 
 
 def power_law_front(n, vfs, a=2.0):
@@ -27,19 +27,16 @@ class TestComputeEr:
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0])
     def test_exact_on_power_laws(self, n):
         vfs = np.linspace(0.05, 1.0, 37)
-        series = compute_er(power_law_front(n, vfs))
-        assert np.max(np.abs(series.values() - n)) <= 1e-6
+        assert np.max(np.abs(compute_er(power_law_front(n, vfs)) - n)) <= 1e-6
 
     @pytest.mark.parametrize("n", [0.5, 2.0])
     def test_exact_on_nonuniform_grids(self, n):
         vfs = np.geomspace(0.02, 1.0, 23)
-        series = compute_er(power_law_front(n, vfs))
-        assert np.max(np.abs(series.values() - n)) <= 1e-6
+        assert np.max(np.abs(compute_er(power_law_front(n, vfs)) - n)) <= 1e-6
 
     def test_inverse_law_gives_one(self):
         vfs = np.linspace(0.1, 1.0, 12)
-        series = compute_er(power_law_front(1.0, vfs))
-        assert series.values() == pytest.approx(np.ones(12), abs=1e-9)
+        assert compute_er(power_law_front(1.0, vfs)) == pytest.approx(np.ones(12), abs=1e-9)
 
     def test_bit_equal_to_hand_differences(self):
         # np.gradient on a nonuniform grid is the same 3-point formula in the
@@ -52,9 +49,9 @@ class TestComputeEr:
             fronts.append((vfs, rng.uniform(0.5, 2.0, n)))
         for vfs, noise in fronts:
             cs = 4.0 / vfs ** 1.3 * (1.0 if noise is None else noise)
-            series = compute_er(ParetoFront(tuple(
+            n = compute_er(ParetoFront(tuple(
                 FrontPoint(float(v), float(c)) for v, c in zip(vfs, cs))))
-            assert np.array_equal(series.values(), -ref.loglog_slope(vfs, cs))
+            assert np.array_equal(n, -ref.loglog_slope(vfs, cs))
 
     def test_needs_three_points(self):
         front = ParetoFront((FrontPoint(0.2, 5.0), FrontPoint(0.9, 1.0)))
@@ -72,20 +69,26 @@ class TestFilterEr:
         filt = filter_er(front)
         expected = (1 - vfs ** (1 / b + 1)) / (1 + b * vfs ** (1 / b + 1))
         sel = (vfs >= 0.1) & (vfs <= 0.9)
-        assert np.max(np.abs(filt.values()[sel] - expected[sel])) <= 0.03
+        assert np.max(np.abs(filt[sel] - expected[sel])) <= 0.03
 
     def test_monotone_front_envelope_is_identity(self):
         vfs = np.linspace(0.05, 1.0, 60)
         front = power_law_front(1.5, vfs)
-        filt = filter_er(front)
-        raw = compute_er(front)
-        from topareto.pareto import smooth
-        direct = smooth(raw.vfs(), raw.values())
-        assert filt.values() == pytest.approx(direct, abs=1e-12)
+        direct = smooth(vfs, compute_er(front))
+        assert filter_er(front) == pytest.approx(direct, abs=1e-12)
+
+    def test_aligned_with_front_vfs(self):
+        # a float array per front point, in the front's order
+        vfs = np.linspace(0.05, 1.0, 20)
+        for n in (compute_er(power_law_front(1.5, vfs)),
+                  filter_er(power_law_front(1.5, vfs))):
+            assert isinstance(n, np.ndarray) and n.dtype == float
+            assert n.shape == vfs.shape
 
     def test_bounds_violations_index(self):
-        s = ErSeries(((0.1, 0.5), (0.2, 1.5), (0.3, -0.5)))
-        assert s.bounds_violations() == [1, 2]
+        assert bounds_violations(np.array([0.5, 1.5, -0.5])) == [1, 2]
+        # the band's edges are inside it
+        assert bounds_violations(np.array([-0.02, 1.02, 0.0, 1.0])) == []
 
 
 class TestAnalytic:
@@ -107,8 +110,7 @@ class TestAnalytic:
         comp = AnalyticComponent(kind)
         assert analytic_er(comp) == expected
         vfs = np.linspace(0.05, 1.0, 25)
-        series = compute_er(analytic_front(comp, vfs))
-        assert np.max(np.abs(series.values() - expected)) <= 1e-6
+        assert np.max(np.abs(compute_er(analytic_front(comp, vfs)) - expected)) <= 1e-6
 
     def test_parameter_scaling(self):
         comp = AnalyticComponent("rod", e=70e9, length=2.0, section=1e-4)
@@ -125,11 +127,15 @@ class TestAnalytic:
 
 
 class TestErSeries:
+    """A ratio series is ``(vfs, n)`` arrays: its CSV form, and the array
+    checks of ``smooth``."""
+
     def test_csv_round_trip(self):
-        # to_csv writes each float as its repr: it reads back exactly
-        s = ErSeries(((0.1, 0.9), (1 / 3 + 0.1, 2 / 3), (0.5, 0.4), (1.0, 0.02)))
-        back = read_er(s.to_csv())
-        assert back == s
+        # the er command's table writes each float as its repr: it reads back exactly
+        vfs = np.array([0.1, 1 / 3 + 0.1, 0.5, 1.0])
+        n = np.array([0.9, 2 / 3, 0.4, 0.02])
+        back_vfs, back_n = read_er(write_table(ER_HEADER, zip(vfs, n)))
+        assert np.array_equal(back_vfs, vfs) and np.array_equal(back_n, n)
 
     def test_csv_errors(self):
         with pytest.raises(InvalidArgumentError) as exc:
@@ -145,13 +151,13 @@ class TestErSeries:
         assert exc.value.line == 3
 
     def test_ordering_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            ErSeries(((0.5, 1.0), (0.5, 0.9)))
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            smooth(np.array([0.5, 0.5]), np.array([1.0, 0.9]))
 
     @pytest.mark.parametrize("points", [
-        (), ((0.0, 1.0), (0.5, 0.9)), ((0.5, 1.0), (1.5, 0.9)),
-        ((float("nan"), 1.0),)])
+        ([0.1, 0.2], [1.0]), ([[0.1, 0.2]], [[1.0, 0.9]]), ([0.5, 0.3], [1.0, 0.9]),
+        ([0.1], [])])
     def test_vfs_checked(self, points):
-        # nonempty and in (0, 1], as for fronts and sweep grids
+        # one vf per value, 1-d, strictly increasing
         with pytest.raises(InvalidArgumentError):
-            ErSeries(points)
+            smooth(*(np.array(a) for a in points))

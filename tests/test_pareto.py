@@ -1,4 +1,5 @@
-"""Front construction: sweeps, significant points, refine, envelope, smooth."""
+"""Front construction: sweeps, significant points, refine, envelope; and the
+efficiency ratio's smoothing, ``er.smooth``."""
 
 import contextlib
 import types
@@ -6,16 +7,18 @@ import types
 import numpy as np
 import pytest
 
+from topareto import er
 from topareto import pareto as par
 from topareto.cache import RunCache, field_descriptor, result_key
+from topareto.er import smooth
 from topareto.errors import InvalidArgumentError
 from topareto.fem2d import DensityField, ProblemSpec, preset
 from topareto.pareto import (DROP_THRESHOLD, MIN_THRESHOLD, FrontPoint,
                              ParetoFront, SignificantPoints, baseline_states,
                              default_vf_grid, detect_significant, envelope,
-                             multistart_states, refine_states, smooth)
+                             multistart_states, refine_states)
 from topareto.simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
-                           initial_design, optimize)
+                           initial_design, optimize, rescale_to_volume)
 
 
 def synth_front(vfs, fn, tag="synthetic"):
@@ -115,7 +118,7 @@ class TestSmooth:
 
     def test_constants(self):
         # the efficiency ratio's smoothing width and refine's most rounds
-        assert (par.SIGMA, par.REFINE_ROUNDS) == (0.04, 3)
+        assert (er.SIGMA, par.REFINE_ROUNDS) == (0.04, 3)
 
     def test_truncation_at_three_sigma(self):
         vf = np.array([0.0, 0.5, 1.0])
@@ -538,6 +541,36 @@ class TestRefine:
             assert np.array_equal(a.densities.values, b.densities.values)
             assert (a.compliance_p, a.compliance_p1, a.iterations) == \
                 (b.compliance_p, b.compliance_p1, b.iterations)
+
+    def test_small_gain_is_followed_by_another_round(self, tiny_mbb, cfg, monkeypatch):
+        # drops at 3 and 7: points 0-2 start from 3's design, points 3-6 from
+        # 7's. Round one improves only point 3, by 1e-4 relative, with a new
+        # design, so round two starts points 0-2 from it; round three has no
+        # new start
+        vfs = np.linspace(0.1, 1.0, 10)
+        cs = 2.0 / vfs
+        cs[3:] *= 0.9
+        cs[7:] *= 0.9
+        front = ParetoFront(tuple(FrontPoint(v, c) for v, c in zip(vfs, cs)))
+        designs = [_fake_result(tiny_mbb, v, c) for v, c in zip(vfs, cs)]
+        calls = []
+
+        def stub(problem, vf, cfg_, init=None):
+            i = int(np.argmin(np.abs(vfs - vf)))
+            calls.append(i)
+            if i == 3 and calls.count(3) == 1:
+                values = rescale_to_volume(np.linspace(0.0, 1.0, tiny_mbb.grid.nel), vf)
+                c = cs[3] * (1 - 1e-4)
+                return DesignResult(DensityField(values), c, c, True, (c,))
+            return _fake_result(tiny_mbb, vf, cs[i] * 1.01)
+
+        monkeypatch.setattr(par, "optimize", stub)
+        lines = []
+        out, _ = refine_states(tiny_mbb, front, designs, cfg, report=lines.append)
+        assert len(lines) == 2
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 4, 5, 6]
+        assert out.cs()[3] == cs[3] * (1 - 1e-4)
+        assert np.array_equal(np.delete(out.cs(), 3), np.delete(cs, 3))
 
     def test_misaligned_designs_rejected(self, tiny_mbb, cfg):
         front = synth_front([0.5, 1.0], lambda v: 1 / v)

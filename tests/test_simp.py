@@ -7,7 +7,7 @@ import reference_impls as ref
 import topareto.simp as simp_mod
 from conftest import kernel_solve
 from topareto.errors import InvalidArgumentError
-from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel, csr_dot
+from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel, ProblemSpec, csr_dot
 from topareto.simp import (CHANGE_TOL, ETA, INITIAL_DESIGN_KINDS, MOVE_LIMIT, PENAL,
                            OptimizerConfig, _oc_update, evaluate_p1, filter_build,
                            initial_design, optimize, rescale_to_volume)
@@ -332,6 +332,27 @@ class TestOptimize:
                        initial_design(kind, 0.1, small_mbb.grid))
         assert calls["solve"] >= res.iterations
         assert calls["apply_constrained"] == calls["solve"]
+
+    def test_end_of_run_volume_projection(self, small_mbb, cfg, monkeypatch):
+        # both DOFs of nodes ix 10-19, iy 2-8 fixed: the elements between them
+        # carry no strain energy, and at vf 0.95 the OC loop ends at volume
+        # 0.9067 (reported converged); the projection moves the design to 0.95
+        g = small_mbb.grid
+        fixed = {2 * g.node_id(ix, iy) + k
+                 for ix in range(10, 20) for iy in range(2, 9) for k in (0, 1)}
+        problem = ProblemSpec(g, small_mbb.loads, small_mbb.fixed_dofs | fixed,
+                              name="mbb-pinned", symmetry_factor=2.0)
+        weighted = []
+
+        def spy(base, target_vf, weights=None):
+            weighted.append(weights is not None)
+            return rescale_to_volume(base, target_vf, weights)
+
+        monkeypatch.setattr(simp_mod, "rescale_to_volume", spy)
+        res = optimize(problem, 0.95, cfg)
+        assert weighted.count(True) == 1  # the projection ran, once
+        assert abs(res.densities.values.mean() - 0.95) <= 1e-4
+        assert np.isfinite(res.compliance_p1) and res.compliance_p1 > 0
 
     def test_bad_target_rejected(self, small_mbb, cfg):
         with pytest.raises(InvalidArgumentError):
