@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .fem2d import DensityField, ProblemSpec
-from .simp import DesignResult, OptimizerConfig
+from .simp import END_STATES, DesignResult, OptimizerConfig
 
 # enters every result key: bump it whenever a change to the optimizer can
 # change a stored result, so that caches written before are never served
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 # a sweep's tasks share the problem and the config: serialize them once
 _key_parts = lru_cache(maxsize=64)(lambda problem, cfg: (problem.to_json(), cfg.digest()))
 
@@ -65,12 +65,12 @@ class RunCache:
         try:
             meta = json.loads(meta_path.read_text())
             numbers = (meta["compliance_p"], meta["compliance_p1"], *meta["history"])
-            # finite numbers (a bool is not one) and a bool flag
+            # finite numbers (a bool is not one) and a known end state
             if not (all(type(v) in (int, float) and abs(v) < np.inf for v in numbers)
-                    and type(meta["converged"]) is bool):
+                    and meta["end"] in END_STATES):
                 return None
             result = DesignResult(DensityField(np.load(data_path)), meta["compliance_p"],
-                                  meta["compliance_p1"], meta["converged"],
+                                  meta["compliance_p1"], meta["end"],
                                   tuple(meta["history"]))
             # the derived values must be stored, and agree in type and value
             pairs = [(meta[name], getattr(result, name)) for name in DesignResult.DERIVED]

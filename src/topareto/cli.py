@@ -191,7 +191,7 @@ def cmd_optimize(args) -> int:
         sort_keys=True, indent=2) + "\n")
     print(f"optimize {cfg.problem.name} vf={args.vf:g}: "
           f"compliance_p={res.compliance_p:.6g} compliance_p1={res.compliance_p1:.6g} "
-          f"iterations={res.iterations}")
+          f"iterations={res.iterations} end={res.end}")
     return 0
 
 

@@ -216,23 +216,15 @@ def _init_descriptor(task: dict) -> str:
     return "kind:" + kind
 
 
-def abandoned(res: DesignResult, cfg: OptimizerConfig) -> bool:
-    """Whether a run was stopped by its race bound.
-
-    Only a bound ends a run short of ``max_iters`` without converging.
-    """
-    return not res.converged and res.iterations < cfg.max_iters
-
-
-def census(results, cfg: OptimizerConfig, tasks: int, cached: int) -> str:
+def census(results, tasks: int, cached: int) -> str:
     """One line on a batch: its distinct runs by how they ended."""
     runs = list(results)
-    n_abandoned = sum(abandoned(r, cfg) for r in runs)
-    capped = sum(not r.converged for r in runs) - n_abandoned
+    ends = [r.end for r in runs]
     increases = sum(r.descent_violations > 0 for r in runs)
     iterations = sum(r.iterations for r in runs)
     return (f"{tasks} tasks, {len(runs)} distinct, {cached} cached, "
-            f"{n_abandoned} abandoned, {capped} capped, "
+            f"{ends.count('abandoned')} abandoned, {ends.count('capped')} capped, "
+            f"{ends.count('projected')} projected, "
             f"{increases} with increases, {iterations} iterations")
 
 
@@ -250,19 +242,19 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     parallel execution produce identical output.
 
     A task with ``bound_by`` (the index of an unbounded task in the same
-    batch) races against that task's result: its bound is
-    ``ABANDON_FACTOR`` times the other's ``history``, so it is abandoned at
-    the first iteration from the third on whose penalized compliance
-    exceeds that multiple of the reference's at the same iteration (see
-    ``simp.optimize``). Unbounded tasks run first, then the bounded ones,
-    in one pool, started once two runs are pending (a lone run before that
-    runs in this process). The pool forks all its processes at once, so it
-    has ``workers`` of them but no more than the CPUs. A bounded task is
-    keyed by its descriptor plus the factor and its reference's result
-    key, so an abandoned result never sits under a full-run key, and a warm
-    cache, which gives the same bound, serves it again. A bounded task
-    whose reference failed is skipped; the batch raises for the failure.
-    ``report``, when given, receives the batch's :func:`census` line.
+    batch) races against that task's result: its bound is ``ABANDON_FACTOR``
+    times the other's ``history``, so it ends ``"abandoned"`` at the first
+    iteration from the third on whose penalized compliance exceeds that
+    multiple of the reference's at the same iteration (see ``simp.optimize``).
+    Unbounded tasks run first, then the bounded ones, in one pool, started
+    once two runs are pending (a lone run before that runs in this process).
+    The pool forks all its processes at once, so it has ``workers`` of them
+    but no more than the CPUs. A bounded task is keyed by its descriptor plus
+    the factor and its reference's result key, so an abandoned result never
+    sits under a full-run key, and a warm cache, which gives the same bound,
+    serves it again. A bounded task whose reference failed is skipped; the
+    batch raises for the failure. ``report``, when given, receives the batch's
+    :func:`census` line.
     """
     cache = cache or RunCache(None)
     problem = problem.with_unit_load()
@@ -319,7 +311,7 @@ def run_optimizations(problem: ProblemSpec, tasks: list[dict],
     if failures:
         raise SolverError(f"{len(failures)} sweep point(s) failed: {'; '.join(failures)}")
     if report is not None:
-        report(census(found.values(), cfg, len(tasks), cached))
+        report(census(found.values(), len(tasks), cached))
     return [found[key] for key in keys]  # type: ignore[index]
 
 
@@ -364,7 +356,7 @@ def _sweep(problem: ProblemSpec, vf_grid, kinds, cfg: OptimizerConfig, cache, wo
     pts, winners = [], []
     for i, vf in enumerate(vfs):
         block = results[i * len(kinds):(i + 1) * len(kinds)]
-        finished = [j for j, res in enumerate(block) if not abandoned(res, cfg)]
+        finished = [j for j, res in enumerate(block) if res.end != "abandoned"]
         best = min(finished, key=lambda j: block[j].compliance_p1)
         pts.append(FrontPoint(vf, block[best].compliance_p1, kinds[best]))
         winners.append(block[best])

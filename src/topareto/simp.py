@@ -34,6 +34,8 @@ INITIAL_DESIGN_KINDS = (
     "ring",
     "noise",
 )
+# how an optimization can end (see ``optimize``)
+END_STATES = ("converged", "capped", "abandoned", "projected")
 
 _NOISE_SEED = 130904
 # first iteration at which a bounded run is checked against its bound: at
@@ -76,18 +78,22 @@ class DesignResult:
     """Outcome of one optimization run."""
 
     # the summary values that follow from the fields
-    DERIVED = ("vf", "iterations", "descent_violations")
+    DERIVED = ("vf", "iterations", "descent_violations", "converged")
 
     densities: DensityField
     compliance_p: float
     compliance_p1: float
-    converged: bool
+    end: str  # one of END_STATES, set by ``optimize``
     # penalized compliance of every iteration, in order
     history: tuple[float, ...]
 
     @property
     def vf(self) -> float:
         return self.densities.volume_fraction
+
+    @property
+    def converged(self) -> bool:
+        return self.end == "converged"
 
     @property
     def iterations(self) -> int:
@@ -222,9 +228,12 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
 
     Deterministic: identical inputs give bit-identical density fields. The
     result carries the compliance at the optimization penalization and the
-    penalization-1 re-evaluation of the same final field, and the
-    penalized compliance of every iteration (``history``, one entry per
-    iteration).
+    penalization-1 re-evaluation of the same final field, the penalized
+    compliance of every iteration (``history``), and how the loop ended
+    (``end``): ``"converged"`` once an update changes no density by
+    ``CHANGE_TOL``, ``"capped"`` after ``cfg.max_iters`` iterations,
+    ``"abandoned"`` when the race bound stops it, and ``"projected"`` when
+    the end-of-run volume projection moves a converged or capped design.
 
     ``_abandon_above`` is the multi-start race's bound (see
     ``pareto.ABANDON_FACTOR``): a sequence of penalized compliances, one
@@ -233,8 +242,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     above entry ``min(it, len) - 1`` ends the loop before the OC update; a
     bound shorter than the run holds its last entry. The current field
     then goes through the same volume check and penalization-1
-    evaluation, so the result is valid with ``converged=False`` and
-    ``iterations < cfg.max_iters``. Its final solve is the last
+    evaluation, so the result is valid. Its final solve is the last
     iteration's, unless the volume check moved the field. A run the bound
     never stops, or one with an empty bound, is bit-identical to an
     unbounded one.
@@ -254,7 +262,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     x = init.values.copy()
     x_phys = csr_dot(w, x)
 
-    converged = False
+    end = "capped"
     lm = None  # the OC multiplier of the last update
     history = []
     n_bound = len(_abandon_above)
@@ -270,6 +278,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         history.append(c)
         if (n_bound and FIRST_CHECK <= it < cfg.max_iters
                 and c > _abandon_above[min(it, n_bound) - 1]):
+            end = "abandoned"
             break
 
         dc = -PENAL * (1.0 - E_MIN) * x_phys ** (PENAL - 1.0) * ce
@@ -279,7 +288,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         x = x_new
         x_phys = csr_dot(w, x)
         if change < CHANGE_TOL:
-            converged = True
+            end = "converged"
             break
 
     x_phys = np.clip(x_phys, 0.0, 1.0)
@@ -292,6 +301,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
         # converge is reported by the volume check below.
         try:
             x = rescale_to_volume(x, target_vf, dv)
+            end = end if end == "abandoned" else "projected"
         except InvalidArgumentError:
             pass
         x_phys = np.clip(csr_dot(w, x), 0.0, 1.0)
@@ -308,7 +318,7 @@ def optimize(problem: ProblemSpec, target_vf: float, cfg: OptimizerConfig,
     compliance_p = float(f @ u)
     densities = DensityField(x_phys)
     compliance_p1 = evaluate_p1(problem, densities)
-    return DesignResult(densities, compliance_p, compliance_p1, converged, tuple(history))
+    return DesignResult(densities, compliance_p, compliance_p1, end, tuple(history))
 
 
 def _oc_update(x, dc, dv, target_vf, lm_hint=None):

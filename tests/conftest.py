@@ -40,6 +40,18 @@ def tiny_mbb():
     return fem2d.preset("mbb", 8, 4)
 
 
+@pytest.fixture(scope="session")
+def pinned_mbb(small_mbb):
+    """30x10 half-MBB with both DOFs of nodes ix 10-19, iy 2-8 fixed: the
+    elements between them carry no strain energy, and at vf 0.95 the OC
+    loop from the uniform start ends at volume 0.9067."""
+    g = small_mbb.grid
+    fixed = {2 * g.node_id(ix, iy) + k
+             for ix in range(10, 20) for iy in range(2, 9) for k in (0, 1)}
+    return fem2d.ProblemSpec(g, small_mbb.loads, small_mbb.fixed_dofs | fixed,
+                             name="mbb-pinned", symmetry_factor=2.0)
+
+
 @pytest.fixture
 def cfg():
     return simp.OptimizerConfig()

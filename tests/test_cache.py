@@ -18,7 +18,7 @@ from topareto.errors import InvalidArgumentError
 def make_result(n=12):
     rng = np.random.default_rng(1)
     # one compliance increase in the history: descent_violations is 1
-    return DesignResult(DensityField(rng.random(n)), 12.5, 11.25, True,
+    return DesignResult(DensityField(rng.random(n)), 12.5, 11.25, "converged",
                         (13.0, 12.0, 12.5))
 
 
@@ -33,7 +33,7 @@ class TestRunCache:
         assert back.compliance_p == res.compliance_p
         assert back.compliance_p1 == res.compliance_p1
         assert back.iterations == res.iterations
-        assert back.converged == res.converged
+        assert back.end == res.end and back.converged
 
     def test_history_round_trips_bit_for_bit(self, tmp_path, small_mbb):
         from topareto.simp import initial_design, optimize
@@ -98,6 +98,9 @@ class TestRunCache:
         lambda meta, root: meta.update(iterations=42.0),
         lambda meta, root: meta.update(iterations=True),
         lambda meta, root: meta.update(converged=1),
+        lambda meta, root: meta.update(end="done"),
+        lambda meta, root: meta.update(end=1),
+        lambda meta, root: meta.pop("end"),
         lambda meta, root: np.save(root / "k.npy", np.full(12, np.nan)),
         lambda meta, root: meta.update(iterations=meta["iterations"] + 1),
         lambda meta, root: meta.update(vf=meta["vf"] + 1e-9),
@@ -106,7 +109,8 @@ class TestRunCache:
     ], ids=["no history", "no descent_violations", "history not a list",
             "compliance_p1 a string", "compliance_p1 NaN", "compliance_p inf",
             "vf null", "history NaN", "history string", "iterations float",
-            "iterations bool", "converged int", "densities NaN",
+            "iterations bool", "converged int", "end unknown", "end int",
+            "no end", "densities NaN",
             "iterations not the history length", "vf not the density mean",
             "no vf", "densities not of the stored vf"])
     def test_malformed_entry_is_a_miss(self, tmp_path, edit):

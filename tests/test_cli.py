@@ -34,12 +34,16 @@ def tiny(*extra):
 
 
 class TestOptimizeCmd:
-    def test_artifacts_and_summary(self, tmp_path):
+    def test_artifacts_and_summary(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = run(["optimize", *tiny("--out", str(out)), "--vf", "1.0"])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations"] <= 2
+        # how the run ended, and the flag derived from it
+        assert summary["end"] == "converged" and summary["converged"] is True
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"iterations={summary['iterations']} end=converged")
         assert (out / "densities.csv").exists()
         svg = (out / "design.svg").read_text()
         assert svg.startswith("<svg")

@@ -61,7 +61,7 @@ def test_tool_hashes_the_tasks_the_sweeps_run(tiny_mbb, monkeypatch, sweep, task
 
 
 def _result(c1, iterations):
-    return DesignResult(DensityField(np.full(4, 0.5)), 2.0 * c1, c1, True,
+    return DesignResult(DensityField(np.full(4, 0.5)), 2.0 * c1, c1, "converged",
                         tuple(3.0 - 0.1 * k for k in range(iterations)))
 
 

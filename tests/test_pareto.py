@@ -17,8 +17,9 @@ from topareto.pareto import (DROP_THRESHOLD, MIN_THRESHOLD, FrontPoint,
                              ParetoFront, SignificantPoints, baseline_states,
                              default_vf_grid, detect_significant, envelope,
                              multistart_states, refine_states)
-from topareto.simp import (INITIAL_DESIGN_KINDS, DesignResult, OptimizerConfig,
-                           initial_design, optimize, rescale_to_volume)
+from topareto.simp import (END_STATES, INITIAL_DESIGN_KINDS, DesignResult,
+                           OptimizerConfig, initial_design, optimize,
+                           rescale_to_volume)
 
 
 def synth_front(vfs, fn, tag="synthetic"):
@@ -238,6 +239,26 @@ class TestSweeps:
             assert (res.compliance_p, res.compliance_p1, res.iterations) == \
                 (direct.compliance_p, direct.compliance_p1, direct.iterations)
 
+    def test_projected_run_finishes_its_point(self, pinned_mbb, cfg):
+        # the uniform start passes its change test short of the volume and
+        # is projected onto it: it still wins its point, and the census
+        # counts it as projected, not converged and not abandoned
+        lines = []
+        front, (res,) = baseline_states(pinned_mbb, [0.95], cfg, report=lines.append)
+        assert front.points == (FrontPoint(0.95, res.compliance_p1, "uniform"),)
+        assert res.end == "projected"
+        assert lines == [f"1 tasks, 1 distinct, 0 cached, 0 abandoned, 0 capped, "
+                         f"1 projected, 0 with increases, {res.iterations} iterations"]
+
+    def test_census_counts_each_end_state(self):
+        # histories of 1, 2, 3 and 3 iterations; the last two rise once
+        runs = [DesignResult(DensityField(np.full(4, 0.5)), 1.0, 1.0, end,
+                             (3.0, 2.0, 2.5)[:k])
+                for k, end in enumerate(END_STATES, start=1)]
+        assert par.census(runs, 6, 2) == (
+            "6 tasks, 4 distinct, 2 cached, 1 abandoned, 1 capped, 1 projected, "
+            "2 with increases, 9 iterations")
+
     def test_invalid_grid_rejected(self, tiny_mbb, cfg, monkeypatch):
         # before anything runs; a NaN inside the grid fails too
         monkeypatch.setattr(par, "run_optimizations",
@@ -373,15 +394,17 @@ class TestRace:
     def test_abandoned_start_never_wins(self, tiny_mbb, cfg, monkeypatch):
         # an abandoned start with the lowest compliance, and a tie between
         # two finished ones that the first in kind order (diag_diff before
-        # ring) wins
+        # ring) wins, though it was projected and ring converged
         def fake(problem, tasks, cfg_, *args, **kwargs):
             out = []
             for task in tasks:
                 c = {"vstripes2": 1.0, "diag_diff": 3.0, "ring": 3.0}.get(
                     task["init_kind"], 5.0)
+                end = {"vstripes2": "abandoned", "diag_diff": "projected",
+                       "ring": "converged"}.get(task["init_kind"], "capped")
                 iters = 5 if task["init_kind"] == "vstripes2" else cfg_.max_iters
                 out.append(DesignResult(DensityField(np.full(32, 0.5)), c, c,
-                                        False, (c,) * iters))
+                                        end, (c,) * iters))
             return out
 
         monkeypatch.setattr(par, "run_optimizations", fake)
@@ -400,7 +423,7 @@ class TestRace:
             task["bound_by"] = 0
         results = par.run_optimizations(small_mbb, tasks, cfg, cache)
         stopped = [t["init_kind"] for t, r in zip(tasks, results)
-                   if par.abandoned(r, cfg)]
+                   if r.end == "abandoned"]
         assert len(stopped) >= 5 and "uniform" not in stopped
         front, _ = multistart_states(small_mbb, [0.3], cfg, cache)
         assert front.points[0].provenance not in stopped
@@ -411,7 +434,7 @@ class TestRace:
             raced = result_key(norm, 0.3,
                                f"kind:{kind}|abandon_above:1.0x{ref_key}", cfg)
             assert cache.get(full) is None
-            assert par.abandoned(cache.get(raced), cfg)
+            assert cache.get(raced).end == "abandoned"
 
     def test_abandoned_at_first_iteration_above_factor_times_reference(
             self, small_mbb, monkeypatch):
@@ -428,7 +451,7 @@ class TestRace:
                      for it in range(1, len(res.history) + 1)]
             over = [it for it, (c, b) in enumerate(zip(res.history, bound), start=1)
                     if 3 <= it < cfg.max_iters and c > b]
-            if par.abandoned(res, cfg):
+            if res.end == "abandoned":
                 n_stopped += 1
                 assert over == [res.iterations]
             else:
@@ -561,7 +584,7 @@ class TestRefine:
             if i == 3 and calls.count(3) == 1:
                 values = rescale_to_volume(np.linspace(0.0, 1.0, tiny_mbb.grid.nel), vf)
                 c = cs[3] * (1 - 1e-4)
-                return DesignResult(DensityField(values), c, c, True, (c,))
+                return DesignResult(DensityField(values), c, c, "converged", (c,))
             return _fake_result(tiny_mbb, vf, cs[i] * 1.01)
 
         monkeypatch.setattr(par, "optimize", stub)
@@ -581,7 +604,7 @@ class TestRefine:
 def _fake_result(problem, vf, c):
     from topareto.simp import DesignResult
     values = np.full(problem.grid.nel, vf)
-    return DesignResult(DensityField(values), c, c, True, (c,))
+    return DesignResult(DensityField(values), c, c, "converged", (c,))
 
 
 class TestTheoryBounds:

@@ -7,7 +7,7 @@ import reference_impls as ref
 import topareto.simp as simp_mod
 from conftest import kernel_solve
 from topareto.errors import InvalidArgumentError
-from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel, ProblemSpec, csr_dot
+from topareto.fem2d import E_MIN, DensityField, Grid, GridKernel, csr_dot
 from topareto.simp import (CHANGE_TOL, ETA, INITIAL_DESIGN_KINDS, MOVE_LIMIT, PENAL,
                            OptimizerConfig, _oc_update, evaluate_p1, filter_build,
                            initial_design, optimize, rescale_to_volume)
@@ -262,7 +262,7 @@ class TestInitialDesign:
 class TestOptimize:
     def test_full_volume_trivial(self, small_mbb, cfg):
         res = optimize(small_mbb, 1.0, cfg)
-        assert res.iterations <= 2
+        assert res.iterations <= 2 and res.end == "converged"
         assert np.allclose(res.densities.values, 1.0, atol=1e-12)
         c_full, _ = ref.fem_compliance(30, 10, np.ones(300), 3.0,
                                        small_mbb.loads, small_mbb.fixed_dofs)
@@ -333,15 +333,9 @@ class TestOptimize:
         assert calls["solve"] >= res.iterations
         assert calls["apply_constrained"] == calls["solve"]
 
-    def test_end_of_run_volume_projection(self, small_mbb, cfg, monkeypatch):
-        # both DOFs of nodes ix 10-19, iy 2-8 fixed: the elements between them
-        # carry no strain energy, and at vf 0.95 the OC loop ends at volume
-        # 0.9067 (reported converged); the projection moves the design to 0.95
-        g = small_mbb.grid
-        fixed = {2 * g.node_id(ix, iy) + k
-                 for ix in range(10, 20) for iy in range(2, 9) for k in (0, 1)}
-        problem = ProblemSpec(g, small_mbb.loads, small_mbb.fixed_dofs | fixed,
-                              name="mbb-pinned", symmetry_factor=2.0)
+    def test_end_of_run_volume_projection(self, pinned_mbb, cfg, monkeypatch):
+        # the OC loop passes its change test at volume 0.9067; the projection
+        # moves the design to 0.95, so the run ends projected, not converged
         weighted = []
 
         def spy(base, target_vf, weights=None):
@@ -349,8 +343,9 @@ class TestOptimize:
             return rescale_to_volume(base, target_vf, weights)
 
         monkeypatch.setattr(simp_mod, "rescale_to_volume", spy)
-        res = optimize(problem, 0.95, cfg)
+        res = optimize(pinned_mbb, 0.95, cfg)
         assert weighted.count(True) == 1  # the projection ran, once
+        assert res.end == "projected" and not res.converged
         assert abs(res.densities.values.mean() - 0.95) <= 1e-4
         assert np.isfinite(res.compliance_p1) and res.compliance_p1 > 0
 
@@ -368,9 +363,9 @@ class TestRaceBound:
     def _same(a, b):
         return (np.array_equal(a.densities.values, b.densities.values)
                 and (a.compliance_p, a.compliance_p1, a.vf, a.iterations,
-                     a.converged, a.descent_violations, a.history)
+                     a.end, a.descent_violations, a.history)
                 == (b.compliance_p, b.compliance_p1, b.vf, b.iterations,
-                    b.converged, b.descent_violations, b.history))
+                    b.end, b.descent_violations, b.history))
 
     class Probe:
         """A bound of ``length`` entries that records the index of each
@@ -414,7 +409,7 @@ class TestRaceBound:
         cfg = OptimizerConfig(max_iters=40)
         init = initial_design("vstripes2", 0.3, small_mbb.grid)
         res = optimize(small_mbb, 0.3, cfg, init, _abandon_above=(0.0,))
-        assert res.iterations == 3 and not res.converged
+        assert res.iterations == 3 and res.end == "abandoned"
         assert len(res.history) == 3
         assert abs(res.densities.volume_fraction - 0.3) <= 1e-4
         assert np.isfinite([res.compliance_p, res.compliance_p1]).all()
@@ -436,7 +431,7 @@ class TestRaceBound:
         init = initial_design("vstripes2", 0.3, small_mbb.grid)
         res = optimize(small_mbb, 0.3, cfg, init,
                        _abandon_above=(np.inf,) * 4 + (0.0,))
-        assert res.iterations == 5 and not res.converged
+        assert res.iterations == 5 and res.end == "abandoned"
         # the run's own first six compliances: from iteration 7 on it is
         # checked against the sixth, and stops at the first one above it
         plain = optimize(small_mbb, 0.3, cfg, init)
@@ -479,11 +474,11 @@ class TestRaceBound:
             # one check per iteration from 3 to max_iters - 1, each against
             # the entry of its own iteration
             assert probe.seen == list(range(2, max_iters - 1))
-            assert res.iterations == max_iters
+            assert res.iterations == max_iters and res.end == "capped"
         for trip_at, stop in ((1, 3), (2, 4), (38, 40)):
             res = optimize(small_mbb, 0.3, OptimizerConfig(max_iters=41), init,
                            _abandon_above=self.Probe(100, trip_at))
-            assert res.iterations == stop and not res.converged
+            assert res.iterations == stop and res.end == "abandoned"
 
 
 class TestOCUpdate:

@@ -14,7 +14,9 @@ the census lines the stages print, followed by those lines, indented, so a
 census diff can be read off two runs, and one over the names and bytes of the
 cache files. ``--tie-tol 0.3`` makes ``select`` re-score a near-tie on the
 refined front, so ``selection.json`` carries the front's masses. Outputs
-repeat only at a fixed BLAS thread count.
+repeat bit for bit at 1, 2 and 4 OpenBLAS threads on grids up to 120x40
+(measured on a 2-core host); at 200x66 the compliance histories differ between
+thread counts in their last digits, so compare runs made at one thread count.
 """
 
 from __future__ import annotations
